@@ -9,6 +9,7 @@ with a unimodular Gram matrix.
 """
 
 from conics800 import exact, leech, golay
+from conics800.lattices import IntegralLattice
 
 
 def main() -> None:
@@ -31,9 +32,7 @@ def main() -> None:
 
     print("\nExtracting a basis greedily from the minimal vectors...")
     basis, from_minimal = leech.extract_basis(vectors)
-    leech.validate_basis(basis)
-    gram = [[x // 8 for x in row]
-            for row in exact.mat_mul(basis, exact.transpose(basis))]
+    gram = IntegralLattice([list(r) for r in basis], ambient_scale=8).gram_int()
     det = exact.det_bareiss(gram)
     print(f"  24 rows, all minimal vectors: {from_minimal}")
     print(f"  Gram determinant (fraction-free): {det} -> unimodular")

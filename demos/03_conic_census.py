@@ -28,10 +28,7 @@ def main() -> None:
           f"{census.CONIC_RAW_DOTS}...")
     conics = census.find_conics(vectors)
     records = census.classify_all(conics, code)
-    split = {p: 0 for p in census.PATTERN_COUNTS}
-    for r in records:
-        split[r.pattern] += 1
-    print(f"  {len(conics)} conic vectors, split {split}")
+    print(f"  {len(conics)} conic vectors, split {census.pattern_split(records)}")
 
     print("\nIndependent recount from the code alone:")
     recount = census.recount_by_codewords(code, records)

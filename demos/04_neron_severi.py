@@ -32,7 +32,7 @@ def main() -> None:
     print(f"  x.hbar even for the whole lattice: {ns.check_hbar_parity(s)}")
 
     print("\nGluing the index-2 extension N of (hbar-perp in S) + Zh...")
-    n = ns.build_N(s, lam, conics, glue_index=0, true_products=products)
+    n = ns.build_N(s, lam, conics, glue_index=0)
     gram_int = [[int(x) for x in row] for row in n.gram]
     print(f"  rank {n.rank}, det {exact.det_bareiss(gram_int)}, "
           f"signature {exact.signature(gram_int)}")
@@ -45,7 +45,7 @@ def main() -> None:
     comp = np.array_equal(n.classes @ n.gram @ n.classes.T, 2 - products)
     print(f"  c_i.c_j = 2 - l_i.l_j for all pairs: {comp}")
     print(f"  glue choice does not matter: "
-          f"{ns.check_glue_independence(s, lam, conics, n, other_index=1)}")
+          f"{ns.check_glue_independence(n, conics, other_index=1)}")
 
     print("\nDiscriminant forms (group order, block identifications):")
     disc = ns.verify_discriminants(n)

@@ -3,8 +3,8 @@
 Subcommands run the pipeline up to their stage (each stage's checks
 are the next stage's preconditions, so earlier sections are included),
 print a human-readable check listing, and optionally write the JSON
-report. Exit codes: 0 all checks pass, 1 verification mismatch,
-2 bad flags (argparse), 3 construction failure.
+report, on failures too. Exit codes: 0 all checks pass, 1 verification
+mismatch, 2 bad flags (argparse), 3 construction failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import golay as golay_mod
-from .errors import Conics800Error, VerificationError
+from .errors import VerificationError
 from .report import Pipeline, print_human, run_pipeline, serialize
 
 
@@ -104,27 +104,21 @@ def main(argv=None) -> int:
         octad_choice=getattr(args, "octad_choice", "lex"),
         threads=max(1, args.threads),
     )
-    try:
-        if args.command == "golay":
-            rep, ok = run_pipeline(state, "golay")
+    if args.command == "golay":
+        rep, ok = run_pipeline(state, "golay")
+        if state.error is None:
             if args.export:
                 golay_mod.export_codewords(state.code, args.export)
             if args.export_basis:
                 golay_mod.export_basis(state.code, args.export_basis)
-        elif args.command == "leech":
-            rep, ok = run_pipeline(state, "leech", heavy=args.heavy)
-        elif args.command == "conics":
-            rep, ok = run_pipeline(state, "conics", clique_mode=args.clique)
-        elif args.command == "ns":
-            rep, ok = run_pipeline(state, "ns")
-        else:
-            rep, ok = run_pipeline(state, "ns", heavy=not args.skip_heavy)
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except Conics800Error as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 3
+    elif args.command == "leech":
+        rep, ok = run_pipeline(state, "leech", heavy=args.heavy)
+    elif args.command == "conics":
+        rep, ok = run_pipeline(state, "conics", clique_mode=args.clique)
+    elif args.command == "ns":
+        rep, ok = run_pipeline(state, "ns")
+    else:
+        rep, ok = run_pipeline(state, "ns", heavy=not args.skip_heavy)
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -143,4 +137,10 @@ def main(argv=None) -> int:
     else:
         print(f"threads {state.threads}")
         print_human(rep, sys.stdout)
+    if isinstance(state.error, VerificationError):
+        print(f"verification failed: {state.error}", file=sys.stderr)
+        return 1
+    if state.error is not None:
+        print(f"construction failed: {state.error}", file=sys.stderr)
+        return 3
     return 0 if ok else 1

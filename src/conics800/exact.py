@@ -13,6 +13,7 @@ Matrices are plain lists of rows; rows are lists of ``int`` (or
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -388,16 +389,10 @@ def det_exact(m) -> Fraction:
         frow = [Fraction(x) for x in row]
         mult = 1
         for x in frow:
-            mult = mult * x.denominator // _gcd(mult, x.denominator)
+            mult = mult * x.denominator // math.gcd(mult, x.denominator)
         scale *= mult
         scaled.append([int(x * mult) for x in frow])
     return Fraction(det_bareiss(scaled)) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def signature(gram) -> tuple[int, int, int]:

@@ -26,8 +26,9 @@ from itertools import combinations
 import numpy as np
 
 from . import exact
-from .errors import ConstructionError, VerificationError
+from .errors import ConstructionError
 from .golay import GolayCode, positions_of
+from .lattices import membership_mask
 
 RAW_NORM = 32
 TRUE_NORM = 4
@@ -121,11 +122,13 @@ def _row_view(arr: np.ndarray) -> np.ndarray:
 
 
 def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
-    """Enumerate all minimal vectors and check the census invariants."""
-    s31 = shape31_vectors(code)
-    s20 = shape20_vectors(code)
-    s40 = shape40_vectors()
-    vectors = np.concatenate([s31, s20, s40])
+    """Enumerate all minimal vectors and check the census invariants.
+
+    Shapes are counted off the vectors by their largest entry: 3 for
+    shape31, 2 for shape20, 4 for shape40.
+    """
+    vectors = all_minimal_vectors(code)
+    by_largest = np.bincount(np.abs(vectors).max(axis=1), minlength=5)
     wide = vectors.astype(np.int64)
     norms_ok = bool(((wide * wide).sum(axis=1) == RAW_NORM).all())
     view = _row_view(vectors)
@@ -138,34 +141,12 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     negation_closed = bool((sorted_view[idx] == neg_view).all())
     report = MinimalVectorCensus(
         total=len(vectors),
-        shape_counts=(len(s31), len(s20), len(s40)),
+        shape_counts=tuple(int(by_largest[m]) for m in (3, 2, 4)),
         all_norm_32=norms_ok,
         distinct=distinct,
         negation_closed=negation_closed,
     )
     return vectors, report
-
-
-def _reduce_chunk_against_hnf(chunk: np.ndarray, hnf_rows: list[list[int]]) -> np.ndarray:
-    """Boolean mask of chunk rows lying in the integer row span of hnf_rows.
-
-    hnf_rows must be a row HNF (pivot entries positive, ascending pivot
-    columns). Entries stay far below int64 limits: pivots here are <= 8
-    and reduced entries are bounded by the pivot, so quotients and
-    updates stay small.
-    """
-    work = chunk.astype(np.int64).copy()
-    ok = np.ones(len(work), dtype=bool)
-    for row in hnf_rows:
-        c = next(j for j, v in enumerate(row) if v)
-        pivot = row[c]
-        q, r = np.divmod(work[:, c], pivot)
-        ok &= r == 0
-        rv = np.array(row, dtype=np.int64)
-        work -= q[:, None] * rv[None, :]
-        work[~ok] = 0  # stop tracking failed rows
-    ok &= (work == 0).all(axis=1)
-    return ok
 
 
 def _hnf_pivot_product(hnf_rows: list[list[int]]) -> int:
@@ -197,7 +178,7 @@ def extract_basis(vectors: np.ndarray) -> tuple[list[np.ndarray], bool]:
     while pos < n:
         chunk = vectors[pos : pos + chunk_size]
         if hnf_rows:
-            member = _reduce_chunk_against_hnf(chunk, hnf_rows)
+            member = membership_mask(chunk, hnf_rows)
         else:
             member = (chunk == 0).all(axis=1)
         new_idx = np.flatnonzero(~member)
@@ -231,26 +212,3 @@ def extract_basis(vectors: np.ndarray) -> tuple[list[np.ndarray], bool]:
     if len(chosen) == 24:
         return [np.array(v, dtype=np.int64) for v in chosen], True
     return [np.array(r, dtype=np.int64) for r in hnf_rows], False
-
-
-def basis_gram_true(basis: list[np.ndarray]) -> list[list[Fraction]]:
-    b = np.array(basis, dtype=np.int64)
-    raw = b @ b.T
-    return [[Fraction(int(raw[i, j]), 8) for j in range(len(basis))] for i in range(len(basis))]
-
-
-def validate_basis(basis: list[np.ndarray]) -> None:
-    """Check: 24 vectors, integral even Gram at scale 1/8, determinant 1."""
-    if len(basis) != 24:
-        raise VerificationError(f"leech basis: expected 24 vectors, got {len(basis)}")
-    gram = basis_gram_true(basis)
-    for i in range(24):
-        for j in range(24):
-            if gram[i][j].denominator != 1:
-                raise VerificationError("leech basis: Gram is not integral")
-        if gram[i][i].numerator % 2:
-            raise VerificationError("leech basis: Gram diagonal is not even")
-    g_int = [[int(x) for x in row] for row in gram]
-    d = exact.det_bareiss(g_int)
-    if d != 1:
-        raise VerificationError(f"leech basis: Gram determinant {d} != 1")

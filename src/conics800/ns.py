@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .census import SEED_DET, SEED_GRAM, SEED_ROWS
+from .census import SEED_GRAM, SEED_ROWS
 from .errors import ConstructionError, VerificationError
 from .lattices import (
     FiniteQuadraticForm,
@@ -62,7 +62,6 @@ class PolarizedLattice:
     h: np.ndarray
     classes: np.ndarray
     hnf2: np.ndarray
-    m0: np.ndarray
     w_basis: np.ndarray
     glue_index: int
 
@@ -72,23 +71,18 @@ class PolarizedLattice:
 
 
 def build_vtilde(leech: IntegralLattice) -> IntegralLattice:
-    """The rank-5 seed sublattice, checked against its expected Gram."""
+    """The rank-5 seed sublattice of the ambient lattice."""
     for row in SEED_ROWS:
         if not leech.contains(list(row)):
             raise ConstructionError(f"seed row not in the ambient lattice: {row}")
-    vt = IntegralLattice([list(r) for r in SEED_ROWS], ambient_scale=8)
-    if vt.gram_int() != [list(r) for r in SEED_GRAM]:
-        raise VerificationError("seed sublattice Gram mismatch")
-    if exact.det_bareiss(vt.gram_int()) != SEED_DET:
-        raise VerificationError("seed sublattice determinant is not 160")
-    return vt
+    return IntegralLattice([list(r) for r in SEED_ROWS], ambient_scale=8)
 
 
 def build_S(leech: IntegralLattice, conics: np.ndarray) -> IntegralLattice:
     """Orthogonal complement construction of the rank-20 lattice S.
 
     Hard-errors unless S has rank 20, contains hbar and every conic,
-    and contains no vector of true norm 2.
+    and is even.
     """
     vt = build_vtilde(leech)
     vbar = sublattice_orthogonal_to(vt, list(HBAR))
@@ -105,8 +99,6 @@ def build_S(leech: IntegralLattice, conics: np.ndarray) -> IntegralLattice:
     gram = s.gram_int()
     if any(gram[i][i] % 2 for i in range(len(gram))):
         raise VerificationError("S is not an even lattice")
-    if short_vectors(gram, 2, mode="exact"):
-        raise VerificationError("S contains a vector of true norm 2")
     return s
 
 
@@ -141,32 +133,23 @@ def _w_coords_doubled(w_solver: exact.LeftSolver, conic) -> list[int]:
     return coords
 
 
-def build_N(
-    s: IntegralLattice,
-    leech: IntegralLattice,
-    conics: np.ndarray,
-    glue_index: int = 0,
-    true_products: np.ndarray | None = None,
-) -> PolarizedLattice:
-    """Index-2 extension of (-(hbar-perp in S)) + Zh glued by one conic.
+def _glue(gw: list[list[int]], w_solver: exact.LeftSolver, conic):
+    """Index-2 extension of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
 
-    The glue vector is c0 = l0 - hbar/2 + h/2 for the conic at
-    glue_index; every verification below is exact and hard-errors on
-    mismatch (non-integral extension, wrong determinant or index,
-    wrong signature, any class escaping the lattice).
+    gw is the Gram of W and w_solver solves over its raw basis. Returns
+    (h2, gram): the HNF of the doubled coordinates of the extension in
+    the basis of the orthogonal sum (its canonical basis), and the
+    extension's integer Gram in that basis. Hard-errors on a
+    non-integral extension or a wrong determinant, glue norm or index.
     """
-    w = hbar_perp(s, leech)
-    gw = w.gram_int()
-    n_dim = w.rank + 1
-    w_solver = exact.LeftSolver([list(r) for r in w.basis])
-
-    m0 = [[-gw[i][j] for j in range(w.rank)] + [0] for i in range(w.rank)]
-    m0.append([0] * w.rank + [4])
+    rank_w = len(gw)
+    n_dim = rank_w + 1
+    m0 = [[-gw[i][j] for j in range(rank_w)] + [0] for i in range(rank_w)]
+    m0.append([0] * rank_w + [4])
     if exact.det_bareiss(m0) != -640:
         raise VerificationError("orthogonal-sum determinant is not -640")
 
-    u0 = _w_coords_doubled(w_solver, conics[glue_index])
-    glue2 = u0 + [1]  # doubled coordinates of c0 in the sum basis
+    glue2 = _w_coords_doubled(w_solver, conic) + [1]  # doubled coordinates of c0
     pairings = exact.vec_mat_mul(glue2, m0)
     if any(p % 2 for p in pairings):
         raise ConstructionError("glue vector pairs non-integrally with the sum")
@@ -188,11 +171,25 @@ def build_N(
     gram = [[x // 4 for x in row] for row in gram4]
     if any(gram[i][i] % 2 for i in range(n_dim)):
         raise VerificationError("extension lattice is not even")
-    det = exact.det_bareiss(gram)
-    if det != -160:
-        raise VerificationError(f"det N = {det}, expected -160 (|det| 160)")
-    if exact.signature(gram) != (1, n_dim - 1, 0):
-        raise VerificationError("N does not have signature (1,19)")
+    return h2, gram
+
+
+def build_N(
+    s: IntegralLattice,
+    leech: IntegralLattice,
+    conics: np.ndarray,
+    glue_index: int = 0,
+) -> PolarizedLattice:
+    """Index-2 extension of (-(hbar-perp in S)) + Zh glued by one conic.
+
+    The glue vector is c0 = l0 - hbar/2 + h/2 for the conic at
+    glue_index. Hard-errors when the extension cannot be built exactly
+    (see _glue) or when h or a conic class escapes it; its determinant,
+    signature and class products are returned for the report to judge.
+    """
+    w = hbar_perp(s, leech)
+    w_solver = exact.LeftSolver([list(r) for r in w.basis])
+    h2, gram = _glue(w.gram_int(), w_solver, conics[glue_index])
 
     n_solver = exact.LeftSolver(h2)
     h_coords = n_solver.solve([0] * w.rank + [2])
@@ -207,45 +204,24 @@ def build_N(
             raise ConstructionError(f"class of conic {i} does not lie in N")
         classes.append(xi)
 
-    gram_np = np.array(gram, dtype=np.int64)
-    h_np = np.array(h_coords, dtype=np.int64)
-    cls = np.array(classes, dtype=np.int64)
-    ch = cls @ gram_np @ h_np
-    cc = cls @ gram_np @ cls.T
-    if not (ch == 2).all():
-        raise VerificationError("some class has c.h != 2")
-    if not (np.diagonal(cc) == -2).all():
-        raise VerificationError("some class has c.c != -2")
-    if true_products is None:
-        raw = conics.astype(np.int64) @ conics.astype(np.int64).T
-        true_products = raw // 8
-    if not np.array_equal(cc, 2 - true_products):
-        raise VerificationError("class products do not satisfy c_i.c_j = 2 - l_i.l_j")
-
     return PolarizedLattice(
-        gram=gram_np,
-        h=h_np,
-        classes=cls,
+        gram=np.array(gram, dtype=np.int64),
+        h=np.array(h_coords, dtype=np.int64),
+        classes=np.array(classes, dtype=np.int64),
         hnf2=np.array(h2, dtype=np.int64),
-        m0=np.array(m0, dtype=np.int64),
         w_basis=np.array(w.basis, dtype=np.int64),
         glue_index=glue_index,
     )
 
 
 def check_glue_independence(
-    s: IntegralLattice,
-    leech: IntegralLattice,
-    conics: np.ndarray,
-    n: PolarizedLattice,
-    other_index: int = 1,
+    n: PolarizedLattice, conics: np.ndarray, other_index: int = 1
 ) -> bool:
-    """Rebuild the extension glued by a different conic; the canonical
+    """Glue the extension of n's W by a different conic; the canonical
     basis (hence the Gram) must come out identical."""
-    other = build_N(s, leech, conics, glue_index=other_index)
-    return bool(
-        np.array_equal(other.hnf2, n.hnf2) and np.array_equal(other.gram, n.gram)
-    )
+    w_solver = exact.LeftSolver(n.w_basis.tolist())
+    h2, gram = _glue(_w_gram(n).tolist(), w_solver, conics[other_index])
+    return bool(np.array_equal(h2, n.hnf2) and np.array_equal(gram, n.gram))
 
 
 def check_h_parity(n: PolarizedLattice) -> bool:
@@ -256,10 +232,12 @@ def check_h_parity(n: PolarizedLattice) -> bool:
 def verify_discriminants(n: PolarizedLattice) -> dict:
     """All discriminant-group isomorphisms, with re-verified witnesses.
 
-    Checks: discr of the seed lattice against its 2+8+5 block form;
+    Compares: discr of the seed lattice against its 2+8+5 block form;
     discr N against both stated block forms; -discr N against discr of
     the transcendental model diag(4,40); and the complement identity
-    discr(W) = -discr(seed) inside the unimodular ambient.
+    discr(W) = -discr(seed) inside the unimodular ambient. Returns the
+    group orders and, per comparison, whether an isomorphism was found
+    and whether its witness re-verifies.
     """
     vt_abs = IntegralLattice.from_gram([list(r) for r in SEED_GRAM])
     d_vt = discriminant_form(vt_abs)
@@ -275,8 +253,6 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
         "N": d_n.group_order,
         "T": d_t.group_order,
     }}
-    if d_vt.group_order != 160 or d_n.group_order != 160 or d_t.group_order != 160:
-        raise VerificationError(f"discriminant group orders are off: {report['group_orders']}")
 
     pairs = {
         "seed_block_form": (d_vt, FiniteQuadraticForm.from_blocks(*BLOCKS_VT)),
@@ -287,11 +263,7 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     }
     for name, (f1, f2) in pairs.items():
         ok, witness = fqf_isomorphic(f1, f2)
-        if not ok:
-            raise VerificationError(f"discriminant isomorphism failed: {name}")
-        if not verify_fqf_witness(f1, f2, witness):
-            raise VerificationError(f"witness re-verification failed: {name}")
-        report[name] = {"isomorphic": True, "witness_ok": True}
+        report[name] = {"isomorphic": ok, "witness_ok": verify_fqf_witness(f1, f2, witness)}
     return report
 
 

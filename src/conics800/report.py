@@ -15,6 +15,11 @@ authority:
                        re-verified element by element
 - negative-control:    planted counterexample that must be caught
 
+The checks are the only judge of the claims they name: the library
+builds objects and returns computed values, and raises only when an
+object cannot be built or a claim without a check fails. Such an error
+ends the run, and the report keeps the sections finished before it.
+
 The JSON serialization is byte-stable for fixed flags except for the
 "elapsed" fields; thread count is deliberately not recorded in the
 JSON so reports from differently parallel runs stay identical.
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, census, exact, golay, leech, ns
-from .errors import VerificationError
+from .errors import Conics800Error
 from .lattices import IntegralLattice, short_vectors
 
 SCHEMA = "conics800-report/1"
@@ -72,8 +77,8 @@ class Pipeline:
     code: golay.GolayCode | None = None
     frame: golay.Frame | None = None
     vectors: np.ndarray | None = None
-    basis: list | None = None
     lam: IntegralLattice | None = None
+    leech_gram: list | None = None
     conics: np.ndarray | None = None
     records: list | None = None
     true_products: np.ndarray | None = None
@@ -81,6 +86,7 @@ class Pipeline:
     s: IntegralLattice | None = None
     n: ns.PolarizedLattice | None = None
     sections: dict = field(default_factory=dict)
+    error: Conics800Error | None = None
 
     def choice_arg(self) -> int | None:
         return None if self.octad_choice == "lex" else int(self.octad_choice)
@@ -125,11 +131,9 @@ def stage_golay(state: Pipeline) -> tuple[dict, bool]:
 def stage_leech(state: Pipeline) -> tuple[dict, bool]:
     t0 = time.monotonic()
     state.vectors, cen = leech.census(state.code)
-    state.basis, from_minimal = leech.extract_basis(state.vectors)
-    leech.validate_basis(state.basis)
-    gram = [[x // 8 for x in row] for row in
-            exact.mat_mul(state.basis, exact.transpose(state.basis))]
-    state.lam = IntegralLattice([list(r) for r in state.basis], ambient_scale=8)
+    basis, from_minimal = leech.extract_basis(state.vectors)
+    state.lam = IntegralLattice([list(r) for r in basis], ambient_scale=8)
+    state.leech_gram = gram = state.lam.gram_int()
     checks = [
         check(
             "shape_counts",
@@ -155,19 +159,9 @@ def stage_leech(state: Pipeline) -> tuple[dict, bool]:
 
 def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, bool]:
     t0 = time.monotonic()
-    census.validate_seed()
-    seed_gram = [
-        [x // 8 for x in row]
-        for row in exact.mat_mul(
-            [list(r) for r in census.SEED_ROWS],
-            exact.transpose([list(r) for r in census.SEED_ROWS]),
-        )
-    ]
+    seed_gram = census.seed_gram()
     state.conics = census.find_conics(state.vectors, threads=state.threads)
     state.records = census.classify_all(state.conics, state.code)
-    split = {"P1": 0, "P2": 0, "P3": 0, "P4": 0}
-    for r in state.records:
-        split[r.pattern] += 1
     recount = census.recount_by_codewords(state.code, state.records)
     state.true_products, state.hist = census.intersection_data(state.conics)
     masks = census.disjointness_masks(state.true_products)
@@ -179,7 +173,12 @@ def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, boo
         check("seed_gram", census.SEED_GRAM, seed_gram, "construction"),
         check("seed_gram_det", census.SEED_DET, exact.det_bareiss(seed_gram), "determinant-oracle"),
         check("conic_count", census.CONIC_COUNT, len(state.conics), "exhaustive-scan"),
-        check("pattern_split", census.PATTERN_COUNTS, split, "exhaustive-scan"),
+        check(
+            "pattern_split",
+            census.PATTERN_COUNTS,
+            census.pattern_split(state.records),
+            "exhaustive-scan",
+        ),
         check(
             "recount_underlined_factors",
             {"P1": 16, "P2": 16, "P3": 10, "P4": 3},
@@ -233,11 +232,7 @@ def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, boo
         c2, _ = golay.normalize_frame(raw, choice)
         v2 = leech.all_minimal_vectors(c2)
         k2 = census.find_conics(v2, threads=state.threads)
-        r2 = census.classify_all(k2, c2)
-        s2 = {"P1": 0, "P2": 0, "P3": 0, "P4": 0}
-        for r in r2:
-            s2[r.pattern] += 1
-        splits[str(choice)] = s2
+        splits[str(choice)] = census.pattern_split(census.classify_all(k2, c2))
     checks.append(
         check(
             "frame_invariance_splits",
@@ -257,9 +252,7 @@ def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, boo
 def stage_ns(state: Pipeline) -> tuple[dict, bool]:
     t0 = time.monotonic()
     state.s = ns.build_S(state.lam, state.conics)
-    state.n = ns.build_N(
-        state.s, state.lam, state.conics, glue_index=0, true_products=state.true_products
-    )
+    state.n = ns.build_N(state.s, state.lam, state.conics, glue_index=0)
     n = state.n
     disc = ns.verify_discriminants(n)
     kind1, kind2 = ns.scan_N(n)
@@ -301,7 +294,7 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
         check(
             "glue_choice_independent",
             True,
-            ns.check_glue_independence(state.s, state.lam, state.conics, n, other_index=1),
+            ns.check_glue_independence(n, state.conics, other_index=1),
             "independent-recount",
         ),
         check(
@@ -348,10 +341,8 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
 def stage_heavy(state: Pipeline) -> tuple[dict, bool]:
     """Independent short-vector enumeration over the 24x24 basis Gram."""
     t0 = time.monotonic()
-    gram = [[x // 8 for x in row] for row in
-            exact.mat_mul(state.basis, exact.transpose(state.basis))]
-    found4 = short_vectors(gram, HEAVY_NORM_TARGET, mode="exact")
-    found2 = short_vectors(gram, 2, mode="exact")
+    found4 = short_vectors(state.leech_gram, HEAVY_NORM_TARGET, mode="exact")
+    found2 = short_vectors(state.leech_gram, 2, mode="exact")
     checks = [
         check("norm_4_vector_count", HEAVY_EXPECTED, len(found4), "enumeration-oracle"),
         check("norm_2_vector_count", 0, len(found2), "enumeration-oracle"),
@@ -370,21 +361,31 @@ def run_pipeline(
 ) -> tuple[dict, bool]:
     """Run stages in order up to `upto` (inclusive), then the optional
     heavy cross-check; earlier stages are each stage's preconditions,
-    so their sections are part of the report too."""
+    so their sections are part of the report too.
+
+    A stage that raises a package error ends the run: the report keeps
+    the sections finished before it, reads overall false, and names
+    the stage and the error under "error"; state.error holds it.
+    """
     runners = {
         "golay": stage_golay,
         "leech": stage_leech,
         "conics": lambda st: stage_conics(st, clique_mode),
         "ns": stage_ns,
+        "heavy": stage_heavy,
     }
+    names = STAGE_ORDER[: STAGE_ORDER.index(upto) + 1] + (("heavy",) if heavy else ())
     overall = True
-    for name in STAGE_ORDER[: STAGE_ORDER.index(upto) + 1]:
-        section, ok = runners[name](state)
+    error = None
+    for name in names:
+        try:
+            section, ok = runners[name](state)
+        except Conics800Error as exc:
+            state.error = exc
+            error = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
+            overall = False
+            break
         state.sections[name] = section
-        overall = overall and ok
-    if heavy:
-        section, ok = stage_heavy(state)
-        state.sections["heavy"] = section
         overall = overall and ok
     report = {
         "schema": SCHEMA,
@@ -395,6 +396,8 @@ def run_pipeline(
         "stages": dict(state.sections),
         "overall": overall,
     }
+    if error is not None:
+        report["error"] = error
     return report, overall
 
 
@@ -427,4 +430,7 @@ def print_human(report: dict, stream) -> None:
             print(f"  clique: {section['clique']}", file=stream)
         if "clique_count" in section:
             print(f"  clique_count: {section['clique_count']}", file=stream)
+    if "error" in report:
+        err = report["error"]
+        print(f"\n[{err['stage']}]  {err['type']}: {err['message']}", file=stream)
     print(f"\noverall: {'PASS' if report['overall'] else 'FAIL'}", file=stream)

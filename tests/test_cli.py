@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conics800 import cli, leech, report
+from conics800 import census, cli, leech, report
 
 
 def test_golay_subcommand(capsys, tmp_path):
@@ -50,15 +50,44 @@ def test_verification_failure_exit_1(monkeypatch, capsys):
     assert "[FAIL]" in out and "overall: FAIL" in out
 
 
-def test_construction_failure_exit_3(monkeypatch, capsys):
+def test_planted_conic_loss_exit_1(monkeypatch, tmp_path):
+    find_conics = census.find_conics
+
+    def drop_first(vectors, threads=1):
+        return find_conics(vectors, threads=threads)[1:]
+
+    monkeypatch.setattr(census, "find_conics", drop_first)
+    out = tmp_path / "r.json"
+    assert cli.main(["conics", "--json", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["overall"] is False
+    assert "error" not in data
+    checks = {c["name"]: c for c in data["stages"]["conics"]["checks"]}
+    count = checks["conic_count"]
+    assert (count["pass"], count["expected"], count["computed"]) == (False, 800, 799)
+    split = checks["pattern_split"]
+    assert split["pass"] is False
+    assert sum(split["expected"].values()) == 800
+    assert sum(split["computed"].values()) == 799
+
+
+def test_construction_failure_exit_3(monkeypatch, capsys, tmp_path):
     from conics800.errors import ConstructionError
 
     def boom(vectors):
         raise ConstructionError("synthetic failure")
 
     monkeypatch.setattr(leech, "extract_basis", boom)
-    assert cli.main(["leech"]) == 3
+    out = tmp_path / "r.json"
+    assert cli.main(["leech", "--json", str(out)]) == 3
     assert "construction failed" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert data["overall"] is False
+    assert set(data["stages"]) == {"golay"}
+    assert data["stages"]["golay"]["pass"] is True
+    assert data["error"] == {
+        "stage": "leech", "type": "ConstructionError", "message": "synthetic failure"
+    }
 
 
 def test_json_determinism_across_threads(tmp_path):

@@ -1,10 +1,11 @@
 """Tests for the rank-20 construction, extension, and scans."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conics800 import census, exact, ns
-from conics800.errors import VerificationError
+from conics800 import census, exact, ns, report
 from conics800.lattices import IntegralLattice, membership_mask, short_vectors
 
 
@@ -67,9 +68,9 @@ def test_class_products(n_lattice, true_products):
     assert np.array_equal(cc, 2 - true_products)
 
 
-def test_glue_independence(s_lattice, lam, conics, n_lattice):
-    assert ns.check_glue_independence(s_lattice, lam, conics, n_lattice, other_index=1)
-    assert ns.check_glue_independence(s_lattice, lam, conics, n_lattice, other_index=400)
+def test_glue_independence(conics, n_lattice):
+    assert ns.check_glue_independence(n_lattice, conics, other_index=1)
+    assert ns.check_glue_independence(n_lattice, conics, other_index=400)
 
 
 def test_discriminant_report(n_lattice):
@@ -78,6 +79,22 @@ def test_discriminant_report(n_lattice):
     for name in ("seed_block_form", "N_block_form_a", "N_block_form_b",
                  "neg_N_vs_T", "complement_identity"):
         assert rep[name] == {"isomorphic": True, "witness_ok": True}
+
+
+def test_wrong_block_form_fails_its_row(lam, conics, true_products, monkeypatch):
+    # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
+    wrong = ((4, Fraction(1, 4)),) + ns.BLOCKS_N_A[1:]
+    monkeypatch.setattr(ns, "BLOCKS_N_A", wrong)
+    state = report.Pipeline(lam=lam, conics=conics, true_products=true_products)
+    section, ok = report.stage_ns(state)
+    assert not ok
+    rows = {c["name"]: c for c in section["checks"]}
+    row = rows["discriminant_N_block_form_a"]
+    assert row["computed"] == {"isomorphic": False, "witness_ok": False}
+    assert row["pass"] is False
+    assert [c["name"] for c in section["checks"] if not c["pass"]] == [
+        "discriminant_N_block_form_a"
+    ]
 
 
 def test_bad_vector_scans_empty(n_lattice):
