@@ -25,7 +25,7 @@ def main() -> None:
 
     print("S = orthogonal complement of the seed's h-perp part:")
     s = ns.build_S(lam, conics)
-    roots = short_vectors(s.gram_int(), 2, mode="exact")
+    roots = short_vectors(s.gram_int(), 2)
     print(f"  rank {s.rank}, positive definite, contains hbar and all "
           f"800 conics")
     print(f"  norm-2 vectors (roots): {len(roots)} -> root free")

@@ -10,7 +10,6 @@ codewords with prescribed intersections with {1,...,9}, so the same
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from time import monotonic
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import exact
 from .errors import ConstructionError, VerificationError
-from .golay import GolayCode, codewords_meeting, mask_of, positions_of
+from .golay import GolayCode, codewords_meeting, mask_of
 
 # Generator rows in raw Leech coordinates (form = dot/8):
 # degree vector hbar, its companion a, and three fine-tuning vectors.
@@ -88,21 +87,13 @@ class ConicRecord:
 
 
 def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Filter the conic vectors and return them lexicographically sorted."""
+    """Filter the conic vectors and return them lexicographically sorted.
+
+    `threads` is accepted and ignored: the filter is one numpy product.
+    """
     seed = np.array(SEED_ROWS, dtype=np.int64).T
     want = np.array(CONIC_RAW_DOTS, dtype=np.int64)
-
-    def dots_block(block: np.ndarray) -> np.ndarray:
-        return (block.astype(np.int64) @ seed == want).all(axis=1)
-
-    if threads > 1:
-        chunks = np.array_split(np.arange(len(vectors)), threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            masks = list(pool.map(lambda ix: dots_block(vectors[ix]), chunks))
-        mask = np.concatenate(masks)
-    else:
-        mask = dots_block(vectors)
-    found = vectors[mask]
+    found = vectors[(vectors.astype(np.int64) @ seed == want).all(axis=1)]
     order = np.lexsort(found.T[::-1])
     return found[order]
 
@@ -279,9 +270,8 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
     deadline = monotonic() + budget_seconds
     n = len(masks)
     count = 0
-    exhausted = True
 
-    def dfs(depth: int, start_mask: int, cand: int) -> bool:
+    def dfs(depth: int, cand: int) -> bool:
         nonlocal count
         if depth == size:
             count += 1
@@ -294,11 +284,11 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            if not dfs(depth + 1, v, masks[v] & c):
+            if not dfs(depth + 1, masks[v] & c):
                 return False
         return True
 
-    exhausted = dfs(0, 0, (1 << n) - 1)
+    exhausted = dfs(0, (1 << n) - 1)
     return count, exhausted
 
 

@@ -23,8 +23,8 @@ def _add_common(p: argparse.ArgumentParser, octad: bool = False) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker threads for the bulk filters (results are identical "
-        "for any value; default: available parallelism)",
+        help="accepted for compatibility; every stage runs in one thread, "
+        "so the value changes nothing",
     )
     p.add_argument("--json", metavar="FILE", help="write the JSON report to FILE")
     if octad:
@@ -135,7 +135,6 @@ def main(argv=None) -> int:
     if selected:
         _print_selected(rep, selected)
     else:
-        print(f"threads {state.threads}")
         print_human(rep, sys.stdout)
     if isinstance(state.error, VerificationError):
         print(f"verification failed: {state.error}", file=sys.stderr)

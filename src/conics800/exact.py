@@ -13,7 +13,6 @@ Matrices are plain lists of rows; rows are lists of ``int`` (or
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -378,21 +377,6 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def det_exact(m) -> Fraction:
-    """Determinant of a matrix with int or Fraction entries."""
-    n = len(m)
-    scale = Fraction(1)
-    scaled: IntMatrix = []
-    for row in m:
-        frow = [Fraction(x) for x in row]
-        mult = 1
-        for x in frow:
-            mult = mult * x.denominator // math.gcd(mult, x.denominator)
-        scale *= mult
-        scaled.append([int(x * mult) for x in frow])
-    return Fraction(det_bareiss(scaled)) / scale
 
 
 def signature(gram) -> tuple[int, int, int]:

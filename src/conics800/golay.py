@@ -116,11 +116,6 @@ def _self_test(code: GolayCode) -> None:
                 raise ConstructionError("golay: basis x word closure violated")
 
 
-def is_codeword(code: GolayCode, subset: int | Iterable[int]) -> bool:
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    return mask in code
-
-
 def codewords_meeting(
     code: GolayCode,
     window: int | Iterable[int],
@@ -151,11 +146,6 @@ def steiner_cover_counts(code: GolayCode) -> np.ndarray:
         count=42504,
     )
     return ((octads[None, :] & quints[:, None]) == quints[:, None]).sum(axis=1)
-
-
-def steiner_check(code: GolayCode) -> bool:
-    """True iff every quintuple lies in exactly one octad."""
-    return bool((steiner_cover_counts(code) == 1).all())
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 An IntegralLattice is a list of independent integer basis rows in an
 ambient Z^n carrying the form x.y / ambient_scale (scale 8 for the
-Leech coordinates, 1 for abstract lattices). Discriminant groups come
-out of the Smith normal form of the Gram matrix; finite quadratic
-forms are compared by a pruned search over generator images, and the
-returned witness is re-verified exhaustively.
+Leech coordinates). Everything else here reads an integer Gram matrix.
+Discriminant groups come out of the Smith normal form of the Gram
+matrix; finite quadratic forms are compared by a pruned search over
+generator images, and the returned witness is re-verified exhaustively.
 
 Short vectors use Fincke-Pohst: an exact rational Cholesky split gives
 the layer bounds, the tree is expanded breadth-first in float64 with a
@@ -51,75 +51,26 @@ def membership_mask(vectors: np.ndarray, hnf_rows: list[list[int]]) -> np.ndarra
 
 
 class IntegralLattice:
-    """A free Z-module of row vectors with form x.y / ambient_scale.
+    """A free Z-module of integer row vectors with form x.y / ambient_scale."""
 
-    Abstract lattices (known only through a Gram matrix) use from_gram,
-    which takes the identity basis and pins the form explicitly.
-    """
-
-    def __init__(self, basis, ambient_scale: int = 1, gram_override=None):
+    def __init__(self, basis, ambient_scale: int = 1):
         self.basis = [[int(x) for x in row] for row in basis]
         self.ambient_scale = int(ambient_scale)
-        self._gram_override = gram_override
         if self.basis and exact.rank(self.basis) != len(self.basis):
             raise ConstructionError("lattice basis rows are dependent")
-
-    @classmethod
-    def from_gram(cls, gram) -> "IntegralLattice":
-        g = [[Fraction(x) for x in row] for row in gram]
-        if not exact.is_symmetric(g):
-            raise ConstructionError("Gram matrix must be symmetric")
-        return cls(exact.identity(len(g)), 1, gram_override=g)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.basis[0]) if self.basis else 0
-
-    def gram(self) -> list[list[Fraction]]:
-        if self._gram_override is not None:
-            return [list(row) for row in self._gram_override]
-        raw = exact.mat_mul(self.basis, exact.transpose(self.basis))
-        return [[Fraction(x, self.ambient_scale) for x in row] for row in raw]
-
     def gram_int(self) -> list[list[int]]:
-        g = self.gram()
-        for row in g:
-            for x in row:
-                if x.denominator != 1:
-                    raise VerificationError("Gram matrix is not integral")
-        return [[int(x) for x in row] for row in g]
-
-    def det(self) -> Fraction:
-        return exact.det_exact(self.gram())
-
-    def is_even(self) -> bool:
-        g = self.gram()
-        return all(
-            x.denominator == 1 for row in g for x in row
-        ) and all(g[i][i].numerator % 2 == 0 for i in range(self.rank))
+        raw = exact.mat_mul(self.basis, exact.transpose(self.basis))
+        if any(x % self.ambient_scale for row in raw for x in row):
+            raise VerificationError("Gram matrix is not integral")
+        return [[x // self.ambient_scale for x in row] for row in raw]
 
     def contains(self, vector) -> bool:
         return exact.solve_left(self.basis, [int(x) for x in vector]) is not None
-
-    def coordinates_of(self, vector):
-        """Integer coordinates of an ambient vector over the basis, or None."""
-        return exact.solve_left(self.basis, [int(x) for x in vector])
-
-    def inner(self, x, y) -> Fraction:
-        """Form value of two ambient vectors (coordinate vectors if abstract)."""
-        if self._gram_override is not None:
-            g = self._gram_override
-            return sum(
-                Fraction(x[i]) * g[i][j] * Fraction(y[j])
-                for i in range(len(g))
-                for j in range(len(g))
-                if x[i] and y[j]
-            ) + Fraction(0)
-        return Fraction(sum(int(a) * int(b) for a, b in zip(x, y)), self.ambient_scale)
 
 
 def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> IntegralLattice:
@@ -130,13 +81,6 @@ def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> Int
     kernel = exact.kernel_left(dots)
     basis = exact.mat_mul(kernel, ambient.basis)
     return IntegralLattice(basis, ambient.ambient_scale)
-
-
-def sublattice_orthogonal_to(lat: IntegralLattice, vector) -> IntegralLattice:
-    """Saturated kernel of pairing against one ambient vector, inside lat."""
-    dots = [[sum(int(a) * int(b) for a, b in zip(row, vector))] for row in lat.basis]
-    kernel = exact.kernel_left(dots)
-    return IntegralLattice(exact.mat_mul(kernel, lat.basis), lat.ambient_scale)
 
 
 def _mod(x: Fraction, modulus: int) -> Fraction:
@@ -209,19 +153,6 @@ class FiniteQuadraticForm:
             tuple(tuple(_mod(-x, 1) for x in row) for row in self.b),
         )
 
-    def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        k, m = len(self.orders), len(other.orders)
-        b = [[Fraction(0)] * (k + m) for _ in range(k + m)]
-        for i in range(k):
-            for j in range(k):
-                b[i][j] = self.b[i][j]
-        for i in range(m):
-            for j in range(m):
-                b[k + i][k + j] = other.b[i][j]
-        return FiniteQuadraticForm(
-            self.orders + other.orders, self.q + other.q, tuple(tuple(r) for r in b)
-        )
-
     # Elements are integer tuples modulo the generator orders.
     def elements(self):
         return product(*(range(d) for d in self.orders))
@@ -258,15 +189,20 @@ class FiniteQuadraticForm:
         return tuple(d for d in exact.invariant_factors(diag) if d != 0) if self.orders else ()
 
 
-def discriminant_form(lat: IntegralLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form on dual/lattice of an even lattice.
+def discriminant_form(gram) -> FiniteQuadraticForm:
+    """The finite quadratic form on dual/lattice of an even lattice,
+    given by its integer Gram matrix G.
 
-    With L G R = D (Smith form of the Gram), the rows of L divided by
-    the divisors generate the discriminant group: generator i is
+    With L G R = D (Smith form of G), the rows of L divided by the
+    divisors generate the discriminant group: generator i is
     (row i of L)/d_i of order d_i, and q, b are evaluated through G.
     """
-    g = lat.gram_int()
-    if not lat.is_even():
+    g = [[int(x) for x in row] for row in gram]
+    if g != [list(row) for row in gram]:
+        raise VerificationError("Gram matrix is not integral")
+    if not exact.is_symmetric(g):
+        raise ConstructionError("Gram matrix must be symmetric")
+    if any(g[i][i] % 2 for i in range(len(g))):
         raise VerificationError("discriminant_form requires an even lattice")
     if exact.det_bareiss(g) == 0:
         raise VerificationError("discriminant_form requires a nondegenerate lattice")
@@ -384,8 +320,8 @@ def _cholesky_exact(g) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
-def short_vectors(gram, norm_target, coset_shift=None, mode: str = "exact") -> list[list[int]]:
-    """All integer x with (x+shift)' G (x+shift) equal to (or at most) norm_target.
+def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
+    """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
     G must be positive definite (int or Fraction entries). Fincke-Pohst
     layer bounds run in float64 with a padded radius; every candidate
@@ -393,8 +329,6 @@ def short_vectors(gram, norm_target, coset_shift=None, mode: str = "exact") -> l
     correctness. Output is lexicographically sorted. With a coset shift
     the returned rows are the integer parts x.
     """
-    if mode not in ("exact", "atmost"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = len(gram)
     target = Fraction(norm_target)
     if target < 0:
@@ -458,13 +392,8 @@ def short_vectors(gram, norm_target, coset_shift=None, mode: str = "exact") -> l
         y = block * denom + shift_arr
         norms = np.einsum("ij,jk,ik->i", y, gi, y)
         if target_scaled.denominator == 1:
-            if mode == "exact":
-                good = norms == int(target_scaled)
-            else:
-                good = norms <= int(target_scaled)
+            good = norms == int(target_scaled)
         else:
             good = np.zeros(len(block), dtype=bool)
         out.extend(list(map(int, row)) for row in block[good])
-    if mode == "atmost" and all(s == 0 for s in shift):
-        out = [row for row in out if any(row)]
     return sorted(out)

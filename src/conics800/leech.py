@@ -20,7 +20,6 @@ by (position pair lexicographic, signs (+,+), (+,-), (-,+), (-,-)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -89,14 +88,6 @@ def all_minimal_vectors(code: GolayCode) -> np.ndarray:
     return np.concatenate([shape31_vectors(code), shape20_vectors(code), shape40_vectors()])
 
 
-def inner_raw(x, y) -> int:
-    return int(np.asarray(x, dtype=np.int64) @ np.asarray(y, dtype=np.int64))
-
-
-def inner_true(x, y) -> Fraction:
-    return Fraction(inner_raw(x, y), 8)
-
-
 @dataclass(frozen=True)
 class MinimalVectorCensus:
     total: int
@@ -104,16 +95,6 @@ class MinimalVectorCensus:
     all_norm_32: bool
     distinct: bool
     negation_closed: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.total == MINIMAL_COUNT
-            and self.shape_counts == (SHAPE31_COUNT, SHAPE20_COUNT, SHAPE40_COUNT)
-            and self.all_norm_32
-            and self.distinct
-            and self.negation_closed
-        )
 
 
 def _row_view(arr: np.ndarray) -> np.ndarray:

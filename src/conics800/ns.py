@@ -27,7 +27,6 @@ from .lattices import (
     membership_mask,
     orthogonal_complement,
     short_vectors,
-    sublattice_orthogonal_to,
     verify_fqf_witness,
 )
 
@@ -85,7 +84,7 @@ def build_S(leech: IntegralLattice, conics: np.ndarray) -> IntegralLattice:
     and is even.
     """
     vt = build_vtilde(leech)
-    vbar = sublattice_orthogonal_to(vt, list(HBAR))
+    vbar = orthogonal_complement(IntegralLattice([list(HBAR)], 8), vt)
     if vbar.rank != 4:
         raise ConstructionError(f"hbar-complement in the seed lattice has rank {vbar.rank}")
     s = orthogonal_complement(vbar, leech)
@@ -110,7 +109,7 @@ def check_hbar_parity(s: IntegralLattice, hbar=HBAR) -> bool:
 
 def hbar_perp(s: IntegralLattice, leech: IntegralLattice) -> IntegralLattice:
     """W = hbar-perp in S; checked equal to the full seed complement."""
-    w = sublattice_orthogonal_to(s, list(HBAR))
+    w = orthogonal_complement(IntegralLattice([list(HBAR)], 8), s)
     if w.rank != 19:
         raise ConstructionError(f"hbar-perp in S has rank {w.rank}, expected 19")
     vt = build_vtilde(leech)
@@ -239,14 +238,10 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     group orders and, per comparison, whether an isomorphism was found
     and whether its witness re-verifies.
     """
-    vt_abs = IntegralLattice.from_gram([list(r) for r in SEED_GRAM])
-    d_vt = discriminant_form(vt_abs)
-    w_abs = IntegralLattice.from_gram([[int(x) for x in row] for row in _w_gram(n)])
-    d_w = discriminant_form(w_abs)
-    n_abs = IntegralLattice.from_gram([[int(x) for x in row] for row in n.gram])
-    d_n = discriminant_form(n_abs)
-    t_abs = IntegralLattice.from_gram([list(r) for r in T_GRAM])
-    d_t = discriminant_form(t_abs)
+    d_vt = discriminant_form([list(r) for r in SEED_GRAM])
+    d_w = discriminant_form(_w_gram(n).tolist())
+    d_n = discriminant_form(n.gram.tolist())
+    d_t = discriminant_form([list(r) for r in T_GRAM])
 
     report: dict = {"group_orders": {
         "seed": d_vt.group_order,
@@ -320,7 +315,7 @@ def bad_vector_scan(gram, h_coords, e0_coords=None):
             for j in range(len(k))] for i in range(len(k))]
 
     kind1 = []
-    for x in short_vectors(neg, 2, mode="exact"):
+    for x in short_vectors(neg, 2):
         e = exact.vec_mat_mul(list(x), k)
         kind1.append(tuple(e))
 
@@ -335,7 +330,7 @@ def bad_vector_scan(gram, h_coords, e0_coords=None):
         sigma = exact.solve_left_rational([list(r) for r in k], s0)
         if sigma is None:
             raise ConstructionError("isotropic-scan shift escapes the h-complement")
-        for x in short_vectors(neg, 1, coset_shift=sigma, mode="exact"):
+        for x in short_vectors(neg, 1, coset_shift=sigma):
             e = [a + b for a, b in zip(e0, exact.vec_mat_mul(list(x), k))]
             kind2.append(tuple(e))
 

@@ -21,8 +21,8 @@ object cannot be built or a claim without a check fails. Such an error
 ends the run, and the report keeps the sections finished before it.
 
 The JSON serialization is byte-stable for fixed flags except for the
-"elapsed" fields; thread count is deliberately not recorded in the
-JSON so reports from differently parallel runs stay identical.
+"elapsed" fields; the thread count is accepted but changes nothing, and
+it is not recorded in the JSON.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def stage_leech(state: Pipeline) -> tuple[dict, bool]:
 def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, bool]:
     t0 = time.monotonic()
     seed_gram = census.seed_gram()
-    state.conics = census.find_conics(state.vectors, threads=state.threads)
+    state.conics = census.find_conics(state.vectors)
     state.records = census.classify_all(state.conics, state.code)
     recount = census.recount_by_codewords(state.code, state.records)
     state.true_products, state.hist = census.intersection_data(state.conics)
@@ -226,12 +226,16 @@ def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, boo
     ]
 
     # Frame invariance: the same split for every one of the 4 choices.
+    # The run's own frame ("lex" is choice 0) reuses the split above.
     raw = golay.build_golay()
     splits = {}
     for choice in range(4):
+        if choice == state.frame.choice:
+            splits[str(choice)] = census.pattern_split(state.records)
+            continue
         c2, _ = golay.normalize_frame(raw, choice)
         v2 = leech.all_minimal_vectors(c2)
-        k2 = census.find_conics(v2, threads=state.threads)
+        k2 = census.find_conics(v2)
         splits[str(choice)] = census.pattern_split(census.classify_all(k2, c2))
     checks.append(
         check(
@@ -267,7 +271,7 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
         check(
             "S_root_free",
             0,
-            len(short_vectors(state.s.gram_int(), 2, mode="exact")),
+            len(short_vectors(state.s.gram_int(), 2)),
             "enumeration-oracle",
         ),
         check("hbar_parity_in_S", True, ns.check_hbar_parity(state.s), "exhaustive-scan"),
@@ -341,8 +345,8 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
 def stage_heavy(state: Pipeline) -> tuple[dict, bool]:
     """Independent short-vector enumeration over the 24x24 basis Gram."""
     t0 = time.monotonic()
-    found4 = short_vectors(state.leech_gram, HEAVY_NORM_TARGET, mode="exact")
-    found2 = short_vectors(state.leech_gram, 2, mode="exact")
+    found4 = short_vectors(state.leech_gram, HEAVY_NORM_TARGET)
+    found2 = short_vectors(state.leech_gram, 2)
     checks = [
         check("norm_4_vector_count", HEAVY_EXPECTED, len(found4), "enumeration-oracle"),
         check("norm_2_vector_count", 0, len(found2), "enumeration-oracle"),

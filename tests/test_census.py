@@ -29,11 +29,6 @@ def test_conics_satisfy_defining_products(conics):
     assert (norms == 32).all()
 
 
-def test_find_conics_threaded_identical(vectors, conics):
-    threaded = census.find_conics(vectors, threads=3)
-    assert np.array_equal(threaded, conics)
-
-
 def test_classification_split(records):
     split = {}
     for r in records:
@@ -125,19 +120,3 @@ def test_export_conics_roundtrip(records, tmp_path):
     assert coords == records[0].l
     assert first[24] == records[0].pattern
 
-
-def test_frame_invariance_full():
-    raw = golay.build_golay()
-    from conics800 import leech
-
-    splits = []
-    for choice in range(4):
-        code_c, _ = golay.normalize_frame(raw, octad_choice=choice)
-        vecs = leech.all_minimal_vectors(code_c)
-        found = census.find_conics(vecs)
-        recs = census.classify_all(found, code_c)
-        split = {}
-        for r in recs:
-            split[r.pattern] = split.get(r.pattern, 0) + 1
-        splits.append(split)
-    assert all(s == census.PATTERN_COUNTS for s in splits)

@@ -31,7 +31,6 @@ def test_complement_closure(code):
 
 
 def test_steiner_system(code):
-    assert golay.steiner_check(code)
     cover = golay.steiner_cover_counts(code)
     assert len(cover) == 42504
     assert cover.min() == 1 and cover.max() == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conics800 import exact
-from conics800.errors import NotPositiveDefiniteError
+from conics800.errors import ConstructionError, NotPositiveDefiniteError, VerificationError
 from conics800.lattices import (
     FiniteQuadraticForm,
     IntegralLattice,
@@ -17,7 +17,6 @@ from conics800.lattices import (
     membership_mask,
     orthogonal_complement,
     short_vectors,
-    sublattice_orthogonal_to,
     verify_fqf_witness,
 )
 
@@ -51,7 +50,7 @@ def test_short_vectors_against_box_oracle():
         n = rng.randint(1, 3)
         gram = _random_posdef(rng, n)
         for target in (1, 2, 3, 4):
-            got = sorted(list(v) for v in short_vectors(gram, target, mode="exact"))
+            got = sorted(list(v) for v in short_vectors(gram, target))
             assert got == _box_short_vectors(gram, target)
 
 
@@ -62,19 +61,19 @@ def test_short_vectors_coset_against_box_oracle():
         gram = _random_posdef(rng, n)
         shift = [Fraction(rng.randint(-1, 1), rng.choice((2, 3))) for _ in range(n)]
         for target in (Fraction(1, 4), 1, 2):
-            got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift, mode="exact"))
+            got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
             assert got == _box_short_vectors(gram, target, shift)
 
 
 def test_short_vectors_identity_contract():
-    got = short_vectors([[1, 0], [0, 1]], 1, mode="exact")
+    got = short_vectors([[1, 0], [0, 1]], 1)
     assert sorted(map(list, got)) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
-    assert short_vectors([[1, 0], [0, 1]], 3, mode="exact") == []
+    assert short_vectors([[1, 0], [0, 1]], 3) == []
 
 
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        short_vectors([[1, 0], [0, -1]], 2, mode="exact")
+        short_vectors([[1, 0], [0, -1]], 2)
 
 
 def test_integral_lattice_roundtrip():
@@ -82,7 +81,7 @@ def test_integral_lattice_roundtrip():
     assert lat.rank == 2
     assert lat.contains([2, 3, 0])
     assert not lat.contains([1, 0, 0])
-    assert lat.coordinates_of([4, 3, 0]) == [2, 1]
+    assert exact.solve_left(lat.basis, [4, 3, 0]) == [2, 1]
     assert lat.gram_int() == [[4, 0], [0, 9]]
 
 
@@ -97,9 +96,9 @@ def test_orthogonal_complement_properties():
     assert all(x == 1 for x in d[:3])
 
 
-def test_sublattice_orthogonal_to():
+def test_orthogonal_complement_of_one_vector():
     lat = IntegralLattice(exact.identity(3))
-    sub = sublattice_orthogonal_to(lat, [1, 1, 1])
+    sub = orthogonal_complement(IntegralLattice([[1, 1, 1]]), lat)
     assert sub.rank == 2
     for row in sub.basis:
         assert sum(row) == 0
@@ -117,15 +116,13 @@ def test_discriminant_form_order_equals_det():
         n = rng.randint(1, 3)
         base = _random_posdef(rng, n)
         even = [[2 * x for x in row] for row in base]
-        lat = IntegralLattice.from_gram(even)
-        f = discriminant_form(lat)
+        f = discriminant_form(even)
         assert f.group_order == abs(exact.det_bareiss(even))
 
 
 def test_discriminant_polarization_identity():
-    lat = IntegralLattice.from_gram([[4, 2, 0, 0, 0], [2, 4, 2, 0, 1], [0, 2, 4, 2, -1],
-                                     [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]])
-    f = discriminant_form(lat)
+    f = discriminant_form([[4, 2, 0, 0, 0], [2, 4, 2, 0, 1], [0, 2, 4, 2, -1],
+                           [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]])
     rng = random.Random(31)
     elems = list(f.elements())
     for _ in range(100):
@@ -138,14 +135,14 @@ def test_discriminant_polarization_identity():
 
 
 def test_fqf_blocks_match_diagonal_gram():
-    f1 = discriminant_form(IntegralLattice.from_gram([[8]]))
+    f1 = discriminant_form([[8]])
     f2 = FiniteQuadraticForm.from_blocks((8, Fraction(1, 8)))
     ok, wit = fqf_isomorphic(f1, f2)
     assert ok and verify_fqf_witness(f1, f2, wit)
 
 
 def test_fqf_reflexive_and_symmetric():
-    f = discriminant_form(IntegralLattice.from_gram([[4, 0], [0, 40]]))
+    f = discriminant_form([[4, 0], [0, 40]])
     ok, wit = fqf_isomorphic(f, f)
     assert ok and verify_fqf_witness(f, f, wit)
     g = FiniteQuadraticForm.from_blocks((4, Fraction(1, 4)), (40, Fraction(1, 40)))
@@ -177,6 +174,13 @@ def test_bad_witness_rejected():
     assert verify_fqf_witness(f, f, [(2,)]) is False
 
 
-def test_even_lattice_flag():
-    assert IntegralLattice.from_gram([[2, 1], [1, 2]]).is_even()
-    assert not IntegralLattice.from_gram([[1, 0], [0, 2]]).is_even()
+def test_discriminant_form_preconditions():
+    assert discriminant_form([[2, 1], [1, 2]]).group_order == 3
+    with pytest.raises(VerificationError):
+        discriminant_form([[1, 0], [0, 2]])  # odd diagonal
+    with pytest.raises(VerificationError):
+        discriminant_form([[2, 2], [2, 2]])  # singular
+    with pytest.raises(ConstructionError):
+        discriminant_form([[2, 1], [0, 2]])  # asymmetric
+    with pytest.raises(VerificationError):
+        discriminant_form([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])  # non-integral

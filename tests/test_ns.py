@@ -19,7 +19,7 @@ def test_S_shape_and_membership(s_lattice, lam, conics):
 def test_S_root_free_and_even(s_lattice):
     gram = s_lattice.gram_int()
     assert all(gram[i][i] % 2 == 0 for i in range(20))
-    assert short_vectors(gram, 2, mode="exact") == []
+    assert short_vectors(gram, 2) == []
 
 
 def test_hbar_parity(s_lattice):
