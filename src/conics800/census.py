@@ -290,14 +290,3 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
 
     exhausted = dfs(0, (1 << n) - 1)
     return count, exhausted
-
-
-def export_conics(records: list[ConicRecord], path) -> None:
-    """One line per conic: 24 coordinates, pattern, movable pair, codeword mask."""
-    lines = []
-    for r in records:
-        coords = " ".join(str(x) for x in r.l)
-        pair = ",".join(str(p) for p in r.movable_pair) if r.movable_pair else "-"
-        lines.append(f"{coords}  {r.pattern}  {pair}  {r.codeword}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

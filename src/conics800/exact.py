@@ -1,14 +1,15 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Everything here runs on Python's arbitrary-precision ints and
-``fractions.Fraction``: Hermite/Smith normal forms with unimodular
-transforms, fraction-free determinants, integer kernels and linear
-solves, and exact signatures of symmetric forms. Intermediate entries
-of the normal-form algorithms routinely exceed machine words even for
-small inputs, so none of this goes through numpy.
+Everything here runs on Python's arbitrary-precision ints: Hermite/Smith
+normal forms with unimodular transforms, fraction-free determinants,
+integer kernels and linear solves, and exact signatures of symmetric
+forms (the one place ``fractions.Fraction`` appears, inside the
+congruence diagonalization). Intermediate entries of the normal-form
+algorithms routinely exceed machine words even for small inputs, so
+none of this goes through numpy.
 
-Matrices are plain lists of rows; rows are lists of ``int`` (or
-``Fraction`` where noted). All functions leave their inputs untouched.
+Matrices are plain lists of rows; rows are lists of ``int``. All
+functions leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -203,29 +204,23 @@ def kernel_left(m) -> IntMatrix:
     return nonzero_rows(hnf(ker)) if ker else []
 
 
-def _reduce_against_hnf(h, pivots, v, exact: bool):
-    """Express v over the pivot rows of an HNF matrix.
-
-    Returns (coeffs, ok): ``ok`` is False when v is not in the span
-    (integer span for exact=True, rational span otherwise).
-    """
-    w = [x if isinstance(x, Fraction) else int(x) for x in v]
-    coeffs = [Fraction(0)] * len(h)
+def _reduce_against_hnf(h, pivots, v):
+    """Integer coefficients of v over the pivot rows of an HNF matrix,
+    or None when v is not in their integer span."""
+    w = [int(x) for x in v]
+    coeffs = [0] * len(h)
     for i, c in pivots:
         if w[c] == 0:
             continue
-        if exact:
-            q, rem = divmod(w[c], h[i][c])
-            if rem:
-                return None, False
-        else:
-            q = Fraction(w[c], h[i][c])
+        q, rem = divmod(w[c], h[i][c])
+        if rem:
+            return None
         coeffs[i] = q
         for j in range(len(w)):
             w[j] -= q * h[i][j]
     if any(w):
-        return None, False
-    return coeffs, True
+        return None
+    return coeffs
 
 
 def _pivots_of(h) -> list[tuple[int, int]]:
@@ -251,35 +246,20 @@ class LeftSolver:
         self._pivots = _pivots_of(self._h)
 
     def solve(self, v):
-        coeffs, ok = _reduce_against_hnf(self._h, self._pivots, v, exact=True)
-        if not ok:
+        coeffs = _reduce_against_hnf(self._h, self._pivots, v)
+        if coeffs is None:
             return None
         x = [0] * self._nrows
         for i, q in enumerate(coeffs):
             if q:
-                qi = int(q)
                 for j in range(self._nrows):
-                    x[j] += qi * self._u[i][j]
+                    x[j] += q * self._u[i][j]
         return x
 
 
 def solve_left(m, v):
     """Integer solution x of ``x @ m == v``, or None."""
     return LeftSolver(m).solve(v)
-
-
-def solve_left_rational(m, v):
-    """Rational solution x of ``x @ m == v``, or None if v is outside the row span."""
-    h, u = hnf(m, transform=True)
-    coeffs, ok = _reduce_against_hnf(h, _pivots_of(h), [Fraction(t) for t in v], exact=False)
-    if not ok:
-        return None
-    x = [Fraction(0)] * len(m)
-    for i, q in enumerate(coeffs):
-        if q:
-            for j in range(len(m)):
-                x[j] += q * u[i][j]
-    return x
 
 
 def snf(m: Sequence[Sequence[int]]):
@@ -422,41 +402,3 @@ def signature(gram) -> tuple[int, int, int]:
         for i in range(k + 1, n):
             a[i][k] = Fraction(0)
     return pos, neg, zero
-
-
-def write_matrix_text(path, m) -> None:
-    """Plain-text matrix format: first line "rows cols", then entry rows.
-
-    Rational entries are written as "p/q", integers bare.
-    """
-    lines = [f"{len(m)} {len(m[0]) if m else 0}"]
-    for row in m:
-        lines.append(" ".join(_format_entry(x) for x in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _format_entry(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def read_matrix_text(path):
-    """Inverse of write_matrix_text; entries come back as int or Fraction."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    rows, cols = (int(t) for t in tokens[0].split())
-    out = []
-    for line in tokens[1 : rows + 1]:
-        entries = []
-        for tok in line.split():
-            f = Fraction(tok)
-            entries.append(int(f) if f.denominator == 1 else f)
-        if len(entries) != cols:
-            raise ValueError(f"expected {cols} entries per row, got {len(entries)}")
-        out.append(entries)
-    if len(out) != rows:
-        raise ValueError(f"expected {rows} rows, got {len(out)}")
-    return out

@@ -323,18 +323,21 @@ def _cholesky_exact(g) -> tuple[list[Fraction], list[list[Fraction]]]:
 def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
-    G must be positive definite (int or Fraction entries). Fincke-Pohst
-    layer bounds run in float64 with a padded radius; every candidate
-    is re-verified exactly, so the floats only ever cost speed, never
-    correctness. Output is lexicographically sorted. With a coset shift
-    the returned rows are the integer parts x.
+    G must be a positive-definite integer Gram. Fincke-Pohst layer
+    bounds run in float64 with a padded radius; every candidate is
+    re-verified exactly, so the floats only ever cost speed, never
+    correctness. Output is lexicographically sorted. With a (rational)
+    coset shift the returned rows are the integer parts x.
     """
-    n = len(gram)
+    g = [[int(x) for x in row] for row in gram]
+    if g != [list(row) for row in gram]:
+        raise ConstructionError("short_vectors requires an integer Gram matrix")
+    n = len(g)
     target = Fraction(norm_target)
     if target < 0:
         return []
     shift = [Fraction(x) for x in (coset_shift or [0] * n)]
-    d_exact, u_exact = _cholesky_exact(gram)
+    d_exact, u_exact = _cholesky_exact(g)
     d = np.array([float(x) for x in d_exact])
     u = np.array([[float(x) for x in row] for row in u_exact])
     shift_f = np.array([float(x) for x in shift])
@@ -371,19 +374,14 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
             return []
 
     # Exact confirmation of every candidate: with y = denom*x + shift_num,
-    # (x+shift)' G (x+shift) == target  <=>  y' (gden*G) y == target*denom^2*gden.
+    # (x+shift)' G (x+shift) == target  <=>  y' G y == target*denom^2.
     out = []
-    g_frac = [[Fraction(x) for x in row] for row in gram]
     denom = 1
     for s in shift:
         denom = denom * s.denominator // math.gcd(denom, s.denominator)
-    gden = 1
-    for row in g_frac:
-        for x in row:
-            gden = gden * x.denominator // math.gcd(gden, x.denominator)
-    gi = np.array([[int(x * gden) for x in row] for row in g_frac], dtype=np.int64)
+    gi = np.array(g, dtype=np.int64)
     shift_arr = np.array([int(s * denom) for s in shift], dtype=np.int64)
-    target_scaled = target * denom * denom * gden
+    target_scaled = target * denom * denom
     y_bound = int(np.abs(partial).max(initial=0)) * denom + int(np.abs(shift_arr).max(initial=0))
     if n * n * int(np.abs(gi).max(initial=0)) * y_bound * y_bound >= 2**62:
         raise ConstructionError("short_vectors: entries too large for the int64 verifier")

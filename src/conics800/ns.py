@@ -55,13 +55,14 @@ class PolarizedLattice:
 
     All coordinates refer to the canonical basis obtained from the HNF
     of the doubled glue coordinates; gram is the exact integer Gram.
+    w is the positive-definite W = hbar-perp in S the extension glues.
     """
 
     gram: np.ndarray
     h: np.ndarray
     classes: np.ndarray
     hnf2: np.ndarray
-    w_basis: np.ndarray
+    w: IntegralLattice
     glue_index: int
 
     @property
@@ -208,7 +209,7 @@ def build_N(
         h=np.array(h_coords, dtype=np.int64),
         classes=np.array(classes, dtype=np.int64),
         hnf2=np.array(h2, dtype=np.int64),
-        w_basis=np.array(w.basis, dtype=np.int64),
+        w=w,
         glue_index=glue_index,
     )
 
@@ -218,8 +219,8 @@ def check_glue_independence(
 ) -> bool:
     """Glue the extension of n's W by a different conic; the canonical
     basis (hence the Gram) must come out identical."""
-    w_solver = exact.LeftSolver(n.w_basis.tolist())
-    h2, gram = _glue(_w_gram(n).tolist(), w_solver, conics[other_index])
+    w_solver = exact.LeftSolver(n.w.basis)
+    h2, gram = _glue(n.w.gram_int(), w_solver, conics[other_index])
     return bool(np.array_equal(h2, n.hnf2) and np.array_equal(gram, n.gram))
 
 
@@ -239,7 +240,7 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     and whether its witness re-verifies.
     """
     d_vt = discriminant_form([list(r) for r in SEED_GRAM])
-    d_w = discriminant_form(_w_gram(n).tolist())
+    d_w = discriminant_form(n.w.gram_int())
     d_n = discriminant_form(n.gram.tolist())
     d_t = discriminant_form([list(r) for r in T_GRAM])
 
@@ -262,74 +263,41 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     return report
 
 
-def _w_gram(n: PolarizedLattice) -> np.ndarray:
-    """Positive-definite Gram of W recovered from the stored raw basis."""
-    raw = n.w_basis.astype(np.int64)
-    g8 = raw @ raw.T
-    if (g8 % 8).any():
-        raise VerificationError("stored W basis has non-integral products")
-    return g8 // 8
-
-
-def _solve_dot(coeffs: list[int], target: int) -> list[int] | None:
-    """Integer x with sum(x_i * coeffs_i) = target, if one exists."""
-    g = 0
-    combo: list[int] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if g == 0:
-            g = abs(c)
-            combo = [0] * len(coeffs)
-            combo[i] = 1 if c > 0 else -1
-        else:
-            g2, x, y = exact._xgcd(g, c)
-            combo = [x * v for v in combo]
-            combo[i] += y
-            g = g2
-    if g == 0 or target % g:
-        return None
-    return [v * (target // g) for v in combo]
-
-
-def bad_vector_scan(gram, h_coords, e0_coords=None):
+def bad_vector_scan(gram, h_coords):
     """All e with (e.e = -2, e.h = 0) and all e with (e.e = 0, e.h = 2).
 
     Works on any even lattice with h.h = 4 whose h-complement is
     negative definite. Decomposes e = (e.h/4) h + f and enumerates f
     in the appropriate (coset of the) complement by definite
-    short-vector search. Returns two lists of integer vectors in the
-    lattice's own coordinates; both are expected empty for the
-    constructed lattice and non-empty for the planted controls.
+    short-vector search; the coset comes from integer solves only.
+    Returns two lists of integer vectors in the lattice's own
+    coordinates; both are expected empty for the constructed lattice
+    and non-empty for the planted controls.
     """
     gram = [list(map(int, row)) for row in gram]
     h = [int(x) for x in h_coords]
-    n_dim = len(gram)
     gh = exact.mat_vec_mul(gram, h)
     if sum(a * b for a, b in zip(h, gh)) != 4:
         raise ConstructionError("polarization does not have h.h = 4")
     k = exact.kernel_left([[x] for x in gh])
-    if len(k) != n_dim - 1:
+    if len(k) != len(gram) - 1:
         raise ConstructionError("h-complement has unexpected rank")
-    neg = [[-sum(k[i][a] * gram[a][b] * k[j][b] for a in range(n_dim) for b in range(n_dim))
-            for j in range(len(k))] for i in range(len(k))]
+    kgk = exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))
+    neg = [[-x for x in row] for row in kgk]
 
     kind1 = []
     for x in short_vectors(neg, 2):
         e = exact.vec_mat_mul(list(x), k)
         kind1.append(tuple(e))
 
+    # Any e0 with e0.h = 2 seeds the coset; without one, kind 2 is empty.
+    # 2 e0 - h is an integer vector orthogonal to h, so it lies in the
+    # saturated kernel k, and the shift (e0 - h/2) in k-coordinates is
+    # half its integer coordinates.
     kind2 = []
-    if e0_coords is None:
-        e0_coords = _solve_dot(gh, 2)
-    if e0_coords is not None:
-        e0 = [int(x) for x in e0_coords]
-        if sum(a * b for a, b in zip(e0, gh)) != 2:
-            raise ConstructionError("seed vector for the isotropic scan has e0.h != 2")
-        s0 = [Fraction(a) - Fraction(b, 2) for a, b in zip(e0, h)]
-        sigma = exact.solve_left_rational([list(r) for r in k], s0)
-        if sigma is None:
-            raise ConstructionError("isotropic-scan shift escapes the h-complement")
+    e0 = exact.solve_left([[x] for x in gh], [2])
+    if e0 is not None:
+        sigma = [Fraction(x, 2) for x in exact.solve_left(k, [2 * a - b for a, b in zip(e0, h)])]
         for x in short_vectors(neg, 1, coset_shift=sigma):
             e = [a + b for a, b in zip(e0, exact.vec_mat_mul(list(x), k))]
             kind2.append(tuple(e))
@@ -346,13 +314,5 @@ def bad_vector_scan(gram, h_coords, e0_coords=None):
 
 
 def scan_N(n: PolarizedLattice):
-    """Bad-vector scan of the constructed lattice, seeded by class 0."""
-    return bad_vector_scan(
-        n.gram.tolist(), n.h.tolist(), e0_coords=n.classes[0].tolist()
-    )
-
-
-def export_ns(n: PolarizedLattice, gram_path, h_path, classes_path) -> None:
-    exact.write_matrix_text(gram_path, [[int(x) for x in r] for r in n.gram])
-    exact.write_matrix_text(h_path, [[int(x) for x in n.h]])
-    exact.write_matrix_text(classes_path, [[int(x) for x in r] for r in n.classes])
+    """Bad-vector scan of the constructed lattice."""
+    return bad_vector_scan(n.gram.tolist(), n.h.tolist())

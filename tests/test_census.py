@@ -107,16 +107,3 @@ def test_count_cliques_small():
     count, exhausted = census.count_disjoint_16(masks, size=3, budget_seconds=10)
     assert exhausted
     assert count == 4
-
-
-def test_export_conics_roundtrip(records, tmp_path):
-    p = tmp_path / "conics.txt"
-    census.export_conics(records, p)
-    lines = p.read_text().splitlines()
-    assert len(lines) == 800
-    first = lines[0].split()
-    assert len(first) == 24 + 3
-    coords = tuple(int(x) for x in first[:24])
-    assert coords == records[0].l
-    assert first[24] == records[0].pattern
-

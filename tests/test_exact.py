@@ -7,9 +7,6 @@ or against defining properties that determine the result uniquely
 """
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from conics800 import exact
 
@@ -168,13 +165,6 @@ def test_left_solver_matches_solve_left():
         assert (a is None) == (b is None)
 
 
-def test_solve_left_rational():
-    m = [[2, 0], [0, 4]]
-    got = exact.solve_left_rational(m, [1, 1])
-    assert got == [Fraction(1, 2), Fraction(1, 4)]
-    assert exact.solve_left_rational([[1, 2], [2, 4]], [0, 1]) is None
-
-
 def test_signature_against_constructed_inertia():
     rng = random.Random(79)
     for _ in range(80):
@@ -193,16 +183,6 @@ def test_signature_against_constructed_inertia():
 def test_invariant_factors_drop_units():
     assert exact.invariant_factors([[2, 0], [0, 3]]) == (6,)
     assert exact.invariant_factors([[1, 0], [0, 1]]) == ()
-
-
-def test_matrix_text_roundtrip(tmp_path):
-    m = [[1, -2, 3], [0, 5, -8]]
-    p = tmp_path / "m.txt"
-    exact.write_matrix_text(p, m)
-    assert exact.read_matrix_text(p) == m
-    q = [[Fraction(1, 2), Fraction(-3, 4)]]
-    exact.write_matrix_text(p, q)
-    assert exact.read_matrix_text(p) == q
 
 
 def test_hnf_contract_example():

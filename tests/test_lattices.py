@@ -74,6 +74,8 @@ def test_short_vectors_identity_contract():
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         short_vectors([[1, 0], [0, -1]], 2)
+    with pytest.raises(ConstructionError):
+        short_vectors([[Fraction(1, 2), 0], [0, 1]], 2)
 
 
 def test_integral_lattice_roundtrip():

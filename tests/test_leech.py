@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from conics800 import exact, golay, leech
+from conics800 import exact, leech
 from conics800.lattices import membership_mask
 
 

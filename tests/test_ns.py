@@ -103,32 +103,42 @@ def test_bad_vector_scans_empty(n_lattice):
     assert kind2 == []
 
 
+def _rank20(block, entry):
+    """Gram of block + diag(entry, ..., entry), rank 20."""
+    g = [[int(i == j) * entry for j in range(20)] for i in range(20)]
+    for i, row in enumerate(block):
+        g[i][: len(row)] = row
+    return g
+
+
 def test_planted_controls():
     k1, k2 = ns.bad_vector_scan(ns.PLANTED_KIND1, (1, 0))
     assert sorted(k1) == [(0, -1), (0, 1)]
     assert k2 == []
     k1b, k2b = ns.bad_vector_scan(ns.PLANTED_KIND2, (1, 0))
     assert k1b == []
-    assert (0, 1) in k2b
+    assert sorted(k2b) == [(0, 1), (1, -1)]
     for e in k2b:
         g = ns.PLANTED_KIND2
         ee = sum(e[i] * g[i][j] * e[j] for i in range(2) for j in range(2))
         eh = sum(e[i] * g[i][j] * (1, 0)[j] for i in range(2) for j in range(2))
         assert ee == 0 and eh == 2
 
+    # The same controls at the real rank 20, with h = e1.
+    e = [tuple(int(i == j) for j in range(20)) for i in range(20)]
+    k1, k2 = ns.bad_vector_scan(_rank20([[4, 2], [2, 0]], -4), e[0])
+    assert k1 == []
+    assert sorted(k2) == [e[1], tuple(a - b for a, b in zip(e[0], e[1]))]
+    # Here e.h = 4 e_1 is never 2, so the isotropic scan has no coset.
+    k1, k2 = ns.bad_vector_scan(_rank20([[4]], -2), e[0])
+    assert sorted(k1) == sorted(tuple(s * x for x in e[i]) for i in range(1, 20) for s in (1, -1))
+    assert len(k1) == 38
+    assert k2 == []
+
 
 def test_scan_rejects_wrong_polarization_norm():
     with pytest.raises(Exception):
         ns.bad_vector_scan([[2, 0], [0, -2]], (1, 0))
-
-
-def test_export_files(n_lattice, tmp_path):
-    g, h, c = tmp_path / "gram.txt", tmp_path / "h.txt", tmp_path / "classes.txt"
-    ns.export_ns(n_lattice, g, h, c)
-    assert exact.read_matrix_text(g) == [[int(x) for x in r] for r in n_lattice.gram]
-    assert exact.read_matrix_text(h) == [[int(x) for x in n_lattice.h]]
-    cls = exact.read_matrix_text(c)
-    assert len(cls) == 800 and cls[0] == [int(x) for x in n_lattice.classes[0]]
 
 
 def test_build_vtilde_checks(lam):
