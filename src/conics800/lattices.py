@@ -8,9 +8,11 @@ matrix; finite quadratic forms are compared by a pruned search over
 generator images, and the returned witness is re-verified exhaustively.
 
 Short vectors use Fincke-Pohst: an exact rational Cholesky split gives
-the layer bounds, the tree is expanded breadth-first in float64 with a
-safety margin, and every surviving candidate is confirmed in exact
-arithmetic before it is reported.
+the layer bounds, the tree is walked in float64 with a safety margin,
+depth-first over bounded blocks that are each expanded a level at a
+time (so memory follows the block size and depth, not the widest
+level), and every surviving candidate is confirmed in exact arithmetic
+before it is reported.
 """
 
 from __future__ import annotations
@@ -320,6 +322,10 @@ def _cholesky_exact(g) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
+# Frontier rows expanded together at one level of the Fincke-Pohst walk.
+_CHUNK = 4096
+
+
 def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
@@ -328,6 +334,13 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     re-verified exactly, so the floats only ever cost speed, never
     correctness. Output is lexicographically sorted. With a (rational)
     coset shift the returned rows are the integer parts x.
+
+    The tree is walked from x_{n-1} down to x_0, depth-first over
+    blocks of at most _CHUNK frontier rows, each block expanded one
+    level at a time; a row at level i stores only its n - i filled
+    coordinates. Live memory is therefore bounded by the depth times
+    the children of one block, plus the leaves; it does not grow with
+    the widest level of the tree.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram]:
@@ -341,57 +354,52 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     d = np.array([float(x) for x in d_exact])
     u = np.array([[float(x) for x in row] for row in u_exact])
     shift_f = np.array([float(x) for x in shift])
+    # The shift's share of each level's centre: s_i + sum_{j>i} u_ij s_j.
+    centre_shift = shift_f + u @ shift_f
     pad = float(target) * 1e-9 + 1e-9
-    budget = float(target) + pad
+    leaves: list[np.ndarray] = []
 
-    # Level-BFS from the last coordinate upward; partial[:, i] holds x_i.
-    partial = np.zeros((1, n), dtype=np.int64)
-    remaining = np.array([budget])
-    for i in range(n - 1, -1, -1):
-        centers = partial[:, i + 1 :] @ u[i, i + 1 :] + (
-            shift_f[i + 1 :] @ u[i, i + 1 :] if i + 1 < n else 0.0
-        )
-        centers = centers + shift_f[i]
+    def expand(partial: np.ndarray, remaining: np.ndarray, i: int) -> None:
+        """Fill x_i for a block whose rows hold x_{i+1}, ..., x_{n-1}."""
+        if i < 0:
+            leaves.append(partial)
+            return
+        centres = partial @ u[i, i + 1 :] + centre_shift[i]
         radius = np.sqrt(np.maximum(remaining, 0.0) / d[i])
-        lo = np.ceil(-centers - radius - 1e-9).astype(np.int64)
-        hi = np.floor(-centers + radius + 1e-9).astype(np.int64)
+        lo = np.ceil(-centres - radius - 1e-9).astype(np.int64)
+        hi = np.floor(-centres + radius + 1e-9).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
-        keep = counts > 0
-        if not keep.any():
-            return []
-        partial, remaining = partial[keep], remaining[keep]
-        lo, hi, counts, centers = lo[keep], hi[keep], counts[keep], centers[keep]
         reps = np.repeat(np.arange(len(partial)), counts)
-        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        values = lo[reps] + offsets
-        new_partial = partial[reps]
-        new_partial[:, i] = values
-        used = d[i] * (values + centers[reps]) ** 2
-        remaining = remaining[reps] - used
-        ok = remaining >= -pad
-        partial, remaining = new_partial[ok], remaining[ok]
-        if len(partial) == 0:
-            return []
+        values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
+        left = remaining[reps] - d[i] * (values + centres[reps]) ** 2
+        ok = left >= -pad
+        reps, values, left = reps[ok], values[ok], left[ok]
+        child = np.empty((len(reps), n - i), dtype=np.int64)
+        child[:, 0] = values
+        child[:, 1:] = partial[reps]
+        for start in range(0, len(child), _CHUNK):
+            expand(child[start : start + _CHUNK], left[start : start + _CHUNK], i - 1)
+
+    expand(np.zeros((1, 0), dtype=np.int64), np.array([float(target) + pad]), n - 1)
+    rows = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
+    leaves.clear()  # frees the leaf blocks before the copies below
 
     # Exact confirmation of every candidate: with y = denom*x + shift_num,
     # (x+shift)' G (x+shift) == target  <=>  y' G y == target*denom^2.
-    out = []
     denom = 1
     for s in shift:
         denom = denom * s.denominator // math.gcd(denom, s.denominator)
     gi = np.array(g, dtype=np.int64)
     shift_arr = np.array([int(s * denom) for s in shift], dtype=np.int64)
     target_scaled = target * denom * denom
-    y_bound = int(np.abs(partial).max(initial=0)) * denom + int(np.abs(shift_arr).max(initial=0))
+    y_bound = int(np.abs(rows).max(initial=0)) * denom + int(np.abs(shift_arr).max(initial=0))
     if n * n * int(np.abs(gi).max(initial=0)) * y_bound * y_bound >= 2**62:
         raise ConstructionError("short_vectors: entries too large for the int64 verifier")
-    for start in range(0, len(partial), 1 << 20):
-        block = partial[start : start + (1 << 20)]
-        y = block * denom + shift_arr
-        norms = np.einsum("ij,jk,ik->i", y, gi, y)
-        if target_scaled.denominator == 1:
-            good = norms == int(target_scaled)
-        else:
-            good = np.zeros(len(block), dtype=bool)
-        out.extend(list(map(int, row)) for row in block[good])
-    return sorted(out)
+    if target_scaled.denominator != 1:
+        return []
+    good = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), 1 << 20):
+        y = rows[start : start + (1 << 20)] * denom + shift_arr
+        good[start : start + len(y)] = np.einsum("ij,jk,ik->i", y, gi, y) == int(target_scaled)
+    rows = rows[good]
+    return rows[np.lexsort(rows.T[::-1])].tolist()

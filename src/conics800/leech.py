@@ -98,8 +98,13 @@ class MinimalVectorCensus:
 
 
 def _row_view(arr: np.ndarray) -> np.ndarray:
+    """Each row as one fixed-width byte key.
+
+    Keys sort by bytes, not by value; census only needs equal rows to
+    give equal keys.
+    """
     a = np.ascontiguousarray(arr)
-    return a.view([("", a.dtype)] * a.shape[1]).ravel()
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
 
 
 def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:

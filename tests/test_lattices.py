@@ -1,5 +1,6 @@
 """Tests for lattices, discriminant forms, and short-vector search."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conics800 import exact
+from conics800 import exact, lattices
 from conics800.errors import ConstructionError, NotPositiveDefiniteError, VerificationError
 from conics800.lattices import (
     FiniteQuadraticForm,
@@ -22,16 +23,23 @@ from conics800.lattices import (
 
 
 def _box_short_vectors(gram, target, shift=None, bound=8):
-    """Oracle: brute-force enumeration over an integer box."""
+    """Oracle: brute-force enumeration over an integer box.
+
+    With D the lcm of the target's and the shift's denominators,
+    y = D*(x + shift) is integral and the norm test becomes
+    y' G y == target*D^2 in Python ints.
+    """
     n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
     t = Fraction(target)
     shift = [Fraction(x) for x in (shift or [0] * n)]
+    denom = math.lcm(t.denominator, *(s.denominator for s in shift))
+    shift_num = [int(s * denom) for s in shift]
+    t_scaled = int(t * denom * denom)
     out = []
     for cand in product(range(-bound, bound + 1), repeat=n):
-        y = [Fraction(c) + s for c, s in zip(cand, shift)]
-        norm = sum(y[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
-        if norm == t:
+        y = [c * denom + s for c, s in zip(cand, shift_num)]
+        norm = sum(y[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+        if norm == t_scaled:
             out.append(list(cand))
     return sorted(out)
 
@@ -69,6 +77,35 @@ def test_short_vectors_identity_contract():
     got = short_vectors([[1, 0], [0, 1]], 1)
     assert sorted(map(list, got)) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
     assert short_vectors([[1, 0], [0, 1]], 3) == []
+
+
+# Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).
+E8_EDGES = {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
+E8_CARTAN = [
+    [2 if i == j else -1 if (min(i, j), max(i, j)) in E8_EDGES else 0 for j in range(8)]
+    for i in range(8)
+]
+
+# Half a root: the norm-3/2 vectors of E8 + r/2 are w/2 for the 56
+# norm-6 vectors w congruent to r mod 2E8 (6720 spread over 120 classes).
+E8_HALF_ROOT = [Fraction(1, 2)] + [0] * 7
+
+
+def _e8_outputs():
+    return [short_vectors(E8_CARTAN, t) for t in (2, 4, 6)] + [
+        short_vectors(E8_CARTAN, Fraction(3, 2), coset_shift=E8_HALF_ROOT)
+    ]
+
+
+def test_short_vectors_e8_theta_counts():
+    assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 56]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_short_vectors_output_independent_of_chunk(monkeypatch, chunk):
+    expected = _e8_outputs()
+    monkeypatch.setattr(lattices, "_CHUNK", chunk)
+    assert _e8_outputs() == expected
 
 
 def test_short_vectors_rejects_indefinite():

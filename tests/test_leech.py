@@ -1,9 +1,10 @@
 """Tests for minimal-vector enumeration and basis extraction."""
 
 import numpy as np
+import pytest
 
 from conics800 import exact, leech
-from conics800.lattices import membership_mask
+from conics800.lattices import membership_mask, short_vectors
 
 
 def test_census_counts_and_invariants(code):
@@ -85,3 +86,18 @@ def test_enumeration_is_deterministic(code):
     v1 = leech.all_minimal_vectors(code)
     v2 = leech.all_minimal_vectors(code)
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.heavy
+def test_norm4_enumeration_is_the_census(code, basis):
+    """The 196560 basis coordinates found by Fincke-Pohst map onto exactly
+    the census vectors, as a set of rows."""
+    b = [[int(x) for x in r] for r in basis]
+    gram = [[x // 8 for x in row] for row in exact.mat_mul(b, exact.transpose(b))]
+    found4 = short_vectors(gram, 4)
+    vectors, _ = leech.census(code)
+    ambient = np.array(found4, dtype=np.int64) @ np.array(b, dtype=np.int64)
+    expected = vectors.astype(np.int64)
+    assert len(ambient) == len(expected) == 196560
+    assert len(np.unique(ambient, axis=0)) == len(ambient)
+    assert np.array_equal(np.unique(ambient, axis=0), np.unique(expected, axis=0))
