@@ -30,11 +30,12 @@ def main() -> None:
     print(f"  no duplicates:                      {cen.distinct}")
     print(f"  closed under negation:              {cen.negation_closed}")
 
-    print("\nExtracting a basis greedily from the minimal vectors...")
-    basis, from_minimal = leech.extract_basis(vectors)
-    gram = IntegralLattice([list(r) for r in basis], ambient_scale=8).gram_int()
+    print("\nExtracting a basis by exchange from the minimal vectors...")
+    basis = leech.extract_basis(vectors)
+    gram = IntegralLattice(basis, ambient_scale=8).gram_int()
     det = exact.det_bareiss(gram)
-    print(f"  24 rows, all minimal vectors: {from_minimal}")
+    minimal = all(sum(x * x for x in row) == leech.RAW_NORM for row in basis)
+    print(f"  24 rows, all minimal vectors: {minimal}")
     print(f"  Gram determinant (fraction-free): {det} -> unimodular")
     print(f"  even diagonal: {all(gram[i][i] % 2 == 0 for i in range(24))}")
     print("\nAn even unimodular positive-definite rank-24 lattice with no")

@@ -18,8 +18,7 @@ from conics800.lattices import IntegralLattice, short_vectors
 def main() -> None:
     code, _ = golay.normalize_frame(golay.build_golay())
     vectors = leech.all_minimal_vectors(code)
-    basis, _ = leech.extract_basis(vectors)
-    lam = IntegralLattice([list(r) for r in basis], ambient_scale=8)
+    lam = IntegralLattice(leech.extract_basis(vectors), ambient_scale=8)
     conics = census.find_conics(vectors)
     products, _ = census.intersection_data(conics)
 

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heavy",
         action="store_true",
         help="also cross-check the count by independent short-vector "
-        "enumeration (minutes, not seconds)",
+        "enumeration (a few seconds)",
     )
 
     c = sub.add_parser("conics", help="filter and classify the 800 conic vectors")

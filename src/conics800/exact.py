@@ -128,8 +128,8 @@ def _merge_row(pivots: dict, v: list[int], uv):
             return None
 
 
-def _reduce_above(pivots: dict) -> list[int]:
-    """Reduce entries above every pivot into [0, pivot); returns sorted cols."""
+def _reduce_above(pivots: dict) -> None:
+    """Reduce entries above every pivot into [0, pivot)."""
     cols = sorted(pivots)
     for idx, c in enumerate(cols):
         prow, pu = pivots[c]
@@ -143,7 +143,6 @@ def _reduce_above(pivots: dict) -> list[int]:
                 if ju is not None:
                     for k in range(len(ju)):
                         ju[k] -= q * pu[k]
-    return cols
 
 
 def hnf(rows: Sequence[Sequence[int]], transform: bool = False):
@@ -169,20 +168,6 @@ def hnf(rows: Sequence[Sequence[int]], transform: bool = False):
         u = [list(pivots[c][1]) for c in cols] + [list(z) for z in zero_us]
         return h, u
     return h
-
-
-def hnf_insert(hnf_rows: Sequence[Sequence[int]], v: Sequence[int]) -> IntMatrix:
-    """Insert one row into a reduced row-HNF (nonzero rows only).
-
-    Returns the new reduced HNF rows; the input list is not modified.
-    """
-    pivots: dict = {}
-    for row in hnf_rows:
-        c = next(j for j, x in enumerate(row) if x)
-        pivots[c] = [[int(x) for x in row], None]
-    _merge_row(pivots, [int(x) for x in v], None)
-    cols = _reduce_above(pivots)
-    return [pivots[c][0] for c in cols]
 
 
 def nonzero_rows(m) -> IntMatrix:

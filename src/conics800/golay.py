@@ -170,10 +170,8 @@ def _apply_permutation(code: GolayCode, perm: Sequence[int]) -> GolayCode:
                 out |= 1 << (perm[p] - 1)
         return out
 
-    return GolayCode(
-        words=tuple(sorted(move(w) for w in code.words)),
-        basis=tuple(move(b) for b in code.basis),
-    )
+    basis = tuple(move(b) for b in code.basis)
+    return GolayCode(words=_expand_basis(basis), basis=basis)
 
 
 def frame_candidates(code: GolayCode) -> list[int]:

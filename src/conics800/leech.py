@@ -27,7 +27,6 @@ import numpy as np
 from . import exact
 from .errors import ConstructionError
 from .golay import GolayCode, positions_of
-from .lattices import membership_mask
 
 RAW_NORM = 32
 TRUE_NORM = 4
@@ -40,6 +39,9 @@ MINIMAL_COUNT = 196560
 # Raw basis determinant of the coordinate lattice: true Gram has det 1
 # at scale 1/8, so |det B|^2 = 8^24.
 RAW_BASIS_DET = 8**12
+
+# Rows per float coordinate block in extract_basis.
+_CHUNK = 4096
 
 
 def shape31_vectors(code: GolayCode) -> np.ndarray:
@@ -135,66 +137,33 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     return vectors, report
 
 
-def _hnf_pivot_product(hnf_rows: list[list[int]]) -> int:
-    prod = 1
-    for row in hnf_rows:
-        prod *= next(v for v in row if v)
-    return prod
+def extract_basis(vectors: np.ndarray) -> list[list[int]]:
+    """24 minimal vectors spanning the lattice, found by exchange.
 
-
-def _span_is_full(rows: list[list[int]]) -> bool:
-    h: list[list[int]] = []
-    for r in rows:
-        h = exact.hnf_insert(h, r)
-    return len(h) == 24 and _hnf_pivot_product(h) == RAW_BASIS_DET
-
-
-def extract_basis(vectors: np.ndarray) -> tuple[list[np.ndarray], bool]:
-    """Greedily pick minimal vectors whose integer span is the whole lattice.
-
-    Returns (basis_vectors, is_subset): 24 vectors and True when a
-    pruned subset of the input achieves covolume 8^12, otherwise the
-    HNF rows of the full span and False.
+    ``vectors`` is the census: its first 24 rows, -1 + 4e_k, are
+    independent and span a sublattice of index 20480. Scanning on, the
+    first vector with a non-integral coordinate c_j, |c_j| < 1, against
+    the current rows replaces row j (the highest such j), which
+    multiplies the integer index by |c_j|. A full-rank sublattice M of
+    the lattice L has det M = [L : M]^2 det L, so the rows span L
+    exactly when their raw determinant is 8^12; that test is exact.
+    Floats only pick the swaps: coordinates have denominators dividing
+    the index, so a non-integral one sits at least 1/20480 from an
+    integer. Returns the rows as Python ints, in census order.
     """
-    chosen: list[list[int]] = []
-    hnf_rows: list[list[int]] = []
-    n = len(vectors)
-    chunk_size = 4096
-    pos = 0
-    while pos < n:
-        chunk = vectors[pos : pos + chunk_size]
-        if hnf_rows:
-            member = membership_mask(chunk, hnf_rows)
+    idx, pos = list(range(24)), 24
+    while abs(exact.det_bareiss(vectors[idx].tolist())) != RAW_BASIS_DET:
+        inv = np.linalg.inv(vectors[idx].astype(np.float64))
+        for start in range(pos, len(vectors), _CHUNK):
+            # Cast first: int8 @ float64 runs numpy's slow mixed-type loop.
+            coords = vectors[start : start + _CHUNK].astype(np.float64) @ inv
+            swap = (np.abs(coords - np.rint(coords)) > 1e-6) & (np.abs(coords) < 1)
+            hits = np.flatnonzero(swap.any(axis=1))
+            if len(hits):
+                break
         else:
-            member = (chunk == 0).all(axis=1)
-        new_idx = np.flatnonzero(~member)
-        if len(new_idx) == 0:
-            pos += chunk_size
-            continue
-        v = [int(x) for x in chunk[new_idx[0]]]
-        chosen.append(v)
-        hnf_rows = exact.hnf_insert(hnf_rows, v)
-        pos += int(new_idx[0]) + 1  # re-scan the rest of this chunk with the new span
-        if len(hnf_rows) == 24 and _hnf_pivot_product(hnf_rows) == RAW_BASIS_DET:
-            break
-    if len(hnf_rows) != 24 or _hnf_pivot_product(hnf_rows) != RAW_BASIS_DET:
-        raise ConstructionError("leech: minimal vectors did not span the lattice")
-    # Prune: drop vectors whose removal keeps the full span. Later picks
-    # are index refiners and tend to be redundant once their successors
-    # are in, so sweep from the end first, then forward, until stable.
-    changed = True
-    while len(chosen) > 24 and changed:
-        changed = False
-        for order in (range(len(chosen) - 1, -1, -1), range(len(chosen))):
-            for i in order:
-                if len(chosen) == 24:
-                    break
-                if i >= len(chosen):
-                    continue
-                trial = chosen[:i] + chosen[i + 1 :]
-                if _span_is_full(trial):
-                    chosen = trial
-                    changed = True
-    if len(chosen) == 24:
-        return [np.array(v, dtype=np.int64) for v in chosen], True
-    return [np.array(r, dtype=np.int64) for r in hnf_rows], False
+            raise ConstructionError("leech: minimal vectors did not span the lattice")
+        hit = start + int(hits[0])
+        idx[int(np.flatnonzero(swap[hits[0]])[-1])] = hit
+        pos = hit + 1
+    return vectors[sorted(idx)].tolist()

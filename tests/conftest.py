@@ -32,14 +32,12 @@ def vectors(code):
 
 @pytest.fixture(scope="session")
 def basis(vectors):
-    rows, from_minimal = leech.extract_basis(vectors)
-    assert from_minimal
-    return rows
+    return leech.extract_basis(vectors)
 
 
 @pytest.fixture(scope="session")
 def lam(basis):
-    return IntegralLattice([list(r) for r in basis], ambient_scale=8)
+    return IntegralLattice(basis, ambient_scale=8)
 
 
 @pytest.fixture(scope="session")

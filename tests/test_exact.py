@@ -79,17 +79,6 @@ def test_hnf_preserves_row_span():
             assert exact.solve_left(m, row) is not None
 
 
-def test_hnf_insert_matches_batch_hnf():
-    rng = random.Random(41)
-    for _ in range(100):
-        c = rng.randint(1, 5)
-        rows = _random_matrix(rng, rng.randint(1, 4), c)
-        extra = [rng.randint(-9, 9) for _ in range(c)]
-        incremental = exact.hnf_insert(exact.nonzero_rows(exact.hnf(rows)), extra)
-        batch = exact.nonzero_rows(exact.hnf(rows + [extra]))
-        assert incremental == batch
-
-
 def test_snf_defining_properties():
     rng = random.Random(59)
     for _ in range(200):
