@@ -266,27 +266,46 @@ def clique_extension_exists(masks: list[int], clique: list[int]) -> bool:
 
 
 def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 60.0):
-    """(count, exhausted): number of size-cliques found within the budget."""
+    """(count, exhausted): number of size-cliques found within the budget.
+
+    A colouring-bound search on bitsets, in the style of Tomita's MCQ
+    (Tomita & Seki, DMTCS 2003; Tomita et al., TCS 2006). At each node
+    the candidates are greedily split into colour classes (independent
+    sets); a clique of `need` more vertices uses `need` distinct
+    colours, so only vertices of colour number >= need are branched on,
+    in reverse colour order, each cleared from the candidates after its
+    branch. Every clique is counted once, at its first branched vertex.
+    `exhausted` is False when the deadline cut the search short.
+    """
     deadline = monotonic() + budget_seconds
-    n = len(masks)
+    non = [~(m | 1 << v) for v, m in enumerate(masks)]
     count = 0
 
-    def dfs(depth: int, cand: int) -> bool:
+    def expand(need: int, cand: int) -> bool:
         nonlocal count
-        if depth == size:
-            count += 1
-            return True
-        if depth + cand.bit_count() < size:
+        if need <= 1:
+            count += cand.bit_count() if need else 1
             return True
         if monotonic() > deadline:
             return False
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            if not dfs(depth + 1, masks[v] & c):
+        branch = []
+        uncol = cand
+        colour = 0
+        while uncol:
+            colour += 1
+            q = uncol
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q &= non[v]
+                uncol ^= low
+                if colour >= need:
+                    branch.append(v)
+        for v in reversed(branch):
+            if not expand(need - 1, cand & masks[v]):
                 return False
+            cand ^= 1 << v
         return True
 
-    exhausted = dfs(0, (1 << n) - 1)
+    exhausted = expand(size, (1 << len(masks)) - 1)
     return count, exhausted

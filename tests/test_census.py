@@ -1,10 +1,17 @@
 """Tests for the conic census, classification, recount, and cliques."""
 
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conics800 import census, exact, golay
 from conics800.errors import VerificationError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_seed_rows_reproduce_gram():
@@ -107,3 +114,69 @@ def test_count_cliques_small():
     count, exhausted = census.count_disjoint_16(masks, size=3, budget_seconds=10)
     assert exhausted
     assert count == 4
+
+
+def _random_masks(rng: random.Random, n: int, density: float) -> list[int]:
+    masks = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def _brute_force_cliques(masks: list[int], size: int) -> int:
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+    count = 0
+    for combo in combinations(range(len(masks)), size):
+        cm = sum(1 << v for v in combo)
+        count += all(closed[v] & cm == cm for v in combo)
+    return count
+
+
+def test_count_cliques_matches_brute_force():
+    """Independent recount by itertools.combinations on random graphs."""
+    rng = random.Random(20031)
+    for trial in range(30):
+        n = rng.randint(0, 22)
+        masks = _random_masks(rng, n, (0.1, 0.3, 0.5, 0.7, 0.9)[trial % 5])
+        for size in range(7):
+            got = census.count_disjoint_16(masks, size=size)
+            assert got == (_brute_force_cliques(masks, size), True), (trial, n, size)
+
+
+def test_count_cliques_edge_sizes():
+    masks = _random_masks(random.Random(5), 9, 0.5)
+    edges = sum(m.bit_count() for m in masks) // 2
+    assert census.count_disjoint_16(masks, size=0) == (1, True)
+    assert census.count_disjoint_16(masks, size=1) == (9, True)
+    assert census.count_disjoint_16(masks, size=2) == (edges, True)
+    assert census.count_disjoint_16(masks, size=10) == (0, True)
+    assert census.count_disjoint_16([], size=1) == (0, True)
+
+
+def test_triangle_count_is_trace_of_adjacency_cube(true_products):
+    """Triangles of the real disjointness graph, recounted as trace(A^3)/6."""
+    adj = (true_products == 2).astype(np.int64)
+    np.fill_diagonal(adj, 0)
+    # trace(A^3) = sum_ij (A^2)_ij A_ji, and A is symmetric: one product.
+    triangles = int((adj @ adj * adj).sum()) // 6
+    assert triangles == 1704320
+    masks = census.disjointness_masks(true_products)
+    assert census.count_disjoint_16(masks, size=3) == (triangles, True)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_16_clique_count_under_relabeling(true_products, relabel):
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["clique"]["count"]
+    order = list(range(len(true_products)))
+    if relabel:
+        random.Random(1973).shuffle(order)
+    masks = census.disjointness_masks(true_products[np.ix_(order, order)])
+    assert census.count_disjoint_16(masks) == (expected, True)
+
+
+def test_clique_count_budget_cuts_search(true_products):
+    masks = census.disjointness_masks(true_products)
+    _, exhausted = census.count_disjoint_16(masks, budget_seconds=-1)
+    assert exhausted is False

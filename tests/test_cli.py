@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, output selection, JSON determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conics800 import census, cli, leech, report
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_golay_subcommand(capsys, tmp_path):
@@ -114,5 +117,6 @@ def test_clique_all_mode(tmp_path):
     out = tmp_path / "k.json"
     assert cli.main(["conics", "--clique", "all", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["clique"]["count"]
     cc = data["stages"]["conics"]["clique_count"]
-    assert cc["count"] >= 1
+    assert cc == {"count": expected, "exhausted": True}
