@@ -2,11 +2,12 @@
 
 Everything here runs on Python's arbitrary-precision ints: Hermite/Smith
 normal forms with unimodular transforms, fraction-free determinants,
-integer kernels and linear solves, and exact signatures of symmetric
-forms (the one place ``fractions.Fraction`` appears, inside the
-congruence diagonalization). Intermediate entries of the normal-form
-algorithms routinely exceed machine words even for small inputs, so
-none of this goes through numpy.
+integer kernels and linear solves, LLL reduction of positive-definite
+Gram matrices (integral, so it also yields exact Gram-Schmidt data),
+and exact signatures of symmetric forms (the one place
+``fractions.Fraction`` appears, inside the congruence diagonalization).
+Intermediate entries of the normal-form algorithms routinely exceed
+machine words even for small inputs, so none of this goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import NotPositiveDefiniteError
 
 IntMatrix = list[list[int]]
 
@@ -387,3 +390,77 @@ def signature(gram) -> tuple[int, int, int]:
         for i in range(k + 1, n):
             a[i][k] = Fraction(0)
     return pos, neg, zero
+
+
+def lll_gram(gram: Sequence[Sequence[int]]):
+    """Integral LLL reduction of a positive-definite Gram matrix, delta = 99/100.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7
+    (Lenstra, Lenstra & Lovasz 1982), run on the Gram matrix alone.
+    Returns ``(h, d, lam)``: ``h`` is unimodular and the reduced Gram is
+    ``G' = h @ gram @ h.T``; ``d[i]`` is the leading i x i minor of G'
+    (``d[0] = 1``); and for ``j < i``, ``lam[i][j] / d[j + 1]`` is the
+    Gram-Schmidt coefficient mu_ij of the reduced basis, whose squared
+    Gram-Schmidt norms are ``d[i + 1] / d[i]``. So
+    ``x' G' x = sum_i d[i+1]/d[i] * (x_i + sum_{k>i} mu_ki x_k)^2``.
+
+    Every division below is exact. Raises NotPositiveDefiniteError when a
+    computed minor is not positive, which by Sylvester's criterion
+    happens exactly when the form is not positive definite.
+    """
+    g = copy_matrix(gram)
+    n = len(g)
+    h = identity(n)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def add_row(k):
+        # Row k is still e_k, so b_k . b_j is (h_j @ g)[k].
+        for j in range(k + 1):
+            u = sum(x * g[m][k] for m, x in enumerate(h[j]) if x)
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise NotPositiveDefiniteError(f"leading minor {k + 1} is {u}")
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            _row_sub(h, k, l, q)
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        h[k - 1], h[k] = h[k], h[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        mu = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if n:
+        add_row(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            add_row(k)
+        size_reduce(k, k - 1)
+        # Lovasz: d_{k+1} d_{k-1} >= (99/100) d_k^2 - lam_{k,k-1}^2.
+        if 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 99 * d[k] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return h, d, lam

@@ -7,12 +7,14 @@ Discriminant groups come out of the Smith normal form of the Gram
 matrix; finite quadratic forms are compared by a pruned search over
 generator images, and the returned witness is re-verified exhaustively.
 
-Short vectors use Fincke-Pohst: an exact rational Cholesky split gives
-the layer bounds, the tree is walked in float64 with a safety margin,
-depth-first over bounded blocks that are each expanded a level at a
-time (so memory follows the block size and depth, not the widest
-level), and every surviving candidate is confirmed in exact arithmetic
-before it is reported.
+Short vectors use Fincke-Pohst over an LLL-reduced basis: the exact
+integral LLL of the Gram matrix gives the reduced basis and its exact
+Gram-Schmidt data, which set the layer bounds; the tree is walked in
+float64 with a safety margin, depth-first over bounded blocks that are
+each expanded a level at a time (so memory follows the block size and
+depth, not the widest level), and every surviving candidate is mapped
+back to the original basis and confirmed in exact arithmetic before it
+is reported.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from . import exact
 from .errors import (
     ConstructionError,
-    NotPositiveDefiniteError,
     UnsupportedSizeError,
     VerificationError,
 )
@@ -303,25 +304,6 @@ def verify_fqf_witness(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, witness
     return True
 
 
-def _cholesky_exact(g) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Diagonal d and unit upper triangular u with x'gx = sum d_i (x_i + sum_j>i u_ij x_j)^2."""
-    n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise NotPositiveDefiniteError(f"pivot {i} is {d[i]}")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= d[i] * u[i][r] * u[i][c]
-                a[c][r] = a[r][c]
-    return d, u
-
-
 # Frontier rows expanded together at one level of the Fincke-Pohst walk.
 _CHUNK = 4096
 
@@ -329,13 +311,26 @@ _CHUNK = 4096
 def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
-    G must be a positive-definite integer Gram. Fincke-Pohst layer
-    bounds run in float64 with a padded radius; every candidate is
-    re-verified exactly, so the floats only ever cost speed, never
-    correctness. Output is lexicographically sorted. With a (rational)
+    G must be a positive-definite integer Gram (NotPositiveDefiniteError
+    otherwise). Output is lexicographically sorted. With a (rational)
     coset shift the returned rows are the integer parts x.
 
-    The tree is walked from x_{n-1} down to x_0, depth-first over
+    The walk runs in an LLL-reduced basis: ``exact.lll_gram`` gives a
+    unimodular H with G' = H G H' together with the exact Gram-Schmidt
+    data of G', which are the Fincke-Pohst pivots and centre
+    coefficients. The shift maps to s H^-1 (one exact solve); each row y
+    found maps back to x = y H.
+    Layer bounds run in float64 with a padded radius, and every
+    candidate is re-verified in exact int64 arithmetic against the
+    original G and shift, so the floats only ever cost speed, never
+    correctness.
+
+    Without a shift the solutions come in pairs +-y, so the walk visits
+    only rows whose last nonzero coordinate is positive (one subtree per
+    top level k, starting from the zero prefix with y_k >= 1); their
+    negatives and the zero row are added as candidates.
+
+    The tree is walked from y_{n-1} down to y_0, depth-first over
     blocks of at most _CHUNK frontier rows, each block expanded one
     level at a time; a row at level i stores only its n - i filled
     coordinates. Live memory is therefore bounded by the depth times
@@ -350,17 +345,22 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     if target < 0:
         return []
     shift = [Fraction(x) for x in (coset_shift or [0] * n)]
-    d_exact, u_exact = _cholesky_exact(g)
-    d = np.array([float(x) for x in d_exact])
-    u = np.array([[float(x) for x in row] for row in u_exact])
-    shift_f = np.array([float(x) for x in shift])
+    denom = math.lcm(*(s.denominator for s in shift))
+    shift_num = [int(s * denom) for s in shift]
+    h, d_gs, lam = exact.lll_gram(g)
+    d = np.array([d_gs[i + 1] / d_gs[i] for i in range(n)])
+    u = np.array([[lam[j][i] / d_gs[i + 1] if j > i else 0.0 for j in range(n)] for i in range(n)])
+    half = not any(shift_num)
+    # x + s = (y + s H^-1) H, and H is unimodular, so denom * s H^-1 is integral.
+    shift_red = [0] * n if half else exact.solve_left(h, shift_num)
+    shift_f = np.array([x / denom for x in shift_red], dtype=float)
     # The shift's share of each level's centre: s_i + sum_{j>i} u_ij s_j.
     centre_shift = shift_f + u @ shift_f
     pad = float(target) * 1e-9 + 1e-9
     leaves: list[np.ndarray] = []
 
-    def expand(partial: np.ndarray, remaining: np.ndarray, i: int) -> None:
-        """Fill x_i for a block whose rows hold x_{i+1}, ..., x_{n-1}."""
+    def expand(partial: np.ndarray, remaining: np.ndarray, i: int, lo_min=None) -> None:
+        """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1}."""
         if i < 0:
             leaves.append(partial)
             return
@@ -368,6 +368,8 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         radius = np.sqrt(np.maximum(remaining, 0.0) / d[i])
         lo = np.ceil(-centres - radius - 1e-9).astype(np.int64)
         hi = np.floor(-centres + radius + 1e-9).astype(np.int64)
+        if lo_min is not None:
+            lo = np.maximum(lo, lo_min)
         counts = np.maximum(hi - lo + 1, 0)
         reps = np.repeat(np.arange(len(partial)), counts)
         values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -380,17 +382,28 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         for start in range(0, len(child), _CHUNK):
             expand(child[start : start + _CHUNK], left[start : start + _CHUNK], i - 1)
 
-    expand(np.zeros((1, 0), dtype=np.int64), np.array([float(target) + pad]), n - 1)
-    rows = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
+    radius_sq = np.array([float(target) + pad])
+    if half:
+        for k in range(n - 1, -1, -1):
+            expand(np.zeros((1, n - 1 - k), dtype=np.int64), radius_sq, k, lo_min=1)
+    else:
+        expand(np.zeros((1, 0), dtype=np.int64), radius_sq, n - 1)
+    found = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
     leaves.clear()  # frees the leaf blocks before the copies below
+    if half:
+        found = np.concatenate([found, -found, np.zeros((1, n), dtype=np.int64)])
+
+    # Map back to the original coordinates, x = y H, in int64.
+    h_arr = np.array(h, dtype=np.int64)
+    if int(np.abs(found).max(initial=0)) * int(np.abs(h_arr).sum(axis=0).max(initial=0)) >= 2**62:
+        raise ConstructionError("short_vectors: entries too large for the int64 map back")
+    rows = found @ h_arr
+    del found
 
     # Exact confirmation of every candidate: with y = denom*x + shift_num,
     # (x+shift)' G (x+shift) == target  <=>  y' G y == target*denom^2.
-    denom = 1
-    for s in shift:
-        denom = denom * s.denominator // math.gcd(denom, s.denominator)
     gi = np.array(g, dtype=np.int64)
-    shift_arr = np.array([int(s * denom) for s in shift], dtype=np.int64)
+    shift_arr = np.array(shift_num, dtype=np.int64)
     target_scaled = target * denom * denom
     y_bound = int(np.abs(rows).max(initial=0)) * denom + int(np.abs(shift_arr).max(initial=0))
     if n * n * int(np.abs(gi).max(initial=0)) * y_bound * y_bound >= 2**62:

@@ -7,8 +7,12 @@ or against defining properties that determine the result uniquely
 """
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from conics800 import exact
+from conics800.errors import NotPositiveDefiniteError
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -37,6 +41,98 @@ def _unimodular(rng, n, steps=12):
         i, j = rng.randrange(n), rng.randrange(n)
         u[i], u[j] = u[j], u[i]
     return u
+
+
+def _random_pd_gram(rng, n):
+    """U B B' U' for a nonsingular integer B and a unimodular skew U."""
+    while True:
+        b = _random_matrix(rng, n, n, lo=-3, hi=3)
+        if exact.det_bareiss(b):
+            break
+    u = _unimodular(rng, n)
+    ub = exact.mat_mul(u, b)
+    return exact.mat_mul(ub, exact.transpose(ub))
+
+
+def _gram_schmidt_oracle(g):
+    """Rational LDL': pivots p and mu with x'gx = sum_i p_i (x_i + sum_{k>i} mu[k][i] x_k)^2."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    pivots = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        pivots.append(a[i][i])
+        for k in range(i + 1, n):
+            mu[k][i] = a[i][k] / a[i][i]
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] -= a[i][i] * mu[r][i] * mu[c][i]
+    return pivots, mu
+
+
+def _reduce(gram):
+    """lll_gram's output with the reduced Gram h @ gram @ h.T in front."""
+    h, d, lam = exact.lll_gram(gram)
+    return exact.mat_mul(exact.mat_mul(h, gram), exact.transpose(h)), h, d, lam
+
+
+def _assert_lll_reduced(gram):
+    reduced, h, d, lam = _reduce(gram)
+    n = len(gram)
+    assert abs(exact.det_bareiss(h)) == 1
+    # d and lam are the exact Gram-Schmidt data of the reduced Gram.
+    assert d == [exact.det_bareiss([row[:i] for row in reduced[:i]]) for i in range(n + 1)]
+    pivots, mu = _gram_schmidt_oracle(reduced)
+    assert pivots == [Fraction(d[i + 1], d[i]) for i in range(n)]
+    for k in range(n):
+        for j in range(k):
+            assert mu[k][j] == Fraction(lam[k][j], d[j + 1])
+            assert 2 * abs(lam[k][j]) <= d[j + 1]
+        if k:
+            assert 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 99 * d[k] ** 2
+    return reduced
+
+
+def test_lll_gram_reduces_random_grams():
+    rng = random.Random(83)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        gram = _random_pd_gram(rng, n)
+        reduced = _assert_lll_reduced(gram)
+        again, h, _, _ = _reduce(reduced)
+        assert h == exact.identity(n) and again == reduced
+
+
+def test_lll_gram_reduces_leech_gram(lam):
+    gram = lam.gram_int()
+    reduced = _assert_lll_reduced(gram)
+    assert exact.det_bareiss(reduced) == exact.det_bareiss(gram) == 1
+    assert exact.lll_gram(reduced)[0] == exact.identity(24)
+
+
+def test_lll_gram_rejects_non_positive_definite(s_lattice, n_lattice):
+    small = [[[1, 0], [0, -1]], [[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-2]]]
+    rng = random.Random(89)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        signs = [rng.choice((1, 1, -1, 0)) for _ in range(n)]
+        signs[rng.randrange(n)] = rng.choice((-1, 0))
+        diag = [[signs[i] * rng.randint(1, 6) if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        u = _unimodular(rng, n)
+        small.append(exact.mat_mul(exact.mat_mul(u, diag), exact.transpose(u)))
+    # Rank 20: N is hyperbolic, -N has one negative direction, and S
+    # pushed through a rank-19 map is positive semidefinite.
+    n_gram = n_lattice.gram.tolist()
+    s_gram = s_lattice.gram_int()
+    fold = exact.identity(20)
+    fold[19] = [1, 1] + [0] * 18
+    folded = exact.mat_mul(exact.mat_mul(fold, s_gram), exact.transpose(fold))
+    assert exact.signature(folded) == (19, 0, 1)
+    for gram in small + [n_gram, [[-x for x in row] for row in n_gram], folded]:
+        with pytest.raises(NotPositiveDefiniteError):
+            exact.lll_gram(gram)
+    _assert_lll_reduced(s_gram)
 
 
 def test_det_bareiss_against_cofactor_oracle():

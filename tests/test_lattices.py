@@ -54,21 +54,25 @@ def _random_posdef(rng, n):
 
 def test_short_vectors_against_box_oracle():
     rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        gram = _random_posdef(rng, n)
-        for target in (1, 2, 3, 4):
-            got = sorted(list(v) for v in short_vectors(gram, target))
-            assert got == _box_short_vectors(gram, target)
+    grams = [_random_posdef(rng, rng.randint(1, 3)) for _ in range(40)]
+    for gram in grams + [[[a]] for a in range(1, 6)]:
+        for target in (0, 1, 2, 3, 4):
+            want = _box_short_vectors(gram, target)
+            for shift in (None, [0] * len(gram)):
+                got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
+                assert got == want
 
 
 def test_short_vectors_coset_against_box_oracle():
     rng = random.Random(19)
+    cases = []
     for _ in range(25):
         n = rng.randint(1, 3)
         gram = _random_posdef(rng, n)
-        shift = [Fraction(rng.randint(-1, 1), rng.choice((2, 3))) for _ in range(n)]
-        for target in (Fraction(1, 4), 1, 2):
+        cases.append((gram, [Fraction(rng.randint(-1, 1), rng.choice((2, 3))) for _ in range(n)]))
+    cases += [([[a]], [s]) for a in range(1, 6) for s in (Fraction(1, 2), Fraction(-1, 3))]
+    for gram, shift in cases:
+        for target in (0, Fraction(1, 4), 1, 2):
             got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
             assert got == _box_short_vectors(gram, target, shift)
 
@@ -99,6 +103,31 @@ def _e8_outputs():
 
 def test_short_vectors_e8_theta_counts():
     assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 56]
+
+
+def _random_unimodular(rng, n, steps=24):
+    u = exact.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        exact._row_sub(u, i, j, rng.randint(-3, 3))
+    return u
+
+
+@pytest.mark.parametrize("seed", [41, 43, 47])
+def test_short_vectors_unimodular_invariance(seed):
+    """Solutions in the basis U B are x U^-1 for the solutions x in B."""
+    u = _random_unimodular(random.Random(seed), 8)
+    skewed = exact.mat_mul(exact.mat_mul(u, E8_CARTAN), exact.transpose(u))
+    # A shift s in B-coordinates is s U^-1 in U B coordinates.
+    shift = [Fraction(x, 2) for x in exact.solve_left(u, [2 * s for s in E8_HALF_ROOT])]
+    for target, base_shift, skew_shift in (
+        (2, None, None),
+        (4, None, None),
+        (Fraction(3, 2), E8_HALF_ROOT, shift),
+    ):
+        got = short_vectors(skewed, target, coset_shift=skew_shift)
+        mapped = sorted(exact.vec_mat_mul(x, u) for x in got)
+        assert mapped == short_vectors(E8_CARTAN, target, coset_shift=base_shift)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
