@@ -7,14 +7,12 @@ Discriminant groups come out of the Smith normal form of the Gram
 matrix; finite quadratic forms are compared by a pruned search over
 generator images, and the returned witness is re-verified exhaustively.
 
-Short vectors use Fincke-Pohst over an LLL-reduced basis: the exact
-integral LLL of the Gram matrix gives the reduced basis and its exact
-Gram-Schmidt data, which set the layer bounds; the tree is walked in
-float64 with a safety margin, depth-first over bounded blocks that are
-each expanded a level at a time (so memory follows the block size and
-depth, not the widest level), and every surviving candidate is mapped
-back to the original basis and confirmed in exact arithmetic before it
-is reported.
+Short vectors come from an exact Fincke-Pohst walk over an LLL-reduced
+basis: the integral LLL of the Gram matrix yields the leading minors and
+Gram-Schmidt numerators that make every layer bound an integer
+comparison. The tree is walked depth-first over bounded blocks, each
+expanded a level at a time, so memory follows the block size and depth,
+not the widest level.
 """
 
 from __future__ import annotations
@@ -308,6 +306,15 @@ def verify_fqf_witness(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, witness
 _CHUNK = 4096
 
 
+def _isqrt(r: np.ndarray) -> np.ndarray:
+    """floor(sqrt(r)) for int64 0 <= r < 2^61. The float64 root is then within
+    2^-21 of the true one, so its floor is off by at most one each way."""
+    s = np.sqrt(r.astype(np.float64)).astype(np.int64)
+    s -= s * s > r
+    s += (s + 1) * (s + 1) <= r
+    return s
+
+
 def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
@@ -315,31 +322,30 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     otherwise). Output is lexicographically sorted. With a (rational)
     coset shift the returned rows are the integer parts x.
 
-    The walk runs in an LLL-reduced basis: ``exact.lll_gram`` gives a
-    unimodular H with G' = H G H' together with the exact Gram-Schmidt
-    data of G', which are the Fincke-Pohst pivots and centre
-    coefficients. The shift maps to s H^-1 (one exact solve); each row y
-    found maps back to x = y H.
-    Layer bounds run in float64 with a padded radius, and every
-    candidate is re-verified in exact int64 arithmetic against the
-    original G and shift, so the floats only ever cost speed, never
-    correctness.
+    The walk is exact, over an LLL-reduced basis: ``exact.lll_gram`` of
+    G/c (c the gcd of G's entries) gives a unimodular H, G' = H (G/c) H',
+    its leading minors d_i and Gram-Schmidt numerators lam. With D the
+    shift's denominator, z = D (y + s H^-1) is integral and needs
+    z' G' z = T' = T D^2 / c, so there is no solution unless T' is an
+    integer. With t_i = d_{i+1} z_i + sum_{j>i} lam[j][i] z_j, the
+    integers A_n = 0, A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times
+    the partial norm of levels >= i (a Schur-complement form), so y_i is
+    admitted iff t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept
+    iff A_0 = T'; rows map back as x = y H. Admitted nodes have
+    t_i^2 <= d_i d_{i+1} T', which bounds every int64 intermediate of
+    the walk before it starts.
 
-    Without a shift the solutions come in pairs +-y, so the walk visits
-    only rows whose last nonzero coordinate is positive (one subtree per
-    top level k, starting from the zero prefix with y_k >= 1); their
-    negatives and the zero row are added as candidates.
-
-    The tree is walked from y_{n-1} down to y_0, depth-first over
-    blocks of at most _CHUNK frontier rows, each block expanded one
-    level at a time; a row at level i stores only its n - i filled
-    coordinates. Live memory is therefore bounded by the depth times
-    the children of one block, plus the leaves; it does not grow with
-    the widest level of the tree.
+    Without a shift the walk visits only rows whose last nonzero
+    coordinate is positive (one subtree per top level k, from the zero
+    prefix with y_k >= 1), then adds their negatives and, if T' = 0, the
+    zero row. It goes depth-first over blocks of at most _CHUNK frontier
+    rows, each expanded one level at a time, and a row at level i stores
+    only its n - i filled coordinates, so live memory follows the depth
+    and block size, not the widest level of the tree.
     """
     g = [[int(x) for x in row] for row in gram]
-    if g != [list(row) for row in gram]:
-        raise ConstructionError("short_vectors requires an integer Gram matrix")
+    if g != [list(row) for row in gram] or not exact.is_symmetric(g):
+        raise ConstructionError("short_vectors requires a symmetric integer Gram matrix")
     n = len(g)
     target = Fraction(norm_target)
     if target < 0:
@@ -347,51 +353,60 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     shift = [Fraction(x) for x in (coset_shift or [0] * n)]
     denom = math.lcm(*(s.denominator for s in shift))
     shift_num = [int(s * denom) for s in shift]
-    h, d_gs, lam = exact.lll_gram(g)
-    d = np.array([d_gs[i + 1] / d_gs[i] for i in range(n)])
-    u = np.array([[lam[j][i] / d_gs[i + 1] if j > i else 0.0 for j in range(n)] for i in range(n)])
+    content = math.gcd(*(x for row in g for x in row)) or 1
+    h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
+    goal, rest = divmod(target * denom * denom, content)
+    if rest:
+        return []
     half = not any(shift_num)
-    # x + s = (y + s H^-1) H, and H is unimodular, so denom * s H^-1 is integral.
-    shift_red = [0] * n if half else exact.solve_left(h, shift_num)
-    shift_f = np.array([x / denom for x in shift_red], dtype=float)
-    # The shift's share of each level's centre: s_i + sum_{j>i} u_ij s_j.
-    centre_shift = shift_f + u @ shift_f
-    pad = float(target) * 1e-9 + 1e-9
+    # x + s = (y + s H^-1) H, and H is unimodular, so r = denom * s H^-1 is integral.
+    r = [0] * n if half else exact.solve_left(h, shift_num)
+    # t_i = m_i y_i + e_i, where e_i = y_{>i} . cols_i + e0_i.
+    m = [d[i + 1] * denom for i in range(n)]
+    e0 = [d[i + 1] * r[i] + sum(lam[j][i] * r[j] for j in range(i + 1, n)) for i in range(n)]
+    # |t_i| <= isqrt(d_i d_{i+1} T') bounds |e_i|, hence |y_i|, level by level.
+    y_max, top = [0] * n, 0
+    for i in range(n - 1, -1, -1):
+        t_max = math.isqrt(d[i] * d[i + 1] * goal)
+        e_max = abs(e0[i]) + denom * sum(abs(lam[j][i]) * y_max[j] for j in range(i + 1, n))
+        y_max[i] = (t_max + e_max) // m[i]
+        top = max(top, 2 * (t_max + 1) ** 2, t_max + e_max, m[i])
+    if top >= 2**62:
+        raise ConstructionError("short_vectors: entries too large for the int64 walk")
+    cols = [np.array([denom * lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
     leaves: list[np.ndarray] = []
 
-    def expand(partial: np.ndarray, remaining: np.ndarray, i: int, lo_min=None) -> None:
-        """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1}."""
+    def expand(partial: np.ndarray, above: np.ndarray, i: int, lo_min=None) -> None:
+        """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1} and A_{i+1}."""
         if i < 0:
-            leaves.append(partial)
+            leaves.append(partial[above == goal])
             return
-        centres = partial @ u[i, i + 1 :] + centre_shift[i]
-        radius = np.sqrt(np.maximum(remaining, 0.0) / d[i])
-        lo = np.ceil(-centres - radius - 1e-9).astype(np.int64)
-        hi = np.floor(-centres + radius + 1e-9).astype(np.int64)
+        e = partial @ cols[i] + e0[i]
+        t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
+        lo = -((t_top + e) // m[i])
+        hi = (t_top - e) // m[i]
         if lo_min is not None:
             lo = np.maximum(lo, lo_min)
         counts = np.maximum(hi - lo + 1, 0)
         reps = np.repeat(np.arange(len(partial)), counts)
         values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
-        left = remaining[reps] - d[i] * (values + centres[reps]) ** 2
-        ok = left >= -pad
-        reps, values, left = reps[ok], values[ok], left[ok]
+        t = m[i] * values + e[reps]
+        below = (d[i] * above[reps] + t * t) // d[i + 1]
         child = np.empty((len(reps), n - i), dtype=np.int64)
         child[:, 0] = values
         child[:, 1:] = partial[reps]
         for start in range(0, len(child), _CHUNK):
-            expand(child[start : start + _CHUNK], left[start : start + _CHUNK], i - 1)
+            expand(child[start : start + _CHUNK], below[start : start + _CHUNK], i - 1)
 
-    radius_sq = np.array([float(target) + pad])
     if half:
         for k in range(n - 1, -1, -1):
-            expand(np.zeros((1, n - 1 - k), dtype=np.int64), radius_sq, k, lo_min=1)
+            expand(np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), k, lo_min=1)
     else:
-        expand(np.zeros((1, 0), dtype=np.int64), radius_sq, n - 1)
+        expand(np.zeros((1, 0), np.int64), np.zeros(1, np.int64), n - 1)
     found = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
     leaves.clear()  # frees the leaf blocks before the copies below
     if half:
-        found = np.concatenate([found, -found, np.zeros((1, n), dtype=np.int64)])
+        found = np.concatenate([found, -found, np.zeros((int(goal == 0), n), dtype=np.int64)])
 
     # Map back to the original coordinates, x = y H, in int64.
     h_arr = np.array(h, dtype=np.int64)
@@ -399,20 +414,4 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         raise ConstructionError("short_vectors: entries too large for the int64 map back")
     rows = found @ h_arr
     del found
-
-    # Exact confirmation of every candidate: with y = denom*x + shift_num,
-    # (x+shift)' G (x+shift) == target  <=>  y' G y == target*denom^2.
-    gi = np.array(g, dtype=np.int64)
-    shift_arr = np.array(shift_num, dtype=np.int64)
-    target_scaled = target * denom * denom
-    y_bound = int(np.abs(rows).max(initial=0)) * denom + int(np.abs(shift_arr).max(initial=0))
-    if n * n * int(np.abs(gi).max(initial=0)) * y_bound * y_bound >= 2**62:
-        raise ConstructionError("short_vectors: entries too large for the int64 verifier")
-    if target_scaled.denominator != 1:
-        return []
-    good = np.zeros(len(rows), dtype=bool)
-    for start in range(0, len(rows), 1 << 20):
-        y = rows[start : start + (1 << 20)] * denom + shift_arr
-        good[start : start + len(y)] = np.einsum("ij,jk,ik->i", y, gi, y) == int(target_scaled)
-    rows = rows[good]
     return rows[np.lexsort(rows.T[::-1])].tolist()

@@ -52,10 +52,16 @@ def _random_posdef(rng, n):
     return m
 
 
+def _scaled(gram, c):
+    return [[c * x for x in row] for row in gram]
+
+
 def test_short_vectors_against_box_oracle():
     rng = random.Random(17)
     grams = [_random_posdef(rng, rng.randint(1, 3)) for _ in range(40)]
-    for gram in grams + [[[a]] for a in range(1, 6)]:
+    # Content 2 and 3: odd targets on 2G and targets 1, 2, 4 on 3G have no solution.
+    scaled = [_scaled(gram, c) for c in (2, 3) for gram in grams]
+    for gram in grams + [[[a]] for a in range(1, 6)] + scaled:
         for target in (0, 1, 2, 3, 4):
             want = _box_short_vectors(gram, target)
             for shift in (None, [0] * len(gram)):
@@ -70,11 +76,19 @@ def test_short_vectors_coset_against_box_oracle():
         n = rng.randint(1, 3)
         gram = _random_posdef(rng, n)
         cases.append((gram, [Fraction(rng.randint(-1, 1), rng.choice((2, 3))) for _ in range(n)]))
+    scaled = [(_scaled(gram, c), shift) for c in (2, 3) for gram, shift in cases]
     cases += [([[a]], [s]) for a in range(1, 6) for s in (Fraction(1, 2), Fraction(-1, 3))]
-    for gram, shift in cases:
+    non_integral = 0
+    for gram, shift in cases + scaled:
+        content = math.gcd(*(x for row in gram for x in row))
+        denom = math.lcm(*(Fraction(s).denominator for s in shift))
         for target in (0, Fraction(1, 4), 1, 2):
             got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
             assert got == _box_short_vectors(gram, target, shift)
+            if (Fraction(target) * denom**2 / content).denominator != 1:
+                non_integral += 1
+                assert got == []
+    assert non_integral > 0
 
 
 def test_short_vectors_identity_contract():
@@ -137,11 +151,25 @@ def test_short_vectors_output_independent_of_chunk(monkeypatch, chunk):
     assert _e8_outputs() == expected
 
 
+def test_isqrt_exact_up_to_the_walk_bound():
+    # Near 2^60 the float root of k^2 - 1 rounds up to k.
+    ks = [0, 1, 2, 3, 1000, 2**30, 2**30 + 12345, math.isqrt(2**61 - 1)]
+    r = [x for k in ks for x in (k * k - 1, k * k, k * k + 1, k * k + 2 * k) if 0 <= x < 2**61]
+    r += random.Random(53).sample(range(2**61), 200)
+    assert lattices._isqrt(np.array(r, dtype=np.int64)).tolist() == [math.isqrt(x) for x in r]
+
+
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         short_vectors([[1, 0], [0, -1]], 2)
     with pytest.raises(ConstructionError):
         short_vectors([[Fraction(1, 2), 0], [0, 1]], 2)
+    with pytest.raises(ConstructionError):
+        short_vectors([[2, 1], [0, 2]], 2)  # not symmetric
+    # Leading minors near 2^81 exceed the int64 walk's bound.
+    p = 2**27 + 1
+    with pytest.raises(ConstructionError):
+        short_vectors([[p, 1], [1, p]], 2)
 
 
 def test_integral_lattice_roundtrip():

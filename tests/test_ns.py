@@ -103,6 +103,26 @@ def test_bad_vector_scans_empty(n_lattice):
     assert kind2 == []
 
 
+def test_kind1_scan_is_the_root_scan_of_W(n_lattice, s_lattice):
+    """h-perp in N is -W, and W lies in S, so the kind-1 scan is empty
+    because S is root-free."""
+    n = n_lattice
+    gram = n.gram.tolist()
+    gh = exact.mat_vec_mul(gram, n.h.tolist())
+    k = exact.kernel_left([[x] for x in gh])
+    neg = [[-x for x in row] for row in exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))]
+    # -W (doubled coordinates 2 e_i, 0 in the sum) lies in h-perp in N;
+    # equal determinants make them equal.
+    rank_w = n.w.rank
+    for i in range(rank_w):
+        x = exact.solve_left(n.hnf2.tolist(), [2 * (j == i) for j in range(rank_w)] + [0])
+        assert x is not None and sum(a * b for a, b in zip(x, gh)) == 0
+    assert exact.det_bareiss(neg) == exact.det_bareiss(n.w.gram_int()) == 160
+    assert all(s_lattice.contains(row) for row in n.w.basis)
+    assert short_vectors(n.w.gram_int(), 2) == []
+    assert ns.scan_N(n)[0] == []
+
+
 def _rank20(block, entry):
     """Gram of block + diag(entry, ..., entry), rank 20."""
     g = [[int(i == j) * entry for j in range(20)] for i in range(20)]
