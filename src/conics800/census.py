@@ -19,6 +19,7 @@ import numpy as np
 from . import exact
 from .errors import ConstructionError, VerificationError
 from .golay import GolayCode, codewords_meeting, mask_of
+from .lattices import IntegralLattice
 
 # Generator rows in raw Leech coordinates (form = dot/8):
 # degree vector hbar, its companion a, and three fine-tuning vectors.
@@ -62,11 +63,7 @@ WINDOW_CONDITIONS = {
 
 def seed_gram() -> list[list[int]]:
     """True Gram of the seed rows (raw products / 8)."""
-    rows = [list(r) for r in SEED_ROWS]
-    raw = exact.mat_mul(rows, exact.transpose(rows))
-    if any(x % 8 for row in raw for x in row):
-        raise ConstructionError("seed rows have non-integral true products")
-    return [[x // 8 for x in row] for row in raw]
+    return IntegralLattice(SEED_ROWS, 8).gram_int()
 
 
 def validate_seed() -> None:
@@ -221,13 +218,7 @@ def disjointness_masks(true_products: np.ndarray) -> list[int]:
     """Adjacency bitmasks: i ~ j iff the classes are disjoint (l_i.l_j = 2)."""
     adj = true_products == 2
     np.fill_diagonal(adj, False)
-    masks = []
-    for row in adj:
-        m = 0
-        for j in np.flatnonzero(row):
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in adj]
 
 
 def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:

@@ -177,10 +177,6 @@ def nonzero_rows(m) -> IntMatrix:
     return [list(row) for row in m if any(row)]
 
 
-def rank(m) -> int:
-    return len(nonzero_rows(hnf(m)))
-
-
 def kernel_left(m) -> IntMatrix:
     """Basis of ``{x integer row : x @ m == 0}``, HNF-canonical.
 
@@ -204,8 +200,9 @@ def _reduce_against_hnf(h, pivots, v):
         if rem:
             return None
         coeffs[i] = q
-        for j in range(len(w)):
-            w[j] -= q * h[i][j]
+        row = h[i]
+        for j in range(c, len(w)):
+            w[j] -= q * row[j]
     if any(w):
         return None
     return coeffs
@@ -223,18 +220,28 @@ def _pivots_of(h) -> list[tuple[int, int]]:
 class LeftSolver:
     """Reusable integer solver for ``x @ m == v`` with ``m`` fixed.
 
-    Computes the row HNF and its transform once; each solve is then a
-    single reduction pass. Use this instead of repeated solve_left
-    calls when solving many right-hand sides against one matrix.
+    Computes the row HNF ``h`` and its transform once; each solve is then
+    a single reduction pass. ``rank`` is the number of pivots, and
+    ``contains`` is the reduction pass alone, without the transform.
+    Use this instead of repeated solve_left calls when solving many
+    right-hand sides against one matrix.
     """
 
     def __init__(self, m):
         self._nrows = len(m)
-        self._h, self._u = hnf(m, transform=True)
-        self._pivots = _pivots_of(self._h)
+        self.h, self._u = hnf(m, transform=True)
+        self._pivots = _pivots_of(self.h)
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def contains(self, v) -> bool:
+        """Does v lie in the integer row span of m?"""
+        return _reduce_against_hnf(self.h, self._pivots, v) is not None
 
     def solve(self, v):
-        coeffs = _reduce_against_hnf(self._h, self._pivots, v)
+        coeffs = _reduce_against_hnf(self.h, self._pivots, v)
         if coeffs is None:
             return None
         x = [0] * self._nrows

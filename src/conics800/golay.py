@@ -17,6 +17,7 @@ A Frame records the four candidate octads and which one was placed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -124,14 +125,17 @@ def codewords_meeting(
 
 
 def steiner_cover_counts(code: GolayCode) -> np.ndarray:
-    """For each of the C(24,5)=42504 quintuples, the number of octads containing it."""
-    octads = np.array(code.octads, dtype=np.uint32)
-    quints = np.fromiter(
-        (sum(1 << (p - 1) for p in q) for q in combinations(OMEGA, 5)),
-        dtype=np.uint32,
-        count=42504,
-    )
-    return ((octads[None, :] & quints[:, None]) == quints[:, None]).sum(axis=1)
+    """For each of the C(24,5)=42504 quintuples, in colex order, the number
+    of octads containing it.
+
+    Each octad's C(8,5)=56 five-subsets are ranked in colex order (the
+    subset c_1 < ... < c_5 of 0..23 has rank sum_k C(c_k, k)) and counted.
+    """
+    points = np.array([positions_of(o) for o in code.octads], dtype=np.int64).reshape(-1, 8) - 1
+    quints = points[:, list(combinations(range(8), 5))]
+    binom = np.array([[math.comb(c, k) for k in range(1, 6)] for c in range(24)], dtype=np.int64)
+    ranks = binom[quints, np.arange(5)].sum(axis=-1)
+    return np.bincount(ranks.ravel(), minlength=42504)
 
 
 @dataclass(frozen=True)

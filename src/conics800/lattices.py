@@ -2,7 +2,10 @@
 
 An IntegralLattice is a list of independent integer basis rows in an
 ambient Z^n carrying the form x.y / ambient_scale (scale 8 for the
-Leech coordinates). Everything else here reads an integer Gram matrix.
+Leech coordinates). It builds the row HNF of its basis once, as an
+exact solver; its rank check, membership and canonical basis all read
+that one HNF, in Python ints. Everything else here reads an integer
+Gram matrix.
 Discriminant groups come out of the Smith normal form of the Gram
 matrix; finite quadratic forms are compared by a pruned search over
 generator images, and the returned witness is re-verified exhaustively.
@@ -32,32 +35,17 @@ from .errors import (
 )
 
 
-def membership_mask(vectors: np.ndarray, hnf_rows: list[list[int]]) -> np.ndarray:
-    """Boolean mask of rows lying in the integer row span of hnf_rows.
-
-    hnf_rows must be reduced row-HNF (nonzero rows, positive pivots).
-    int64 is safe: each reduction step at most doubles the running
-    maximum entry, and the inputs here are tiny.
-    """
-    work = np.asarray(vectors, dtype=np.int64).copy()
-    ok = np.ones(len(work), dtype=bool)
-    for row in hnf_rows:
-        c = next(j for j, v in enumerate(row) if v)
-        q, r = np.divmod(work[:, c], row[c])
-        ok &= r == 0
-        work -= q[:, None] * np.array(row, dtype=np.int64)[None, :]
-        work[~ok] = 0
-    ok &= (work == 0).all(axis=1)
-    return ok
-
-
 class IntegralLattice:
-    """A free Z-module of integer row vectors with form x.y / ambient_scale."""
+    """A free Z-module of integer row vectors with form x.y / ambient_scale.
+
+    `solver` is the exact solver over the basis; `solver.h` is its HNF.
+    """
 
     def __init__(self, basis, ambient_scale: int = 1):
         self.basis = [[int(x) for x in row] for row in basis]
         self.ambient_scale = int(ambient_scale)
-        if self.basis and exact.rank(self.basis) != len(self.basis):
+        self.solver = exact.LeftSolver(self.basis)
+        if self.solver.rank != len(self.basis):
             raise ConstructionError("lattice basis rows are dependent")
 
     @property
@@ -71,7 +59,7 @@ class IntegralLattice:
         return [[x // self.ambient_scale for x in row] for row in raw]
 
     def contains(self, vector) -> bool:
-        return exact.solve_left(self.basis, [int(x) for x in vector]) is not None
+        return self.solver.contains(vector)
 
 
 def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> IntegralLattice:
@@ -350,6 +338,8 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     target = Fraction(norm_target)
     if target < 0:
         return []
+    if n == 0:
+        return [[]] if target == 0 else []
     shift = [Fraction(x) for x in (coset_shift or [0] * n)]
     denom = math.lcm(*(s.denominator for s in shift))
     shift_num = [int(s * denom) for s in shift]

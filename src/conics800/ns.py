@@ -24,7 +24,6 @@ from .lattices import (
     IntegralLattice,
     discriminant_form,
     fqf_isomorphic,
-    membership_mask,
     orthogonal_complement,
     short_vectors,
     verify_fqf_witness,
@@ -93,8 +92,7 @@ def build_S(leech: IntegralLattice, conics: np.ndarray) -> IntegralLattice:
         raise ConstructionError(f"S has rank {s.rank}, expected 20")
     if not s.contains(list(HBAR)):
         raise ConstructionError("hbar does not lie in S")
-    hnf_s = exact.nonzero_rows(exact.hnf([list(r) for r in s.basis]))
-    if not membership_mask(conics, hnf_s).all():
+    if not all(s.contains(row) for row in conics):
         raise ConstructionError("some conic vector does not lie in S")
     gram = s.gram_int()
     if any(gram[i][i] % 2 for i in range(len(gram))):
@@ -115,33 +113,31 @@ def hbar_perp(s: IntegralLattice, leech: IntegralLattice) -> IntegralLattice:
         raise ConstructionError(f"hbar-perp in S has rank {w.rank}, expected 19")
     vt = build_vtilde(leech)
     vt_perp = orthogonal_complement(vt, leech)
-    hw = exact.nonzero_rows(exact.hnf([list(r) for r in w.basis]))
-    hv = exact.nonzero_rows(exact.hnf([list(r) for r in vt_perp.basis]))
-    if hw != hv:
+    if w.solver.h != vt_perp.solver.h:
         raise VerificationError("hbar-perp in S differs from the seed-complement in the ambient")
     if exact.det_bareiss(w.gram_int()) != 160:
         raise VerificationError("hbar-perp in S does not have determinant 160")
     return w
 
 
-def _w_coords_doubled(w_solver: exact.LeftSolver, conic) -> list[int]:
+def _w_coords_doubled(w: IntegralLattice, conic) -> list[int]:
     """Integer coordinates of 2l - hbar in the basis of W."""
     target = [2 * int(x) - h for x, h in zip(conic, HBAR)]
-    coords = w_solver.solve(target)
+    coords = w.solver.solve(target)
     if coords is None:
         raise ConstructionError(f"2l - hbar escapes hbar-perp for conic {tuple(conic)}")
     return coords
 
 
-def _glue(gw: list[list[int]], w_solver: exact.LeftSolver, conic):
+def _glue(w: IntegralLattice, conic):
     """Index-2 extension of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
 
-    gw is the Gram of W and w_solver solves over its raw basis. Returns
-    (h2, gram): the HNF of the doubled coordinates of the extension in
-    the basis of the orthogonal sum (its canonical basis), and the
-    extension's integer Gram in that basis. Hard-errors on a
+    Returns (h2, gram): the HNF of the doubled coordinates of the
+    extension in the basis of the orthogonal sum (its canonical basis),
+    and the extension's integer Gram in that basis. Hard-errors on a
     non-integral extension or a wrong determinant, glue norm or index.
     """
+    gw = w.gram_int()
     rank_w = len(gw)
     n_dim = rank_w + 1
     m0 = [[-gw[i][j] for j in range(rank_w)] + [0] for i in range(rank_w)]
@@ -149,7 +145,7 @@ def _glue(gw: list[list[int]], w_solver: exact.LeftSolver, conic):
     if exact.det_bareiss(m0) != -640:
         raise VerificationError("orthogonal-sum determinant is not -640")
 
-    glue2 = _w_coords_doubled(w_solver, conic) + [1]  # doubled coordinates of c0
+    glue2 = _w_coords_doubled(w, conic) + [1]  # doubled coordinates of c0
     pairings = exact.vec_mat_mul(glue2, m0)
     if any(p % 2 for p in pairings):
         raise ConstructionError("glue vector pairs non-integrally with the sum")
@@ -188,8 +184,7 @@ def build_N(
     signature and class products are returned for the report to judge.
     """
     w = hbar_perp(s, leech)
-    w_solver = exact.LeftSolver([list(r) for r in w.basis])
-    h2, gram = _glue(w.gram_int(), w_solver, conics[glue_index])
+    h2, gram = _glue(w, conics[glue_index])
 
     n_solver = exact.LeftSolver(h2)
     h_coords = n_solver.solve([0] * w.rank + [2])
@@ -198,7 +193,7 @@ def build_N(
 
     classes = []
     for i in range(len(conics)):
-        ui = _w_coords_doubled(w_solver, conics[i])
+        ui = _w_coords_doubled(w, conics[i])
         xi = n_solver.solve(ui + [1])
         if xi is None:
             raise ConstructionError(f"class of conic {i} does not lie in N")
@@ -219,8 +214,7 @@ def check_glue_independence(
 ) -> bool:
     """Glue the extension of n's W by a different conic; the canonical
     basis (hence the Gram) must come out identical."""
-    w_solver = exact.LeftSolver(n.w.basis)
-    h2, gram = _glue(n.w.gram_int(), w_solver, conics[other_index])
+    h2, gram = _glue(n.w, conics[other_index])
     return bool(np.array_equal(h2, n.hnf2) and np.array_equal(gram, n.gram))
 
 

@@ -155,6 +155,17 @@ def test_count_cliques_edge_sizes():
     assert census.count_disjoint_16([], size=1) == (0, True)
 
 
+def test_disjointness_masks_match_products(true_products):
+    """Bit j of mask i is set exactly when l_i.l_j = 2 and i != j."""
+    masks = census.disjointness_masks(true_products)
+    n = len(true_products)
+    assert len(masks) == n
+    for i, m in enumerate(masks):
+        assert m >> n == 0
+        bits = [m >> j & 1 for j in range(n)]
+        assert bits == [int(true_products[i][j] == 2 and i != j) for j in range(n)]
+
+
 def test_triangle_count_is_trace_of_adjacency_cube(true_products):
     """Triangles of the real disjointness graph, recounted as trace(A^3)/6."""
     adj = (true_products == 2).astype(np.int64)

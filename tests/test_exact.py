@@ -217,7 +217,7 @@ def test_kernel_left_is_saturated_annihilator():
         k = exact.kernel_left(m)
         for row in k:
             assert all(x == 0 for x in exact.vec_mat_mul(row, m))
-        assert len(k) == n - exact.rank(m)
+        assert len(k) == n - exact.LeftSolver(m).rank
         if k:
             d, _, _ = exact.snf(k)
             assert all(x == 1 for x in d[: len(k)])
@@ -248,6 +248,15 @@ def test_left_solver_matches_solve_left():
         b = exact.solve_left(m, v)
         assert exact.vec_mat_mul(a, m) == v
         assert (a is None) == (b is None)
+        assert solver.contains(v)
+    # Rank 4 in Z^5: most random right-hand sides lie outside the span.
+    outside = 0
+    for _ in range(50):
+        v = [rng.randint(-5, 5) for _ in range(5)]
+        a = solver.solve(v)
+        assert solver.contains(v) == (a is not None) == (exact.solve_left(m, v) is not None)
+        outside += a is None
+    assert outside
 
 
 def test_signature_against_constructed_inertia():

@@ -33,6 +33,14 @@ def test_steiner_system(code):
     cover = golay.steiner_cover_counts(code)
     assert len(cover) == 42504
     assert cover.min() == 1 and cover.max() == 1
+    # Negative control: two "octads" sharing the five points 20..24. That
+    # quintuple, last in colex order, is covered twice; most are not covered.
+    shared = golay.mask_of(range(20, 25))
+    words = (shared | golay.mask_of((1, 2, 3)), shared | golay.mask_of((4, 5, 6)))
+    cover = golay.steiner_cover_counts(golay.GolayCode(words=words, basis=()))
+    assert len(cover) == 42504
+    assert cover.max() == 2 and cover.min() == 0
+    assert cover[-1] == 2 and cover.sum() == 2 * 56
 
 
 def test_octad_count(code):

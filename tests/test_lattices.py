@@ -15,7 +15,6 @@ from conics800.lattices import (
     IntegralLattice,
     discriminant_form,
     fqf_isomorphic,
-    membership_mask,
     orthogonal_complement,
     short_vectors,
     verify_fqf_witness,
@@ -95,6 +94,9 @@ def test_short_vectors_identity_contract():
     got = short_vectors([[1, 0], [0, 1]], 1)
     assert sorted(map(list, got)) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
     assert short_vectors([[1, 0], [0, 1]], 3) == []
+    # Rank 0: only the empty vector, of norm 0.
+    assert short_vectors([], 0) == [[]]
+    assert short_vectors([], 1) == []
 
 
 # Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).
@@ -179,6 +181,9 @@ def test_integral_lattice_roundtrip():
     assert not lat.contains([1, 0, 0])
     assert exact.solve_left(lat.basis, [4, 3, 0]) == [2, 1]
     assert lat.gram_int() == [[4, 0], [0, 9]]
+    even = IntegralLattice([[2, 0], [0, 2]])
+    cases = [[2, 2], [1, 0], np.array([4, -2]), (3, 3)]
+    assert [even.contains(v) for v in cases] == [True, False, True, False]
 
 
 def test_orthogonal_complement_properties():
@@ -198,12 +203,6 @@ def test_orthogonal_complement_of_one_vector():
     assert sub.rank == 2
     for row in sub.basis:
         assert sum(row) == 0
-
-
-def test_membership_mask():
-    hnf_rows = exact.nonzero_rows(exact.hnf([[2, 0], [0, 2]]))
-    arr = np.array([[2, 2], [1, 0], [4, -2], [3, 3]])
-    assert membership_mask(arr, hnf_rows).tolist() == [True, False, True, False]
 
 
 def test_discriminant_form_order_equals_det():

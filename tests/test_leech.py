@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conics800 import exact, golay, leech
-from conics800.lattices import membership_mask, short_vectors
+from conics800.lattices import short_vectors
 
 
 def test_census_counts_and_invariants(code):
@@ -83,8 +83,21 @@ def test_extract_basis_rows_pinned():
 
 
 def test_all_vectors_lie_in_basis_span(vectors, basis):
-    hnf_rows = exact.nonzero_rows(exact.hnf(basis))
-    assert membership_mask(vectors, hnf_rows).all()
+    """Every census vector v has integer coordinates c = (v B'/8) G^-1 over
+    the basis B, and c B = v. G = B B'/8 is unimodular, so G^-1 is integral;
+    it comes from exact solves and enters int64 after a size check."""
+    gram = [[x // 8 for x in row] for row in exact.mat_mul(basis, exact.transpose(basis))]
+    solver = exact.LeftSolver(gram)
+    gram_inv = [solver.solve(row) for row in exact.identity(24)]
+    assert None not in gram_inv
+    inv = np.array(gram_inv, dtype=np.int64)
+    b = np.array(basis, dtype=np.int64)
+    raw = vectors.astype(np.int64) @ b.T
+    assert not (raw % 8).any()
+    dots = raw // 8
+    assert int(np.abs(dots).max()) * int(np.abs(inv).sum(axis=0).max()) < 2**62
+    coords = dots @ inv
+    assert np.array_equal(coords @ b, vectors.astype(np.int64))
 
 
 def test_raw_determinant_scale(basis):
