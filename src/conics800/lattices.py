@@ -7,8 +7,10 @@ exact solver; its rank check, membership and canonical basis all read
 that one HNF, in Python ints. Everything else here reads an integer
 Gram matrix.
 Discriminant groups come out of the Smith normal form of the Gram
-matrix; finite quadratic forms are compared by a pruned search over
-generator images, and the returned witness is re-verified exhaustively.
+matrix; finite quadratic forms are integer numerators over the level
+(the exponent of the group), so q, b and every comparison of them are
+plain ints. Forms are compared by a pruned search over generator
+images, and the returned witness is re-verified exhaustively.
 
 Short vectors come from an exact Fincke-Pohst walk over an LLL-reduced
 basis: the integral LLL of the Gram matrix yields the leading minors and
@@ -72,34 +74,47 @@ def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> Int
     return IntegralLattice(basis, ambient.ambient_scale)
 
 
-def _mod(x: Fraction, modulus: int) -> Fraction:
-    r = x - (x / modulus).__floor__() * modulus
-    return r
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """Finite quadratic form on a direct sum of cyclic groups.
+    """Finite quadratic form on a direct sum of cyclic groups, in integers.
 
     generator_orders need not form a divisor chain (block constructors
-    produce e.g. orders (2,2,8,5)); q values live in Q/2Z normalized to
-    [0,2), pairings b in Q/Z normalized to [0,1) with b(g,g) = q(g) mod Z.
+    produce e.g. orders (2,2,8,5)). With the level N = lcm(orders), q(g_i)
+    is q[i]/N in Q/2Z and b(g_i, g_j) is b[i][j]/N in Q/Z, stored as
+    numerators normalized to [0, 2N) and [0, N), with b[i][i] = q[i] mod N.
     """
 
     orders: tuple[int, ...]
-    q: tuple[Fraction, ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    q: tuple[int, ...]
+    b: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         k = len(self.orders)
-        assert len(self.q) == k and len(self.b) == k and all(len(r) == k for r in self.b)
+        if len(self.q) != k or len(self.b) != k or any(len(r) != k for r in self.b):
+            raise ConstructionError("form values do not match the number of generators")
 
     @property
     def group_order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return math.prod(self.orders)
+
+    @property
+    def level(self) -> int:
+        return math.lcm(*self.orders)
+
+    @staticmethod
+    def from_values(orders, values) -> "FiniteQuadraticForm":
+        """The form with q(g_i) = values[i][i] mod 2Z and b(g_i, g_j) =
+        values[i][j] mod Z, for a symmetric rational matrix of values.
+        Raises ConstructionError unless every value lies in (1/level)Z."""
+        level = math.lcm(*orders)
+        nums = [[Fraction(v) * level for v in row] for row in values]
+        if any(x.denominator != 1 for row in nums for x in row):
+            raise ConstructionError(f"form values are not all in (1/{level})Z")
+        b = tuple(tuple(int(x) % level for x in row) for row in nums)
+        if any(row[j] != b[j][i] for i, row in enumerate(b) for j in range(i)):
+            raise ConstructionError("form values are not symmetric mod Z")
+        q = tuple(int(row[i]) % (2 * level) for i, row in enumerate(nums))
+        return FiniteQuadraticForm(tuple(orders), q, b)
 
     @staticmethod
     def from_blocks(*blocks) -> "FiniteQuadraticForm":
@@ -110,36 +125,21 @@ class FiniteQuadraticForm:
         by the matrix diagonal and b by the off-diagonal halves.
         """
         orders: list[int] = []
-        qs: list[Fraction] = []
-        rows: list[list[Fraction]] = []
-
-        def extend(new_orders, new_q, new_b):
-            k = len(orders)
-            for row in rows:
-                row.extend([Fraction(0)] * len(new_orders))
-            for i, _ in enumerate(new_orders):
-                rows.append([Fraction(0)] * k + list(new_b[i]))
-            orders.extend(new_orders)
-            qs.extend(new_q)
-
-        for block in blocks:
-            first, second = block
-            if isinstance(first, int):
-                n, qv = first, Fraction(second)
-                extend([n], [_mod(qv, 2)], [[_mod(qv, 1)]])
-            else:
-                matrix, n = first, second
-                k = len(matrix)
-                q_new = [_mod(Fraction(matrix[i][i]), 2) for i in range(k)]
-                b_new = [[_mod(Fraction(matrix[i][j]), 1) for j in range(k)] for i in range(k)]
-                extend([n] * k, q_new, b_new)
-        return FiniteQuadraticForm(tuple(orders), tuple(qs), tuple(tuple(r) for r in rows))
+        values: list[list] = []
+        for first, second in blocks:
+            matrix, n = ([[second]], first) if isinstance(first, int) else (first, second)
+            for row in values:
+                row.extend([0] * len(matrix))
+            values += [[0] * len(orders) + list(row) for row in matrix]
+            orders += [n] * len(matrix)
+        return FiniteQuadraticForm.from_values(orders, values)
 
     def negate(self) -> "FiniteQuadraticForm":
+        n = self.level
         return FiniteQuadraticForm(
             self.orders,
-            tuple(_mod(-x, 2) for x in self.q),
-            tuple(tuple(_mod(-x, 1) for x in row) for row in self.b),
+            tuple(-x % (2 * n) for x in self.q),
+            tuple(tuple(-x % n for x in row) for row in self.b),
         )
 
     # Elements are integer tuples modulo the generator orders.
@@ -152,30 +152,30 @@ class FiniteQuadraticForm:
             out = math.lcm(out, d // math.gcd(d, xi))
         return out
 
-    def q_of(self, x) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            if x[i]:
-                total += x[i] * x[i] * self.q[i]
-                for j in range(i + 1, k):
-                    total += 2 * x[i] * x[j] * self.b[i][j]
-        return _mod(total, 2)
+    def _pair(self, x, y) -> int:
+        """x V y' for V with diagonal q and off-diagonal b: q(x) is
+        _pair(x, x) mod 2N, and b(x, y) is _pair(x, y) mod N because
+        b[i][i] = q[i] mod N."""
+        return sum(
+            xi * yj * (self.q[i] if i == j else self.b[i][j])
+            for i, xi in enumerate(x) if xi
+            for j, yj in enumerate(y) if yj
+        )
 
-    def b_of(self, x, y) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            if x[i]:
-                for j in range(k):
-                    if y[j]:
-                        total += x[i] * y[j] * self.b[i][j]
-        return _mod(total, 1)
+    def q_of(self, x) -> int:
+        """Numerator of q(x) over the level, in [0, 2N)."""
+        return self._pair(x, x) % (2 * self.level)
+
+    def b_of(self, x, y) -> int:
+        """Numerator of b(x, y) over the level, in [0, N)."""
+        return self._pair(x, y) % self.level
 
     def invariant_factors(self) -> tuple[int, ...]:
-        diag = [[self.orders[i] if i == j else 0 for j in range(len(self.orders))]
-                for i in range(len(self.orders))]
-        return tuple(d for d in exact.invariant_factors(diag) if d != 0) if self.orders else ()
+        return exact.invariant_factors(_diagonal(self.orders))
+
+
+def _diagonal(orders) -> list[list[int]]:
+    return [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
 
 
 def discriminant_form(gram) -> FiniteQuadraticForm:
@@ -196,21 +196,13 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
     if exact.det_bareiss(g) == 0:
         raise VerificationError("discriminant_form requires a nondegenerate lattice")
     divisors, left, _ = exact.snf(g)
-    gens: list[list[Fraction]] = []
-    orders: list[int] = []
-    for i, d in enumerate(divisors):
-        if d > 1:
-            gens.append([Fraction(x, d) for x in left[i]])
-            orders.append(d)
-    k = len(gens)
-    q = []
-    b = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        gi_g = [sum(gens[i][t] * g[t][j] for t in range(len(g))) for j in range(len(g))]
-        q.append(_mod(sum(x * y for x, y in zip(gi_g, gens[i])), 2))
-        for j in range(k):
-            b[i][j] = _mod(sum(x * y for x, y in zip(gi_g, gens[j])), 1)
-    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(tuple(r) for r in b))
+    gens = [(row, d) for row, d in zip(left, divisors) if d > 1]
+    lg = exact.mat_mul([row for row, _ in gens], g)
+    values = [
+        [Fraction(sum(x * y for x, y in zip(lg[i], gj)), di * dj) for gj, dj in gens]
+        for i, (_, di) in enumerate(gens)
+    ]
+    return FiniteQuadraticForm.from_values([d for _, d in gens], values)
 
 
 FQF_ORDER_LIMIT = 10**4
@@ -218,14 +210,7 @@ FQF_ORDER_LIMIT = 10**4
 
 def _subgroup_is_everything(form: FiniteQuadraticForm, images) -> bool:
     """Do the image tuples generate the whole group of `form`?"""
-    k = len(form.orders)
-    rows = [[form.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    rows += [list(x) for x in images]
-    divisors, _, _ = exact.snf(rows)
-    quotient = 1
-    for d in divisors:
-        quotient *= d if d else 1
-    return quotient == 1
+    return not exact.invariant_factors(_diagonal(form.orders) + [list(x) for x in images])
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
@@ -240,25 +225,21 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
             f"fqf_isomorphic limited to order {FQF_ORDER_LIMIT}, "
             f"got {f1.group_order} and {f2.group_order}"
         )
-    if f1.group_order != f2.group_order:
-        return False, None
+    # Equal invariant factors give equal levels, so numerators compare directly.
     if f1.invariant_factors() != f2.invariant_factors():
         return False, None
     # Bucket the elements of f2 by (order, q) once.
-    buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
+    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for x in f2.elements():
         buckets.setdefault((f2.element_order(x), f2.q_of(x)), []).append(x)
-    gens1 = [tuple(1 if j == i else 0 for j in range(len(f1.orders))) for i in range(len(f1.orders))]
     images: list[tuple[int, ...]] = []
 
     def place(i: int) -> bool:
-        if i == len(gens1):
+        if i == len(f1.orders):
             return _subgroup_is_everything(f2, images)
         key = (f1.orders[i], f1.q[i])
         for cand in buckets.get(key, ()):
-            if all(
-                f2.b_of(cand, images[j]) == _mod(f1.b[i][j], 1) for j in range(i)
-            ):
+            if all(f2.b_of(cand, images[j]) == f1.b[i][j] for j in range(i)):
                 images.append(cand)
                 if place(i + 1):
                     return True
@@ -273,10 +254,16 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
 def verify_fqf_witness(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, witness) -> bool:
     """Exhaustively confirm the witness is a q-preserving isomorphism.
 
-    Checks bijectivity through subgroup generation and q agreement on
-    every element of f1 (b agreement follows by polarization).
+    Checks that the map is a homomorphism (each image's order divides
+    its generator's), bijective (equal group orders, images generate
+    f2), and preserves q on every element of f1 (b follows by
+    polarization). Equal groups have equal levels, so numerators compare.
     """
     if witness is None or len(witness) != len(f1.orders):
+        return False
+    if f1.group_order != f2.group_order:
+        return False
+    if any(d % f2.element_order(w) for d, w in zip(f1.orders, witness)):
         return False
     if not _subgroup_is_everything(f2, witness):
         return False

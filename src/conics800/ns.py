@@ -7,6 +7,10 @@ a positive-definite rank-20 lattice containing hbar and all 800 conic
 vectors. The target lattice N is the index-2 extension of
 (-(hbar-perp in S)) + Zh, h*h = 4, glued by c0 = l0 - hbar/2 + h/2;
 each conic l then gives a class c(l) with c*c = -2 and c*h = 2.
+
+Every class question in N (all e with given e*e and e*h) goes through
+one coset scan, classes_of: the two bad-vector scans, and the count of
+all conic classes.
 """
 
 from __future__ import annotations
@@ -257,54 +261,48 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     return report
 
 
-def bad_vector_scan(gram, h_coords):
-    """All e with (e.e = -2, e.h = 0) and all e with (e.e = 0, e.h = 2).
+def classes_of(gram, h, norm, degree) -> list[tuple[int, ...]]:
+    """All e with e.e = norm and e.h = degree, in the lattice's coordinates.
 
-    Works on any even lattice with h.h = 4 whose h-complement is
-    negative definite. Decomposes e = (e.h/4) h + f and enumerates f
-    in the appropriate (coset of the) complement by definite
-    short-vector search; the coset comes from integer solves only.
-    Returns two lists of integer vectors in the lattice's own
-    coordinates; both are expected empty for the constructed lattice
-    and non-empty for the planted controls.
+    Works on any integral lattice with h.h = 4 whose h-complement is
+    negative definite. Any e0 with e0.h = degree seeds the search;
+    without one there is no such e. With K the saturated h-complement,
+    e = e0 + xK, and e - (degree/4) h = (x + s)K, where s is 1/4 the
+    K-coordinates of 4 e0 - degree h. Its square is norm - degree^2/4,
+    so the x are one short-vector search on -K G K' in that coset.
+    Every e is re-checked exactly.
     """
-    gram = [list(map(int, row)) for row in gram]
-    h = [int(x) for x in h_coords]
+    gram = [[int(x) for x in row] for row in gram]
+    h = [int(x) for x in h]
     gh = exact.mat_vec_mul(gram, h)
     if sum(a * b for a, b in zip(h, gh)) != 4:
         raise ConstructionError("polarization does not have h.h = 4")
+    e0 = exact.solve_left([[x] for x in gh], [degree])
+    if e0 is None:
+        return []
     k = exact.kernel_left([[x] for x in gh])
-    if len(k) != len(gram) - 1:
-        raise ConstructionError("h-complement has unexpected rank")
-    kgk = exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))
-    neg = [[-x for x in row] for row in kgk]
+    neg = [[-x for x in row] for row in exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))]
+    # 4 e0 - degree h is orthogonal to h, so it lies in the saturated K.
+    coords = exact.solve_left(k, [4 * a - degree * b for a, b in zip(e0, h)])
+    shift = [Fraction(x, 4) for x in coords]
+    found = []
+    for x in short_vectors(neg, Fraction(degree * degree, 4) - norm, coset_shift=shift):
+        e = [a + b for a, b in zip(e0, exact.vec_mat_mul(x, k))]
+        ge = exact.mat_vec_mul(gram, e)
+        if sum(a * b for a, b in zip(e, ge)) != norm or sum(a * b for a, b in zip(h, ge)) != degree:
+            raise VerificationError(f"class scan returned a non-witness {e}")
+        found.append(tuple(e))
+    return found
 
-    kind1 = []
-    for x in short_vectors(neg, 2):
-        e = exact.vec_mat_mul(list(x), k)
-        kind1.append(tuple(e))
 
-    # Any e0 with e0.h = 2 seeds the coset; without one, kind 2 is empty.
-    # 2 e0 - h is an integer vector orthogonal to h, so it lies in the
-    # saturated kernel k, and the shift (e0 - h/2) in k-coordinates is
-    # half its integer coordinates.
-    kind2 = []
-    e0 = exact.solve_left([[x] for x in gh], [2])
-    if e0 is not None:
-        sigma = [Fraction(x, 2) for x in exact.solve_left(k, [2 * a - b for a, b in zip(e0, h)])]
-        for x in short_vectors(neg, 1, coset_shift=sigma):
-            e = [a + b for a, b in zip(e0, exact.vec_mat_mul(list(x), k))]
-            kind2.append(tuple(e))
+def bad_vector_scan(gram, h_coords):
+    """classes_of for (e.e = -2, e.h = 0) and for (e.e = 0, e.h = 2).
 
-    for e in kind1:
-        ge = exact.mat_vec_mul(gram, list(e))
-        if sum(a * b for a, b in zip(e, ge)) != -2 or sum(a * b for a, b in zip(h, ge)) != 0:
-            raise VerificationError("kind-1 scan returned a non-witness")
-    for e in kind2:
-        ge = exact.mat_vec_mul(gram, list(e))
-        if sum(a * b for a, b in zip(e, ge)) != 0 or sum(a * b for a, b in zip(h, ge)) != 2:
-            raise VerificationError("kind-2 scan returned a non-witness")
-    return kind1, kind2
+    These are the bad classes of Saint-Donat's very-ampleness conditions
+    for a degree-4 polarization; both lists are expected empty for the
+    constructed lattice and non-empty for the planted controls.
+    """
+    return classes_of(gram, h_coords, -2, 0), classes_of(gram, h_coords, 0, 2)
 
 
 def scan_N(n: PolarizedLattice):

@@ -224,8 +224,8 @@ def test_discriminant_polarization_identity():
         x = rng.choice(elems)
         y = rng.choice(elems)
         xy = tuple((a + b) % o for a, b, o in zip(x, y, f.orders))
-        lhs = (f.q_of(xy) - f.q_of(x) - f.q_of(y)) % 2
-        rhs = (2 * f.b_of(x, y)) % 2
+        lhs = (f.q_of(xy) - f.q_of(x) - f.q_of(y)) % (2 * f.level)
+        rhs = (2 * f.b_of(x, y)) % (2 * f.level)
         assert lhs == rhs
 
 
@@ -267,6 +267,29 @@ def test_fqf_negate_involution():
 def test_bad_witness_rejected():
     f = FiniteQuadraticForm.from_blocks((4, Fraction(1, 4)))
     assert verify_fqf_witness(f, f, [(2,)]) is False
+    # Z/2 + Z/2 -> Z/4 sending the generators to 1 and 0: the images
+    # generate, and every q numerator agrees (over levels 2 and 4), but
+    # the map is no homomorphism.
+    g = FiniteQuadraticForm.from_blocks((2, Fraction(1, 2)), (2, 0))
+    assert [g.q_of(x) for x in g.elements()] == [0, 0, 1, 1]
+    assert verify_fqf_witness(g, f, [(1,), (0,)]) is False
+    assert fqf_isomorphic(g, f) == (False, None)
+    # Z/4 + Z/2 -> Z/4 sending the generators to 1 and 2 is a surjective
+    # homomorphism that preserves q (the form is pulled back along it),
+    # but not injective.
+    half = Fraction(1, 2)
+    big = FiniteQuadraticForm.from_values([4, 2], [[Fraction(1, 4), half], [half, 1]])
+    assert all(big.q_of(x) == f.q_of(((x[0] + 2 * x[1]) % 4,)) for x in big.elements())
+    assert verify_fqf_witness(big, f, [(1,), (2,)]) is False
+
+
+def test_form_rejects_invalid_input():
+    with pytest.raises(ConstructionError):
+        FiniteQuadraticForm.from_blocks((8, Fraction(1, 16)))  # not in (1/8)Z
+    with pytest.raises(ConstructionError):
+        FiniteQuadraticForm((2, 4), (1, 1), ((1, 0),))  # b has one row for two generators
+    with pytest.raises(ConstructionError):
+        FiniteQuadraticForm.from_blocks(([[0, Fraction(1, 2)], [0, 0]], 2))  # b not symmetric
 
 
 def test_discriminant_form_preconditions():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conics800 import census, exact, ns, report
+from conics800.errors import ConstructionError
 from conics800.lattices import IntegralLattice, short_vectors
 
 
@@ -155,9 +156,38 @@ def test_planted_controls():
     assert k2 == []
 
 
+def test_N_has_exactly_800_conic_classes(n_lattice):
+    """Every e in N with e.e = -2 and e.h = 2 is one of the 800 classes."""
+    n = n_lattice
+    found = ns.classes_of(n.gram, n.h, -2, 2)
+    assert len(found) == 800
+    assert set(found) == set(map(tuple, n.classes.tolist()))
+    # h.N lies in 2Z, so N has no classes of odd degree (no lines).
+    assert ns.classes_of(n.gram, n.h, -2, 1) == ns.classes_of(n.gram, n.h, -2, 3) == []
+
+
+def test_conic_class_planted_controls():
+    # [[4,2],[2,-2]], h = (1,0): e = (a, 1-2a) has e.e = -12a^2 + 12a - 2,
+    # which is -2 exactly for a = 0, 1.
+    assert sorted(ns.classes_of([[4, 2], [2, -2]], (1, 0), -2, 2)) == [(0, 1), (1, -1)]
+    # Rank 20: [[4,2],[2,0]] + diag(-2, ...), h = e1. e = (a, 1-2a, z) has
+    # e.e = -4a^2 + 4a - 2 z.z = -2 iff z.z = 1 + 2a(1-a): a = 0, 1 and
+    # z = +-e_i for each of the 18 remaining coordinates, 72 classes.
+    e = [tuple(int(i == j) for j in range(20)) for i in range(20)]
+    found = ns.classes_of(_rank20([[4, 2], [2, 0]], -2), e[0], -2, 2)
+    expected = {
+        (a, 1 - 2 * a) + tuple(s * x for x in e[i][2:])
+        for a in (0, 1) for i in range(2, 20) for s in (1, -1)
+    }
+    assert len(found) == len(expected) == 72
+    assert set(found) == expected
+
+
 def test_scan_rejects_wrong_polarization_norm():
-    with pytest.raises(Exception):
+    with pytest.raises(ConstructionError):
         ns.bad_vector_scan([[2, 0], [0, -2]], (1, 0))
+    with pytest.raises(ConstructionError):
+        ns.classes_of([[2, 0], [0, -2]], (1, 0), -2, 2)
 
 
 def test_build_vtilde_checks(lam):
