@@ -294,8 +294,8 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     """All integer x with (x+shift)' G (x+shift) equal to norm_target.
 
     G must be a positive-definite integer Gram (NotPositiveDefiniteError
-    otherwise). Output is lexicographically sorted. With a (rational)
-    coset shift the returned rows are the integer parts x.
+    otherwise). Output is in the walk's deterministic order, not sorted.
+    With a (rational) coset shift the returned rows are the integer parts x.
 
     The walk is exact, over an LLL-reduced basis: ``exact.lll_gram`` of
     G/c (c the gcd of G's entries) gives a unimodular H, G' = H (G/c) H',
@@ -312,11 +312,12 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
 
     Without a shift the walk visits only rows whose last nonzero
     coordinate is positive (one subtree per top level k, from the zero
-    prefix with y_k >= 1), then adds their negatives and, if T' = 0, the
-    zero row. It goes depth-first over blocks of at most _CHUNK frontier
-    rows, each expanded one level at a time, and a row at level i stores
-    only its n - i filled coordinates, so live memory follows the depth
-    and block size, not the widest level of the tree.
+    prefix with y_k >= 1), maps those back, then adds their negatives
+    and, if T' = 0, the zero row. It goes depth-first over blocks of at
+    most _CHUNK frontier rows, each expanded one level at a time, and a
+    row at level i stores only its n - i filled coordinates, so live
+    memory follows the depth and block size, not the widest level of
+    the tree.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram] or not exact.is_symmetric(g):
@@ -382,8 +383,6 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         expand(np.zeros((1, 0), np.int64), np.zeros(1, np.int64), n - 1)
     found = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
     leaves.clear()  # frees the leaf blocks before the copies below
-    if half:
-        found = np.concatenate([found, -found, np.zeros((int(goal == 0), n), dtype=np.int64)])
 
     # Map back to the original coordinates, x = y H, in int64.
     h_arr = np.array(h, dtype=np.int64)
@@ -391,4 +390,6 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         raise ConstructionError("short_vectors: entries too large for the int64 map back")
     rows = found @ h_arr
     del found
-    return rows[np.lexsort(rows.T[::-1])].tolist()
+    if half:  # -y maps to -x
+        rows = np.concatenate([rows, -rows, np.zeros((int(goal == 0), n), dtype=np.int64)])
+    return rows.tolist()

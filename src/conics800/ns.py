@@ -5,8 +5,11 @@ seed generators span a rank-5 sublattice Vt containing the degree
 vector hbar. S is the orthogonal complement of hbar's complement in Vt,
 a positive-definite rank-20 lattice containing hbar and all 800 conic
 vectors. The target lattice N is the index-2 extension of
-(-(hbar-perp in S)) + Zh, h*h = 4, glued by c0 = l0 - hbar/2 + h/2;
-each conic l then gives a class c(l) with c*c = -2 and c*h = 2.
+M = (-(hbar-perp in S)) + Zh, h*h = 4, glued by c0 = l0 - hbar/2 + h/2;
+each conic l then gives a class c(l) with c*c = -2 and c*h = 2. N lies
+in M/2, so each of its vectors is a doubled ambient row in Z^24 + Zh:
+N's basis is the HNF of such rows, and one exact solver over it places
+h and every class.
 
 Every class question in N (all e with given e*e and e*h) goes through
 one coset scan, classes_of: the two bad-vector scans, and the count of
@@ -56,8 +59,8 @@ PLANTED_KIND2 = ((4, 2), (2, 0))
 class PolarizedLattice:
     """Rank-20 lattice of signature (1,19) with polarization and classes.
 
-    All coordinates refer to the canonical basis obtained from the HNF
-    of the doubled glue coordinates; gram is the exact integer Gram.
+    All coordinates refer to N's canonical basis hnf2, the 20 x 25 HNF
+    of doubled ambient rows (see _glue); gram is the exact integer Gram.
     w is the positive-definite W = hbar-perp in S the extension glues.
     """
 
@@ -66,7 +69,6 @@ class PolarizedLattice:
     classes: np.ndarray
     hnf2: np.ndarray
     w: IntegralLattice
-    glue_index: int
 
     @property
     def rank(self) -> int:
@@ -124,81 +126,60 @@ def hbar_perp(s: IntegralLattice, leech: IntegralLattice) -> IntegralLattice:
     return w
 
 
-def _w_coords_doubled(w: IntegralLattice, conic) -> list[int]:
-    """Integer coordinates of 2l - hbar in the basis of W."""
-    target = [2 * int(x) - h for x, h in zip(conic, HBAR)]
-    coords = w.solver.solve(target)
-    if coords is None:
-        raise ConstructionError(f"2l - hbar escapes hbar-perp for conic {tuple(conic)}")
-    return coords
+def _doubled(conic) -> list[int]:
+    """Doubled ambient row [2l - hbar | 1] of the class c = l - hbar/2 + h/2."""
+    return [2 * int(x) - b for x, b in zip(conic, HBAR)] + [1]
 
 
 def _glue(w: IntegralLattice, conic):
-    """Index-2 extension of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
+    """Index-2 extension N of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
 
-    Returns (h2, gram): the HNF of the doubled coordinates of the
-    extension in the basis of the orthogonal sum (its canonical basis),
-    and the extension's integer Gram in that basis. Hard-errors on a
-    non-integral extension or a wrong determinant, glue norm or index.
+    Returns (h2, gram): h2 is the HNF of the doubled ambient rows [2w | 0]
+    of W's basis, [0 | 2] of h and _doubled(l) of c0, N's canonical
+    basis; gram is N's integer Gram in it. Hard-errors on a defective
+    basis, a non-integral or odd extension, or an index other than 2.
     """
-    gw = w.gram_int()
-    rank_w = len(gw)
-    n_dim = rank_w + 1
-    m0 = [[-gw[i][j] for j in range(rank_w)] + [0] for i in range(rank_w)]
-    m0.append([0] * rank_w + [4])
-    if exact.det_bareiss(m0) != -640:
-        raise VerificationError("orthogonal-sum determinant is not -640")
-
-    glue2 = _w_coords_doubled(w, conic) + [1]  # doubled coordinates of c0
-    pairings = exact.vec_mat_mul(glue2, m0)
-    if any(p % 2 for p in pairings):
-        raise ConstructionError("glue vector pairs non-integrally with the sum")
-    self4 = sum(a * b for a, b in zip(glue2, pairings))
-    if self4 != -8:
-        raise VerificationError(f"glue vector has (2c)^2 = {self4}, expected -8")
-
-    doubled = [[2 * (i == j) for j in range(n_dim)] for i in range(n_dim)] + [glue2]
-    h2 = exact.nonzero_rows(exact.hnf(doubled))
-    if len(h2) != n_dim:
+    rows = [[2 * x for x in row] + [0] for row in w.basis]
+    rows += [[0] * len(HBAR) + [2], _doubled(conic)]
+    h2 = exact.nonzero_rows(exact.hnf(rows))
+    if len(h2) != w.rank + 1:
         raise ConstructionError("extension basis is defective")
-    index_sq = 4 ** n_dim // (exact.det_bareiss(h2)) ** 2
+
+    # [u | k].[u' | k'] = (scale k k' - u.u') / scale on doubled rows.
+    scale = 4 * w.ambient_scale
+    weighted = [[-x for x in row[:-1]] + [scale * row[-1]] for row in h2]
+    scaled = exact.mat_mul(weighted, exact.transpose(h2))
+    if any(x % scale for row in scaled for x in row):
+        raise ConstructionError("extension Gram is non-integral")
+    gram = [[x // scale for x in row] for row in scaled]
+    if any(gram[i][i] % 2 for i in range(len(gram))):
+        raise VerificationError("extension lattice is not even")
+    # det((-W) + Zh) = -4 det W is the index squared times det N.
+    index_sq = Fraction(-4 * exact.det_bareiss(w.gram_int()), exact.det_bareiss(gram))
     if index_sq != 4:
         raise VerificationError(f"extension index squared is {index_sq}, expected 4")
-
-    gram4 = exact.mat_mul(exact.mat_mul(h2, m0), exact.transpose(h2))
-    if any(x % 4 for row in gram4 for x in row):
-        raise ConstructionError("extension Gram is non-integral")
-    gram = [[x // 4 for x in row] for row in gram4]
-    if any(gram[i][i] % 2 for i in range(n_dim)):
-        raise VerificationError("extension lattice is not even")
     return h2, gram
 
 
-def build_N(
-    s: IntegralLattice,
-    leech: IntegralLattice,
-    conics: np.ndarray,
-    glue_index: int = 0,
-) -> PolarizedLattice:
-    """Index-2 extension of (-(hbar-perp in S)) + Zh glued by one conic.
+def build_N(s: IntegralLattice, leech: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
+    """Index-2 extension of (-(hbar-perp in S)) + Zh glued by the first conic.
 
-    The glue vector is c0 = l0 - hbar/2 + h/2 for the conic at
-    glue_index. Hard-errors when the extension cannot be built exactly
-    (see _glue) or when h or a conic class escapes it; its determinant,
-    signature and class products are returned for the report to judge.
+    The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0].
+    Hard-errors when the extension cannot be built exactly (see _glue)
+    or when h or a conic class escapes it; its determinant, signature
+    and class products are returned for the report to judge.
     """
     w = hbar_perp(s, leech)
-    h2, gram = _glue(w, conics[glue_index])
+    h2, gram = _glue(w, conics[0])
 
     n_solver = exact.LeftSolver(h2)
-    h_coords = n_solver.solve([0] * w.rank + [2])
+    h_coords = n_solver.solve([0] * len(HBAR) + [2])
     if h_coords is None:
         raise ConstructionError("polarization vector escapes the extension basis")
 
     classes = []
-    for i in range(len(conics)):
-        ui = _w_coords_doubled(w, conics[i])
-        xi = n_solver.solve(ui + [1])
+    for i, conic in enumerate(conics.tolist()):
+        xi = n_solver.solve(_doubled(conic))
         if xi is None:
             raise ConstructionError(f"class of conic {i} does not lie in N")
         classes.append(xi)
@@ -209,7 +190,6 @@ def build_N(
         classes=np.array(classes, dtype=np.int64),
         hnf2=np.array(h2, dtype=np.int64),
         w=w,
-        glue_index=glue_index,
     )
 
 

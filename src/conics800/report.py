@@ -261,7 +261,7 @@ def stage_conics(state: Pipeline, clique_mode: str = "first") -> tuple[dict, boo
 def stage_ns(state: Pipeline) -> tuple[dict, bool]:
     t0 = time.monotonic()
     state.s = ns.build_S(state.lam, state.conics)
-    state.n = ns.build_N(state.s, state.lam, state.conics, glue_index=0)
+    state.n = ns.build_N(state.s, state.lam, state.conics)
     n = state.n
     disc = ns.verify_discriminants(n)
     kind1, kind2 = ns.scan_N(n)
@@ -269,7 +269,7 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
     planted2 = ns.bad_vector_scan(ns.PLANTED_KIND2, (1, 0))
     cls = n.classes
     ch = cls @ n.gram @ n.h
-    cc_diag = np.einsum("ij,jk,ik->i", cls, n.gram, cls)
+    cc = cls @ n.gram @ cls.T
     n_gram = n.gram.tolist()
     checks = [
         check("S_rank", 20, state.s.rank, "construction"),
@@ -287,16 +287,12 @@ def stage_ns(state: Pipeline) -> tuple[dict, bool]:
         check("h_self_product", 4, int(n.h @ n.gram @ n.h), "construction"),
         check("h_parity_in_N", True, ns.check_h_parity(n), "exhaustive-scan"),
         check("classes_in_N", census.CONIC_COUNT, len(cls), "construction"),
-        check("class_self_products_-2", True, bool((cc_diag == -2).all()), "exhaustive-scan"),
+        check("class_self_products_-2", True, bool((cc.diagonal() == -2).all()), "exhaustive-scan"),
         check("class_h_products_2", True, bool((ch == 2).all()), "exhaustive-scan"),
         check(
             "class_products_complementary",
             True,
-            bool(
-                np.array_equal(
-                    cls @ n.gram @ cls.T, 2 - state.true_products
-                )
-            ),
+            bool(np.array_equal(cc, 2 - state.true_products)),
             "exhaustive-scan",
         ),
         check(

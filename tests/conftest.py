@@ -67,4 +67,4 @@ def s_lattice(lam, conics):
 
 @pytest.fixture(scope="session")
 def n_lattice(s_lattice, lam, conics):
-    return ns.build_N(s_lattice, lam, conics, glue_index=0)
+    return ns.build_N(s_lattice, lam, conics)

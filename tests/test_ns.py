@@ -53,10 +53,16 @@ def test_N_invariants(n_lattice):
     assert ns.check_h_parity(n)
 
 
+def _doubled_sum_rows(n):
+    """Doubled ambient rows [2w | 0] of W's basis and [0 | 2] of h."""
+    return [[2 * x for x in row] + [0] for row in n.w.basis] + [[0] * 24 + [2]]
+
+
 def test_extension_index_two(n_lattice):
-    # the doubled-coordinate HNF has determinant 2^19: index 2 in the sum
-    det = exact.det_bareiss([[int(x) for x in row] for row in n_lattice.hnf2])
-    assert abs(det) == 2 ** 19
+    # the basis of (-W) + Zh in N's coordinates has determinant +-2: index 2
+    hnf2 = n_lattice.hnf2.tolist()
+    coords = [exact.solve_left(hnf2, row) for row in _doubled_sum_rows(n_lattice)]
+    assert abs(exact.det_bareiss(coords)) == 2
 
 
 def test_class_products(n_lattice, true_products):
@@ -66,6 +72,23 @@ def test_class_products(n_lattice, true_products):
     assert (np.diagonal(cc) == -2).all()
     assert (cls @ gram @ n_lattice.h == 2).all()
     assert np.array_equal(cc, 2 - true_products)
+
+
+def test_build_N_rejects_a_foreign_class(s_lattice, lam, conics, vectors):
+    # census row 0 is a minimal vector, not a conic; copy, since the
+    # conics fixture is shared by the session
+    assert not (conics == vectors[0]).all(axis=1).any()
+    bad = conics.copy()
+    bad[5] = vectors[0]
+    with pytest.raises(ConstructionError, match="conic 5"):
+        ns.build_N(s_lattice, lam, bad)
+
+
+def test_build_N_rejects_a_foreign_glue(s_lattice, lam, conics, vectors):
+    bad = conics.copy()
+    bad[0] = vectors[0]
+    with pytest.raises(ConstructionError):
+        ns.build_N(s_lattice, lam, bad)
 
 
 def test_glue_independence(conics, n_lattice):
@@ -111,11 +134,10 @@ def test_kind1_scan_is_the_root_scan_of_W(n_lattice, s_lattice):
     gh = exact.mat_vec_mul(gram, n.h.tolist())
     k = exact.kernel_left([[x] for x in gh])
     neg = [[-x for x in row] for row in exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))]
-    # -W (doubled coordinates 2 e_i, 0 in the sum) lies in h-perp in N;
+    # -W (doubled ambient rows [2w | 0]) lies in h-perp in N;
     # equal determinants make them equal.
-    rank_w = n.w.rank
-    for i in range(rank_w):
-        x = exact.solve_left(n.hnf2.tolist(), [2 * (j == i) for j in range(rank_w)] + [0])
+    for row in _doubled_sum_rows(n)[:-1]:
+        x = exact.solve_left(n.hnf2.tolist(), row)
         assert x is not None and sum(a * b for a, b in zip(x, gh)) == 0
     assert exact.det_bareiss(neg) == exact.det_bareiss(n.w.gram_int()) == 160
     assert all(s_lattice.contains(row) for row in n.w.basis)
