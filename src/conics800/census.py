@@ -86,13 +86,18 @@ class ConicRecord:
 def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     """Filter the conic vectors and return them lexicographically sorted.
 
-    `threads` is accepted and ignored: the filter is one numpy product.
+    Each seed row in turn keeps the rows with the wanted product: an
+    int16 product over the seed row's support, on the rows that passed
+    the rows before it (4600 of the 196560 pass the first). int16 is
+    exact for any int8 rows, since |v . s| <= 127 * 24 * 4 < 2^15.
+    `threads` is accepted and ignored: every step runs in one thread.
     """
-    seed = np.array(SEED_ROWS, dtype=np.int64).T
-    want = np.array(CONIC_RAW_DOTS, dtype=np.int64)
-    found = vectors[(vectors.astype(np.int64) @ seed == want).all(axis=1)]
-    order = np.lexsort(found.T[::-1])
-    return found[order]
+    found = vectors
+    for row, want in zip(SEED_ROWS, CONIC_RAW_DOTS):
+        support = np.flatnonzero(row)
+        weights = np.array(row, dtype=np.int16)[support]
+        found = found[found[:, support].astype(np.int16) @ weights == want]
+    return found[np.lexsort(found.T[::-1])]
 
 
 def classify(l, code: GolayCode) -> ConicRecord:

@@ -1,10 +1,10 @@
 """Exact integer matrix algebra.
 
 Everything here runs on Python's arbitrary-precision ints: Hermite/Smith
-normal forms with unimodular transforms, fraction-free determinants,
-integer kernels and linear solves, LLL reduction of positive-definite
-Gram matrices (integral, so it also yields exact Gram-Schmidt data),
-and exact signatures of symmetric forms (the one place
+normal forms with unimodular transforms, fraction-free determinants and
+adjugates, integer kernels and linear solves, LLL reduction of
+positive-definite Gram matrices (integral, so it also yields exact
+Gram-Schmidt data), and exact signatures of symmetric forms (the one place
 ``fractions.Fraction`` appears, inside the congruence diagonalization).
 Intermediate entries of the normal-form algorithms routinely exceed
 machine words even for small inputs, so none of this goes through numpy.
@@ -223,6 +223,8 @@ class LeftSolver:
     Computes the row HNF ``h`` and its transform once; each solve is then
     a single reduction pass. ``rank`` is the number of pivots, and
     ``contains`` is the reduction pass alone, without the transform.
+    When ``m`` has full row rank and is its own HNF, the transform is the
+    identity and solve returns the reduction's coefficients as they are.
     Use this instead of repeated solve_left calls when solving many
     right-hand sides against one matrix.
     """
@@ -231,6 +233,8 @@ class LeftSolver:
         self._nrows = len(m)
         self.h, self._u = hnf(m, transform=True)
         self._pivots = _pivots_of(self.h)
+        if self.rank == self._nrows and self.h == copy_matrix(m):
+            self._u = None  # U m = m with m of full row rank forces U = I
 
     @property
     def rank(self) -> int:
@@ -242,8 +246,8 @@ class LeftSolver:
 
     def solve(self, v):
         coeffs = _reduce_against_hnf(self.h, self._pivots, v)
-        if coeffs is None:
-            return None
+        if coeffs is None or self._u is None:
+            return coeffs
         x = [0] * self._nrows
         for i, q in enumerate(coeffs):
             if q:
@@ -352,6 +356,37 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """``(det m, adj m)`` of a nonsingular square integer matrix, so
+    ``adj m @ m == det m * I``.
+
+    Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss, Math.
+    Comp. 22, 1968): after step k every entry is a (k+1) x (k+1) minor,
+    so each division by the previous pivot is exact, and the last step
+    leaves ``[d I | d m^-1]`` with d the determinant of the row-swapped m.
+    Raises ArithmeticError when m is singular.
+    """
+    n = len(m)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                raise ArithmeticError("adjugate of a singular matrix")
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def signature(gram) -> tuple[int, int, int]:

@@ -15,6 +15,11 @@ Enumeration order is fixed: shape31 by (codeword mask ascending, special
 position ascending), shape20 by (octad mask ascending, sign index 0..127
 over the seven smallest positions, last sign forced by parity), shape40
 by (position pair lexicographic, signs (+,+), (+,-), (-,+), (-,-)).
+
+Every decision here is exact integer arithmetic: the census checks sort
+and compare the int8 rows, and the basis exchange tracks an integer
+adjugate with int64 scans under an overflow guard. No float and no
+BLAS/LAPACK call is involved.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ MINIMAL_COUNT = 196560
 # at scale 1/8, so |det B|^2 = 8^24.
 RAW_BASIS_DET = 8**12
 
-# Rows per float coordinate block in extract_basis.
-_CHUNK = 4096
+# extract_basis scans int64 blocks of rows that double from _FIRST_BLOCK
+# up to _CHUNK rows.
+_FIRST_BLOCK = 32
+_CHUNK = 1024
 
 
 def shape31_vectors(code: GolayCode) -> np.ndarray:
@@ -99,40 +106,33 @@ class MinimalVectorCensus:
     negation_closed: bool
 
 
-def _row_view(arr: np.ndarray) -> np.ndarray:
-    """Each row as one fixed-width byte key.
-
-    Keys sort by bytes, not by value; census only needs equal rows to
-    give equal keys.
-    """
-    a = np.ascontiguousarray(arr)
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
-
-
 def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     """Enumerate all minimal vectors and check the census invariants.
 
     Shapes are counted off the vectors by their largest entry: 3 for
-    shape31, 2 for shape20, 4 for shape40.
+    shape31, 2 for shape20, 4 for shape40. Norms are int32 sums of the
+    int8 rows' squares.
+
+    One sort decides both set checks. Flipping each byte's top bit maps
+    an entry x to x + 128, so the rows' three big-endian 8-byte words
+    sort them lexicographically by entry; and for entries in [-127, 127]
+    negation maps x + 128 to 256 - (x + 128), strictly decreasing, so it
+    reverses that order. Hence the rows are distinct exactly when no two
+    adjacent sorted rows are equal, and the rows are closed under
+    negation (as a multiset) exactly when the sorted rows equal the
+    negated sorted rows read backwards.
     """
     vectors = all_minimal_vectors(code)
     by_largest = np.bincount(np.abs(vectors).max(axis=1), minlength=5)
-    wide = vectors.astype(np.int64)
-    norms_ok = bool(((wide * wide).sum(axis=1) == RAW_NORM).all())
-    view = _row_view(vectors)
-    order = np.argsort(view)
-    sorted_view = view[order]
-    distinct = bool((sorted_view[1:] != sorted_view[:-1]).all())
-    neg_view = _row_view(-vectors)
-    idx = np.searchsorted(sorted_view, neg_view)
-    idx = np.clip(idx, 0, len(sorted_view) - 1)
-    negation_closed = bool((sorted_view[idx] == neg_view).all())
+    norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.int32)
+    words = (vectors.view(np.uint8) ^ 0x80).view(">u8")
+    ordered = vectors[np.lexsort(words.T[::-1])]
     report = MinimalVectorCensus(
         total=len(vectors),
         shape_counts=tuple(int(by_largest[m]) for m in (3, 2, 4)),
-        all_norm_32=norms_ok,
-        distinct=distinct,
-        negation_closed=negation_closed,
+        all_norm_32=bool((norms == RAW_NORM).all()),
+        distinct=bool((ordered[1:] != ordered[:-1]).any(axis=1).all()),
+        negation_closed=bool(np.array_equal(ordered, -ordered[::-1])),
     )
     return vectors, report
 
@@ -146,24 +146,45 @@ def extract_basis(vectors: np.ndarray) -> list[list[int]]:
     the current rows replaces row j (the highest such j), which
     multiplies the integer index by |c_j|. A full-rank sublattice M of
     the lattice L has det M = [L : M]^2 det L, so the rows span L
-    exactly when their raw determinant is 8^12; that test is exact.
-    Floats only pick the swaps: coordinates have denominators dividing
-    the index, so a non-integral one sits at least 1/20480 from an
-    integer. Returns the rows as Python ints, in census order.
+    exactly when their raw determinant is 8^12.
+
+    All of it is exact. With B the current rows, d = det B and the
+    integer adjugate A = d B^-1 (exact.adjugate, once), a vector v has
+    coordinates c = N / d with N = v A, so c_j is non-integral with
+    |c_j| < 1 exactly when 0 < |N_j| < |d|. Exchanging row j for v gives
+    det' = N_j and, by the rank-one update of B^-1,
+    A' = (N_j A - A[:, j] (x) (N - d e_j)) / d, an exact division since
+    A' is again an adjugate. So the stop test reads the tracked d. The
+    scan is an int64 product in blocks that double from _FIRST_BLOCK to
+    _CHUNK rows past the last exchange (the hits on every frame lie 0, 1,
+    21, 47, ..., 12287 rows on), after a check that no product can leave
+    int64. Returns the rows as Python ints, in census order.
     """
+    det, adj = exact.adjugate(vectors[:24].tolist())
     idx, pos = list(range(24)), 24
-    while abs(exact.det_bareiss(vectors[idx].tolist())) != RAW_BASIS_DET:
-        inv = np.linalg.inv(vectors[idx].astype(np.float64))
-        for start in range(pos, len(vectors), _CHUNK):
-            # Cast first: int8 @ float64 runs numpy's slow mixed-type loop.
-            coords = vectors[start : start + _CHUNK].astype(np.float64) @ inv
-            swap = (np.abs(coords - np.rint(coords)) > 1e-6) & (np.abs(coords) < 1)
+    while abs(det) != RAW_BASIS_DET:
+        amax = max(max(map(abs, row)) for row in adj)
+        start, size = pos, _FIRST_BLOCK
+        while True:
+            block = vectors[start : start + size].astype(np.int64)
+            if not len(block):
+                raise ConstructionError("leech: minimal vectors did not span the lattice")
+            l1 = int(np.abs(block).sum(axis=1).max())
+            if max(l1 * amax, abs(det)) >= 2**63:
+                raise ConstructionError("leech: basis exchange would overflow int64")
+            num = block @ np.array(adj, dtype=np.int64)
+            swap = (num != 0) & (np.abs(num) < abs(det))
             hits = np.flatnonzero(swap.any(axis=1))
             if len(hits):
                 break
-        else:
-            raise ConstructionError("leech: minimal vectors did not span the lattice")
+            start += size
+            size = min(2 * size, _CHUNK)
+        j = int(np.flatnonzero(swap[hits[0]])[-1])
+        n = num[hits[0]].tolist()
+        nj = n[j]
+        n[j] -= det
+        adj = [[(nj * a - row[j] * b) // det for a, b in zip(row, n)] for row in adj]
+        det = nj
         hit = start + int(hits[0])
-        idx[int(np.flatnonzero(swap[hits[0]])[-1])] = hit
-        pos = hit + 1
+        idx[j], pos = hit, hit + 1
     return vectors[sorted(idx)].tolist()

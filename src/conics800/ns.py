@@ -166,16 +166,16 @@ def build_N(s: IntegralLattice, leech: IntegralLattice, conics: np.ndarray) -> P
 
     The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0].
     Hard-errors when the extension cannot be built exactly (see _glue)
-    or when h or a conic class escapes it; its determinant, signature
-    and class products are returned for the report to judge.
+    or when a conic class escapes it; h's doubled row [0 | 2] is one of
+    the rows whose HNF is N's basis, so h always lies in N. Its
+    determinant, signature and class products are returned for the
+    report to judge.
     """
     w = hbar_perp(s, leech)
     h2, gram = _glue(w, conics[0])
 
     n_solver = exact.LeftSolver(h2)
     h_coords = n_solver.solve([0] * len(HBAR) + [2])
-    if h_coords is None:
-        raise ConstructionError("polarization vector escapes the extension basis")
 
     classes = []
     for i, conic in enumerate(conics.tolist()):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conics800 import census, exact, golay
+from conics800 import census, exact, golay, leech
 from conics800.errors import VerificationError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -26,6 +26,18 @@ def test_conic_count_and_sorting(conics):
     as_tuples = [tuple(int(x) for x in row) for row in conics]
     assert as_tuples == sorted(as_tuples)
     assert len(set(as_tuples)) == 800
+
+
+def test_find_conics_matches_one_product_oracle():
+    """The row-by-row int16 filter against one int64 product, on all five frames."""
+    seed = np.array(census.SEED_ROWS, dtype=np.int64)
+    for choice in (None, 0, 1, 2, 3):
+        code, _ = golay.normalize_frame(golay.build_golay(), choice)
+        vectors = leech.all_minimal_vectors(code)
+        oracle = vectors[(vectors.astype(np.int64) @ seed.T == census.CONIC_RAW_DOTS).all(1)]
+        oracle = oracle[np.lexsort(oracle.T[::-1])]
+        assert len(oracle) == census.CONIC_COUNT
+        assert np.array_equal(census.find_conics(vectors), oracle)
 
 
 def test_conics_satisfy_defining_products(conics):

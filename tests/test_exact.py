@@ -259,6 +259,54 @@ def test_left_solver_matches_solve_left():
     assert outside
 
 
+def test_left_solver_on_an_hnf_matrix():
+    """A full-row-rank matrix that is its own HNF is solved without its
+    identity transform. Its coefficients are unique, so they must be the
+    ones the right-hand side was built from, and those a scrambled (non-HNF)
+    basis of the same span gives, mapped back through its transform."""
+    rng = random.Random(79)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = exact.nonzero_rows(exact.hnf(_random_matrix(rng, n, n + rng.randint(0, 2))))
+        assert exact.hnf(m) == m
+        u = _unimodular(rng, len(m))
+        scrambled = exact.LeftSolver(exact.mat_mul(u, m))
+        solver = exact.LeftSolver(m)
+        for _ in range(10):
+            x = [rng.randint(-5, 5) for _ in range(len(m))]
+            v = exact.vec_mat_mul(x, m)
+            got = solver.solve(v)
+            assert exact.vec_mat_mul(got, m) == v
+            assert got == x == exact.solve_left(m, v)
+            assert exact.vec_mat_mul(scrambled.solve(v), u) == x
+    assert exact.LeftSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
+
+
+def test_adjugate_against_cofactor_oracle():
+    rng = random.Random(83)
+    singular = 0
+    cases = [_random_matrix(rng, n, n, lo=-3, hi=3) for n in [1, 2, 3, 4, 5] * 40]
+    # 4I - J has a vanishing leading 4 x 4 minor, so it needs a row swap.
+    cases.append([[4 * (i == j) - 1 for j in range(8)] for i in range(8)])
+    for m in cases:
+        n = len(m)
+        det = _det_cofactor(m)
+        if det == 0:
+            singular += 1
+            with pytest.raises(ArithmeticError):
+                exact.adjugate(m)
+            continue
+        d, adj = exact.adjugate(m)
+        assert d == det
+        assert exact.mat_mul(adj, m) == [[det * (i == j) for j in range(n)] for i in range(n)]
+        if n <= 5:
+            for i in range(n):
+                for j in range(n):
+                    minor = [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
+                    assert adj[i][j] == (-1) ** (i + j) * (_det_cofactor(minor) if minor else 1)
+    assert singular
+
+
 def test_signature_against_constructed_inertia():
     rng = random.Random(79)
     for _ in range(80):

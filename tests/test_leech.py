@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conics800 import exact, golay, leech
+from conics800.errors import ConstructionError
 from conics800.lattices import short_vectors
 
 
@@ -14,6 +15,33 @@ def test_census_counts_and_invariants(code):
     assert cen.all_norm_32
     assert cen.distinct
     assert cen.negation_closed
+
+
+def _census_of(monkeypatch, code, vectors):
+    monkeypatch.setattr(leech, "all_minimal_vectors", lambda _code: vectors)
+    return leech.census(code)[1]
+
+
+def test_census_catches_a_duplicate_row(monkeypatch, code, vectors):
+    """Row 5 overwritten by row 6: a repeated row, and -row6 now has one
+    partner where row6 has two."""
+    dup = vectors.copy()
+    dup[5] = dup[6]
+    cen = _census_of(monkeypatch, code, dup)
+    assert cen.all_norm_32
+    assert cen.distinct is False
+    assert cen.negation_closed is False
+
+
+def test_census_catches_a_missing_negative(monkeypatch, code, vectors):
+    """Row 0 replaced by a norm-32 vector with an entry 5, which no census
+    vector has, so neither it nor its negation is among the others."""
+    fresh = vectors.copy()
+    fresh[0] = [5, 1, 1, 1, 1, 1, 1, 1] + [0] * 16
+    cen = _census_of(monkeypatch, code, fresh)
+    assert cen.all_norm_32
+    assert cen.distinct is True
+    assert cen.negation_closed is False
 
 
 def test_shape31_structure(code, vectors):
@@ -80,6 +108,21 @@ def test_extract_basis_rows_pinned():
         twelfth = 13 if choice in (1, 2, 3) else 12
         expected = [*range(8), 9, 10, 11, twelfth, 24, 26] + [48 << k for k in range(10)]
         assert leech.extract_basis(vectors) == vectors[expected].tolist()
+
+
+def test_extract_basis_rejects_rows_that_do_not_span(vectors):
+    """The first 24 census rows span a sublattice of index 20480 and
+    nothing follows them to exchange in."""
+    with pytest.raises(ConstructionError, match="did not span"):
+        leech.extract_basis(vectors[:24])
+
+
+def test_extract_basis_overflow_guard():
+    """Random rows with entries up to 100 have adjugate entries far beyond
+    int64; the scan must refuse them rather than wrap."""
+    rows = np.random.default_rng(3).integers(-100, 101, size=(30, 24)).astype(np.int8)
+    with pytest.raises(ConstructionError, match="overflow"):
+        leech.extract_basis(rows)
 
 
 def test_all_vectors_lie_in_basis_span(vectors, basis):
