@@ -16,8 +16,10 @@ Short vectors come from an exact Fincke-Pohst walk over an LLL-reduced
 basis: the integral LLL of the Gram matrix yields the leading minors and
 Gram-Schmidt numerators that make every layer bound an integer
 comparison. The tree is walked depth-first over bounded blocks, each
-expanded a level at a time, so memory follows the block size and depth,
-not the widest level.
+expanded a level at a time, and each block of leaves goes onto the
+output list as soon as the walk reaches it. Live memory is the output
+list plus one block per level of the current path, not the widest
+level nor a full-size array of the rows.
 """
 
 from __future__ import annotations
@@ -312,12 +314,16 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
 
     Without a shift the walk visits only rows whose last nonzero
     coordinate is positive (one subtree per top level k, from the zero
-    prefix with y_k >= 1), maps those back, then adds their negatives
-    and, if T' = 0, the zero row. It goes depth-first over blocks of at
-    most _CHUNK frontier rows, each expanded one level at a time, and a
-    row at level i stores only its n - i filled coordinates, so live
-    memory follows the depth and block size, not the widest level of
-    the tree.
+    prefix with y_k >= 1); the output is those rows in walk order, then
+    their negatives in the same order, then the zero row if T' = 0. It
+    goes depth-first over blocks of at most _CHUNK frontier rows, each
+    expanded one level at a time, and a row at level i stores only its
+    n - i filled coordinates. Each block of leaves is mapped back as
+    soon as it is reached and appended to the output list (its
+    negatives to a second list, joined at the end), so live memory is
+    the output list plus one block per level: no array of all leaves or
+    of all mapped rows exists. The map back is guarded in Python ints:
+    |x_c| <= max|y| * sum_j |H_jc| must stay below 2^62.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram] or not exact.is_symmetric(g):
@@ -352,12 +358,25 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
     if top >= 2**62:
         raise ConstructionError("short_vectors: entries too large for the int64 walk")
     cols = [np.array([denom * lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
-    leaves: list[np.ndarray] = []
+    # |x_c| <= max|y| * sum_j |H_jc|; bounded in Python ints before H enters int64.
+    h_sum = max(sum(abs(row[c]) for row in h) for c in range(n))
+    h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
+    found: list[list[int]] = []
+    negated: list[list[int]] = []
 
     def expand(partial: np.ndarray, above: np.ndarray, i: int, lo_min=None) -> None:
         """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1} and A_{i+1}."""
         if i < 0:
-            leaves.append(partial[above == goal])
+            # Map the block's leaves back, x = y H in int64, onto the output lists.
+            y = partial[above == goal]
+            if not len(y):
+                return
+            if h_arr is None or int(np.abs(y).max()) * h_sum >= 2**62:
+                raise ConstructionError("short_vectors: entries too large for the int64 map back")
+            x = y @ h_arr
+            found.extend(x.tolist())
+            if half:  # -y maps to -x
+                negated.extend((-x).tolist())
             return
         e = partial @ cols[i] + e0[i]
         t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
@@ -381,15 +400,7 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
             expand(np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), k, lo_min=1)
     else:
         expand(np.zeros((1, 0), np.int64), np.zeros(1, np.int64), n - 1)
-    found = np.concatenate(leaves) if leaves else np.zeros((0, n), dtype=np.int64)
-    leaves.clear()  # frees the leaf blocks before the copies below
-
-    # Map back to the original coordinates, x = y H, in int64.
-    h_arr = np.array(h, dtype=np.int64)
-    if int(np.abs(found).max(initial=0)) * int(np.abs(h_arr).sum(axis=0).max(initial=0)) >= 2**62:
-        raise ConstructionError("short_vectors: entries too large for the int64 map back")
-    rows = found @ h_arr
-    del found
-    if half:  # -y maps to -x
-        rows = np.concatenate([rows, -rows, np.zeros((int(goal == 0), n), dtype=np.int64)])
-    return rows.tolist()
+    found += negated
+    if half and goal == 0:
+        found.append([0] * n)
+    return found

@@ -38,6 +38,9 @@ from .lattices import (
 
 HBAR = SEED_ROWS[0]
 
+# det W for W = hbar-perp in S: hbar_perp checks it, _glue's index check reads it.
+W_DET = 160
+
 # Transcendental side: diag(4, 40).
 T_GRAM = ((4, 0), (0, 40))
 
@@ -121,8 +124,8 @@ def hbar_perp(s: IntegralLattice, leech: IntegralLattice) -> IntegralLattice:
     vt_perp = orthogonal_complement(vt, leech)
     if w.solver.h != vt_perp.solver.h:
         raise VerificationError("hbar-perp in S differs from the seed-complement in the ambient")
-    if exact.det_bareiss(w.gram_int()) != 160:
-        raise VerificationError("hbar-perp in S does not have determinant 160")
+    if exact.det_bareiss(w.gram_int()) != W_DET:
+        raise VerificationError(f"hbar-perp in S does not have determinant {W_DET}")
     return w
 
 
@@ -134,6 +137,7 @@ def _doubled(conic) -> list[int]:
 def _glue(w: IntegralLattice, conic):
     """Index-2 extension N of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
 
+    w is hbar_perp's W, whose determinant W_DET that function checks.
     Returns (h2, gram): h2 is the HNF of the doubled ambient rows [2w | 0]
     of W's basis, [0 | 2] of h and _doubled(l) of c0, N's canonical
     basis; gram is N's integer Gram in it. Hard-errors on a defective
@@ -155,7 +159,7 @@ def _glue(w: IntegralLattice, conic):
     if any(gram[i][i] % 2 for i in range(len(gram))):
         raise VerificationError("extension lattice is not even")
     # det((-W) + Zh) = -4 det W is the index squared times det N.
-    index_sq = Fraction(-4 * exact.det_bareiss(w.gram_int()), exact.det_bareiss(gram))
+    index_sq = Fraction(-4 * W_DET, exact.det_bareiss(gram))
     if index_sq != 4:
         raise VerificationError(f"extension index squared is {index_sq}, expected 4")
     return h2, gram

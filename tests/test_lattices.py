@@ -99,6 +99,18 @@ def test_short_vectors_identity_contract():
     assert short_vectors([], 1) == []
 
 
+def test_short_vectors_map_back_guard_is_exact():
+    """x' G x = (x0 + N x1)^2 + x1^2 = 1 has the solutions (+-1, 0) and
+    (-+N, +-1): the map back reaches N, past int64 for N >= 2^63."""
+    big = 2**40
+    assert short_vectors([[1, big], [big, big * big + 1]], 1) == [
+        [-big, 1], [1, 0], [big, -1], [-1, 0]
+    ]
+    for big in (2**63, 2**64):
+        with pytest.raises(ConstructionError):
+            short_vectors([[1, big], [big, big * big + 1]], 1)
+
+
 # Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).
 E8_EDGES = {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
 E8_CARTAN = [
@@ -119,6 +131,13 @@ def _e8_outputs():
 
 def test_short_vectors_e8_theta_counts():
     assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 56]
+
+
+def test_short_vectors_rows_then_negatives():
+    """The half-walk rows in walk order, then their negatives in the same order."""
+    rows = short_vectors(E8_CARTAN, 2)
+    half = len(rows) // 2
+    assert all(rows[k + half] == [-x for x in rows[k]] for k in range(half))
 
 
 def _random_unimodular(rng, n, steps=24):
