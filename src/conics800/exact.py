@@ -1,13 +1,16 @@
 """Exact integer matrix algebra.
 
-Everything here runs on Python's arbitrary-precision ints: Hermite/Smith
-normal forms with unimodular transforms, fraction-free determinants and
-adjugates, integer kernels and linear solves, LLL reduction of
+Everything here runs on Python's arbitrary-precision ints: Hermite
+normal forms, where one elimination of the augmented rows ``[M | I]``
+also yields the unimodular transform and the canonical left kernel;
+Smith normal forms with their left transform; fraction-free
+determinants and adjugates; integer linear solves; LLL reduction of
 positive-definite Gram matrices (integral, so it also yields exact
-Gram-Schmidt data), and exact signatures of symmetric forms (the one place
-``fractions.Fraction`` appears, inside the congruence diagonalization).
-Intermediate entries of the normal-form algorithms routinely exceed
-machine words even for small inputs, so none of this goes through numpy.
+Gram-Schmidt data); and exact signatures of symmetric forms (the one
+place ``fractions.Fraction`` appears, inside the congruence
+diagonalization). Intermediate entries of the normal-form algorithms
+routinely exceed machine words even for small inputs, so none of this
+goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched.
@@ -83,14 +86,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _merge_row(pivots: dict, v: list[int], uv):
-    """Fold row v into a pivot structure {col: [row, urow]}, in place.
+def _merge_row(pivots: dict, v: list[int]) -> None:
+    """Fold row v into a pivot structure {col: row}, in place.
 
-    The pivot rows stay a (not necessarily above-reduced) echelon set.
-    Returns the residual transform row when v reduces to zero, else None.
-    Folding one row at a time against rows that are re-reduced between
-    top-level calls keeps intermediate entries small; that is the whole
-    point versus column-at-a-time elimination, which blows up.
+    The pivot rows stay a (not necessarily above-reduced) echelon set;
+    a v that reduces to zero leaves no trace. Folding one row at a time
+    against rows that are re-reduced between top-level calls keeps
+    intermediate entries small; that is the whole point versus
+    column-at-a-time elimination, which blows up.
     """
     n = len(v)
     c = 0
@@ -98,54 +101,35 @@ def _merge_row(pivots: dict, v: list[int], uv):
         while c < n and v[c] == 0:
             c += 1
         if c == n:
-            return uv if uv is not None else []
-        if c in pivots:
-            prow, pu = pivots[c]
-            p = prow[c]
-            q, rem = divmod(v[c], p)
-            if rem == 0:
-                for j in range(c, n):
-                    v[j] -= q * prow[j]
-                if uv is not None:
-                    for j in range(len(uv)):
-                        uv[j] -= q * pu[j]
-            else:
-                g, x, y = _xgcd(p, v[c])
-                fp, fv = p // g, v[c] // g
-                new_prow = [x * a + y * b for a, b in zip(prow, v)]
-                new_v = [fp * b - fv * a for a, b in zip(prow, v)]
-                if uv is not None:
-                    new_pu = [x * a + y * b for a, b in zip(pu, uv)]
-                    new_uv = [fp * b - fv * a for a, b in zip(pu, uv)]
-                    pivots[c] = [new_prow, new_pu]
-                    v, uv = new_v, new_uv
-                else:
-                    pivots[c] = [new_prow, None]
-                    v = new_v
+            return
+        if c not in pivots:
+            pivots[c] = v if v[c] > 0 else [-a for a in v]
+            return
+        prow = pivots[c]
+        p = prow[c]
+        q, rem = divmod(v[c], p)
+        if rem == 0:
+            for j in range(c, n):
+                v[j] -= q * prow[j]
         else:
-            if v[c] < 0:
-                v = [-a for a in v]
-                if uv is not None:
-                    uv = [-a for a in uv]
-            pivots[c] = [v, uv]
-            return None
+            g, x, y = _xgcd(p, v[c])
+            fp, fv = p // g, v[c] // g
+            pivots[c] = [x * a + y * b for a, b in zip(prow, v)]
+            v = [fp * b - fv * a for a, b in zip(prow, v)]
 
 
 def _reduce_above(pivots: dict) -> None:
     """Reduce entries above every pivot into [0, pivot)."""
     cols = sorted(pivots)
     for idx, c in enumerate(cols):
-        prow, pu = pivots[c]
+        prow = pivots[c]
         p = prow[c]
         for jdx in range(idx):
-            jrow, ju = pivots[cols[jdx]]
+            jrow = pivots[cols[jdx]]
             q = jrow[c] // p
             if q:
                 for k in range(c, len(jrow)):
                     jrow[k] -= q * prow[k]
-                if ju is not None:
-                    for k in range(len(ju)):
-                        ju[k] -= q * pu[k]
 
 
 def hnf(rows: Sequence[Sequence[int]], transform: bool = False):
@@ -153,24 +137,24 @@ def hnf(rows: Sequence[Sequence[int]], transform: bool = False):
 
     Returns ``H`` with pivot rows first (positive pivots, entries above a
     pivot reduced into ``[0, pivot)``) and zero rows at the bottom. With
-    ``transform=True`` also returns a unimodular ``U`` with ``U @ M == H``.
+    ``transform=True`` it eliminates the augmented rows ``[M | I]``
+    instead (Cohen, GTM 138, 2.4) and splits the result into ``[H | U]``:
+    ``U`` is unimodular with ``U @ M == H``, and the rows of ``U`` under
+    the zero rows of ``H`` are the HNF basis of the left kernel of ``M``.
     """
     m = len(rows)
-    pivots: dict = {}
-    zero_us: list[list[int]] = []
-    for i, row in enumerate(rows):
-        uv = [1 if j == i else 0 for j in range(m)] if transform else None
-        residue = _merge_row(pivots, [int(x) for x in row], uv)
-        if residue is not None:
-            zero_us.append(residue)
-        _reduce_above(pivots)
-    cols = sorted(pivots)
     n = len(rows[0]) if m else 0
-    h = [list(pivots[c][0]) for c in cols] + [[0] * n for _ in zero_us]
+    pivots: dict = {}
+    for i, row in enumerate(rows):
+        v = [int(x) for x in row]
+        if transform:
+            v += [int(i == j) for j in range(m)]
+        _merge_row(pivots, v)
+        _reduce_above(pivots)
+    out = [pivots[c] for c in sorted(pivots)]
     if transform:
-        u = [list(pivots[c][1]) for c in cols] + [list(z) for z in zero_us]
-        return h, u
-    return h
+        return [row[:n] for row in out], [row[n:] for row in out]
+    return out + [[0] * n for _ in range(m - len(out))]
 
 
 def nonzero_rows(m) -> IntMatrix:
@@ -180,12 +164,13 @@ def nonzero_rows(m) -> IntMatrix:
 def kernel_left(m) -> IntMatrix:
     """Basis of ``{x integer row : x @ m == 0}``, HNF-canonical.
 
-    The kernel of an integer matrix is saturated, so the returned basis
-    spans a primitive sublattice of Z^rows.
+    These are the rows of ``U`` under the zero rows of ``H`` in
+    ``hnf(m, transform=True)``; the elimination of ``[M | I]`` leaves
+    them in HNF already. The kernel of an integer matrix is saturated,
+    so the returned basis spans a primitive sublattice of Z^rows.
     """
     h, u = hnf(m, transform=True)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    return nonzero_rows(hnf(ker)) if ker else []
+    return [urow for hrow, urow in zip(h, u) if not any(hrow)]
 
 
 def _reduce_against_hnf(h, pivots, v):
@@ -262,18 +247,21 @@ def solve_left(m, v):
 
 
 def snf(m: Sequence[Sequence[int]]):
-    """Smith normal form: (divisors, L, R) with ``L @ M @ R`` diagonal.
+    """Smith normal form, left side: (divisors, L) with ``L`` unimodular
+    and ``L @ M @ R`` diagonal for some unimodular ``R``.
 
-    Divisors are nonnegative with d1 | d2 | ...; L and R are unimodular.
-    Diagonalizes by alternating row and column HNF passes (each keeps
-    entries reduced, avoiding the coefficient blowup of naive scanning),
-    then repairs divisibility with 2x2 unimodular blocks.
+    Divisors are nonnegative with d1 | d2 | ...; row i of ``L @ M`` is d_i
+    times a row of a primitive set (zero when d_i = 0 or i >= len(d)).
+    No caller reads R, so none is built. Diagonalizes by alternating row
+    and column HNF passes (each keeps entries reduced, avoiding the
+    coefficient blowup of naive scanning); only the row passes' transforms
+    enter L. Then sorts zeros last and repairs divisibility with the row
+    half of a 2x2 unimodular block.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = copy_matrix(m)
     left = identity(rows)
-    right = identity(cols)
 
     def is_diagonal():
         return all(
@@ -283,14 +271,11 @@ def snf(m: Sequence[Sequence[int]]):
     for _ in range(200):
         if is_diagonal():
             break
-        h, u = hnf(a, transform=True)
-        a = h
+        a, u = hnf(a, transform=True)
         left = mat_mul(u, left)
         if is_diagonal():
             break
-        ht, ut = hnf(transpose(a), transform=True)
-        a = transpose(ht)
-        right = mat_mul(right, transpose(ut))
+        a = transpose(hnf(transpose(a)))
     else:
         raise ArithmeticError("Smith normal form did not converge")
 
@@ -300,8 +285,9 @@ def snf(m: Sequence[Sequence[int]]):
             a[i][i] = -a[i][i]
             _row_neg(left, i)
 
-    # Sort zeros to the end, then enforce d_i | d_j for i < j via the
-    # unimodular block [[x, -dj/g], [y, di/g]] after folding row j in.
+    # Sort zeros to the end, then enforce d_i | d_j for i < j: fold row j
+    # into row i, and the column block [[x, -dj/g], [y, di/g]] would leave
+    # [[g, 0], [y dj, di dj/g]]; clearing (j, i) is a row operation again.
     changed = True
     while changed:
         changed = False
@@ -311,27 +297,20 @@ def snf(m: Sequence[Sequence[int]]):
                 if di == 0 and dj != 0:
                     a[i][i], a[j][j] = dj, di
                     left[i], left[j] = left[j], left[i]
-                    for row in right:
-                        row[i], row[j] = row[j], row[i]
                     changed = True
                 elif di != 0 and dj % di:
                     g, x, y = _xgcd(di, dj)
                     _row_sub(left, i, j, -1)  # row i += row j
-                    for row in right:  # columns (i, j) <- block combination
-                        ci, cj = row[i], row[j]
-                        row[i] = x * ci + y * cj
-                        row[j] = (di // g) * cj - (dj // g) * ci
-                    q = y * dj // g
-                    _row_sub(left, j, i, q)  # clear the (j, i) remnant
+                    _row_sub(left, j, i, y * dj // g)  # clear the (j, i) remnant
                     a[i][i], a[j][j] = g, di // g * dj
                     changed = True
     divisors = [a[i][i] for i in range(k)]
-    return divisors, left, right
+    return divisors, left
 
 
 def invariant_factors(m) -> tuple[int, ...]:
     """Nontrivial SNF divisors (those different from 1), zeros included."""
-    divisors, _, _ = snf(m)
+    divisors, _ = snf(m)
     return tuple(d for d in divisors if d != 1)
 
 

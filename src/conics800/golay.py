@@ -104,23 +104,19 @@ def build_golay() -> GolayCode:
 
 
 def codewords_meeting(
-    code: GolayCode,
-    window: int | Iterable[int],
-    pattern: int | Iterable[int],
-    weight_filter: int | None = None,
+    code: GolayCode, window: int, pattern: int, weight_filter: int | None = None
 ) -> list[int]:
-    """Codewords o with ``o & window == pattern``, optionally of fixed weight.
+    """Codewords o with ``o & window == pattern`` (bit masks), optionally
+    of fixed weight.
 
     Output is sorted (ascending masks; code.words is sorted already).
     """
-    wmask = window if isinstance(window, int) else mask_of(window)
-    pmask = pattern if isinstance(pattern, int) else mask_of(pattern)
-    if pmask & ~wmask:
+    if pattern & ~window:
         raise ValueError("pattern must be contained in window")
     return [
         o
         for o in code.words
-        if o & wmask == pmask and (weight_filter is None or weight(o) == weight_filter)
+        if o & window == pattern and (weight_filter is None or weight(o) == weight_filter)
     ]
 
 

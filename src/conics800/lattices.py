@@ -68,8 +68,6 @@ class IntegralLattice:
 
 def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> IntegralLattice:
     """The saturated sublattice {x in ambient : x.s = 0 for all s in sub}."""
-    if not sub.basis:
-        return IntegralLattice(exact.copy_matrix(ambient.basis), ambient.ambient_scale)
     dots = exact.mat_mul(ambient.basis, exact.transpose(sub.basis))
     kernel = exact.kernel_left(dots)
     basis = exact.mat_mul(kernel, ambient.basis)
@@ -184,9 +182,9 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
     """The finite quadratic form on dual/lattice of an even lattice,
     given by its integer Gram matrix G.
 
-    With L G R = D (Smith form of G), the rows of L divided by the
-    divisors generate the discriminant group: generator i is
-    (row i of L)/d_i of order d_i, and q, b are evaluated through G.
+    With L G R = D (Smith form of G; only L is needed), the rows of L
+    divided by the divisors generate the discriminant group: generator i
+    is (row i of L)/d_i of order d_i, and q, b are evaluated through G.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram]:
@@ -197,7 +195,7 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
         raise VerificationError("discriminant_form requires an even lattice")
     if exact.det_bareiss(g) == 0:
         raise VerificationError("discriminant_form requires a nondegenerate lattice")
-    divisors, left, _ = exact.snf(g)
+    divisors, left = exact.snf(g)
     gens = [(row, d) for row, d in zip(left, divisors) if d > 1]
     lg = exact.mat_mul([row for row, _ in gens], g)
     values = [

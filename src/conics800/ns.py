@@ -109,9 +109,9 @@ def build_S(leech: IntegralLattice, conics: np.ndarray) -> IntegralLattice:
     return s
 
 
-def check_hbar_parity(s: IntegralLattice, hbar=HBAR) -> bool:
+def check_hbar_parity(s: IntegralLattice) -> bool:
     """True iff x.hbar is even for every basis vector x of s."""
-    dots = exact.mat_vec_mul([list(r) for r in s.basis], list(hbar))
+    dots = exact.mat_vec_mul([list(r) for r in s.basis], list(HBAR))
     return all(d % (2 * s.ambient_scale) == 0 for d in dots)
 
 

@@ -6,8 +6,10 @@ or against defining properties that determine the result uniquely
 (HNF/SNF canonical forms, unimodular transforms).
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -156,12 +158,24 @@ def test_hnf_canonical_under_unimodular_row_transforms():
 
 
 def test_hnf_transform_reproduces_hnf():
+    """The H of the [M | I] elimination is the plain HNF, also when M is
+    rank-deficient or has no columns, and U is unimodular with U M = H."""
     rng = random.Random(5)
-    for _ in range(100):
-        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    cases = [_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(100)]
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 5))
+        rows = m + [exact.vec_mat_mul([rng.randint(-3, 3) for _ in m], m)]
+        rng.shuffle(rows)
+        cases.append(rows)
+    cases += [[[] for _ in range(n)] for n in (1, 2, 4)]
+    deficient = 0
+    for m in cases:
         h, u = exact.hnf(m, transform=True)
+        assert exact.hnf(m) == h
         assert exact.mat_mul(u, m) == h
         assert abs(exact.det_bareiss(u)) == 1
+        deficient += len(exact.nonzero_rows(h)) < len(m)
+    assert deficient >= 60
 
 
 def test_hnf_preserves_row_span():
@@ -175,23 +189,44 @@ def test_hnf_preserves_row_span():
             assert exact.solve_left(m, row) is not None
 
 
+def _maximal_minors_gcd(rows):
+    return math.gcd(*(
+        exact.det_bareiss([[row[j] for j in cols] for row in rows])
+        for cols in combinations(range(len(rows[0])), len(rows))
+    ))
+
+
 def test_snf_defining_properties():
+    """L is unimodular and L M = D Q, where Q's rows for the nonzero
+    divisors have coprime maximal minors and the other rows of L M are
+    zero. Such a Q extends to a unimodular matrix, so this is exactly
+    L M R = diag(d) for some unimodular R. Diagonal inputs with negative
+    and zero entries skip the HNF passes and need the sign and order repair."""
     rng = random.Random(59)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        m = _random_matrix(rng, n, c)
-        d, left, right = exact.snf(m)
-        prod = exact.mat_mul(exact.mat_mul(left, m), right)
-        for i in range(n):
-            for j in range(c):
-                want = d[i] if i == j and i < len(d) else 0
-                assert prod[i][j] == want
+    cases = [_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(200)]
+    for _ in range(40):
+        n, c = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append([[rng.randint(-6, 6) if i == j else 0 for j in range(c)] for i in range(n)])
+    for m in cases:
+        n, c = len(m), len(m[0])
+        d, left = exact.snf(m)
+        assert len(d) == min(n, c)
+        assert len(left) == n and all(len(row) == n for row in left)
         assert abs(exact.det_bareiss(left)) == 1
-        assert abs(exact.det_bareiss(right)) == 1
+        quotients = []
+        for i, row in enumerate(exact.mat_mul(left, m)):
+            di = d[i] if i < len(d) else 0
+            if di == 0:
+                assert not any(row)
+            else:
+                assert all(x % di == 0 for x in row)
+                quotients.append([x // di for x in row])
+        if quotients:
+            assert _maximal_minors_gcd(quotients) == 1
+        assert all(x >= 0 for x in d)
         for i in range(len(d) - 1):
             if d[i]:
-                assert d[i] >= 0 and d[i + 1] % d[i] == 0
+                assert d[i + 1] % d[i] == 0
             else:
                 assert d[i + 1] == 0
 
@@ -201,26 +236,30 @@ def test_snf_invariant_under_unimodular_transforms():
     for _ in range(100):
         n = rng.randint(2, 4)
         m = _random_matrix(rng, n, n)
-        d1, _, _ = exact.snf(m)
+        d1, _ = exact.snf(m)
         u = _unimodular(rng, n)
         v = _unimodular(rng, n)
-        d2, _, _ = exact.snf(exact.mat_mul(exact.mat_mul(u, m), v))
+        d2, _ = exact.snf(exact.mat_mul(exact.mat_mul(u, m), v))
         assert d1 == d2
 
 
 def test_kernel_left_is_saturated_annihilator():
+    """A full-rank saturated kernel basis that is its own HNF; with no
+    columns, the kernel is everything."""
     rng = random.Random(67)
-    for _ in range(100):
-        n = rng.randint(2, 5)
-        c = rng.randint(1, 4)
-        m = _random_matrix(rng, n, c, lo=-4, hi=4)
+    cases = [_random_matrix(rng, rng.randint(2, 5), rng.randint(1, 4), lo=-4, hi=4)
+             for _ in range(100)]
+    cases.append([[] for _ in range(3)])
+    for m in cases:
         k = exact.kernel_left(m)
         for row in k:
             assert all(x == 0 for x in exact.vec_mat_mul(row, m))
-        assert len(k) == n - exact.LeftSolver(m).rank
+        assert len(k) == len(m) - exact.LeftSolver(m).rank
         if k:
-            d, _, _ = exact.snf(k)
+            assert exact.nonzero_rows(exact.hnf(k)) == k
+            d, _ = exact.snf(k)
             assert all(x == 1 for x in d[: len(k)])
+    assert exact.kernel_left(cases[-1]) == exact.identity(3)
 
 
 def test_solve_left_roundtrip_and_unsolvable():
@@ -335,7 +374,7 @@ def test_hnf_contract_example():
 def test_snf_contract_example():
     seed = [[4, 2, 0, 0, 0], [2, 4, 2, 0, 1], [0, 2, 4, 2, -1],
             [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]]
-    d, _, _ = exact.snf(seed)
+    d, _ = exact.snf(seed)
     assert d == [1, 1, 2, 2, 40]
     assert exact.invariant_factors(seed) == (2, 2, 40)
     assert exact.det_bareiss(seed) == 160

@@ -91,6 +91,8 @@ def test_codewords_meeting_window(code):
         for w in sub:
             assert w & nine == pattern
     assert total == 4096
+    with pytest.raises(ValueError):
+        golay.codewords_meeting(code, nine, golay.mask_of((10,)))
 
 
 def test_mask_positions_roundtrip():

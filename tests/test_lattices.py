@@ -212,8 +212,12 @@ def test_orthogonal_complement_properties():
     assert comp.rank == 3
     for row in comp.basis:
         assert sum(a * b for a, b in zip(row, [1, 1, 0, 0])) == 0
-    d, _, _ = exact.snf([list(r) for r in comp.basis])
+    d, _ = exact.snf([list(r) for r in comp.basis])
     assert all(x == 1 for x in d[:3])
+    # The empty sublattice: its complement is the ambient lattice itself.
+    whole = orthogonal_complement(IntegralLattice([]), ambient)
+    assert whole.basis == ambient.basis
+    assert whole.ambient_scale == ambient.ambient_scale
 
 
 def test_orthogonal_complement_of_one_vector():
