@@ -23,15 +23,15 @@ def main() -> None:
     products, _ = census.intersection_data(conics)
 
     print("S = orthogonal complement of the seed's h-perp part:")
-    s = ns.build_S(lam, conics)
+    s = ns.build_S(lam)
     roots = short_vectors(s.gram_int(), 2)
-    print(f"  rank {s.rank}, positive definite, contains hbar and all "
-          f"800 conics")
+    print(f"  rank {s.rank}, contains hbar: {s.contains(list(ns.HBAR))}, "
+          f"contains all 800 conics: {all(s.contains(row) for row in conics)}")
     print(f"  norm-2 vectors (roots): {len(roots)} -> root free")
     print(f"  x.hbar even for the whole lattice: {ns.check_hbar_parity(s)}")
 
     print("\nGluing the index-2 extension N of (hbar-perp in S) + Zh...")
-    n = ns.build_N(s, lam, conics)
+    n = ns.build_N(s, conics)
     gram_int = [[int(x) for x in row] for row in n.gram]
     print(f"  rank {n.rank}, det {exact.det_bareiss(gram_int)}, "
           f"signature {exact.signature(gram_int)}")

@@ -61,10 +61,10 @@ def true_products(products_hist):
 
 
 @pytest.fixture(scope="session")
-def s_lattice(lam, conics):
-    return ns.build_S(lam, conics)
+def s_lattice(lam):
+    return ns.build_S(lam)
 
 
 @pytest.fixture(scope="session")
-def n_lattice(s_lattice, lam, conics):
-    return ns.build_N(s_lattice, lam, conics)
+def n_lattice(s_lattice, conics):
+    return ns.build_N(s_lattice, conics)

@@ -1,11 +1,12 @@
 """CLI behavior: exit codes, output selection, JSON determinism."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conics800 import census, cli, leech, report
+from conics800 import census, cli, leech, ns, report
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -86,11 +87,97 @@ def test_construction_failure_exit_3(monkeypatch, capsys, tmp_path):
     assert "construction failed" in capsys.readouterr().err
     data = json.loads(out.read_text())
     assert data["overall"] is False
-    assert set(data["stages"]) == {"golay"}
+    assert set(data["stages"]) == {"golay", "leech"}
     assert data["stages"]["golay"]["pass"] is True
+    # the census rows are computed before extract_basis and stay
+    kept = data["stages"]["leech"]
+    assert [c["name"] for c in kept["checks"]] == [
+        "shape_counts", "total_minimal_vectors", "all_raw_norms_32",
+        "no_duplicates", "negation_closed",
+    ]
+    assert all(c["pass"] for c in kept["checks"])
+    assert kept["pass"] is False
     assert data["error"] == {
         "stage": "leech", "type": "ConstructionError", "message": "synthetic failure"
     }
+
+
+def _duplicate_vector(monkeypatch, vectors):
+    all_minimal_vectors = leech.all_minimal_vectors
+
+    def planted(code):
+        found = all_minimal_vectors(code)
+        found[1] = found[0]
+        return found
+
+    monkeypatch.setattr(leech, "all_minimal_vectors", planted)
+
+
+def _foreign_class(monkeypatch, vectors):
+    # census row 0 is a minimal vector, not a conic
+    build_N = ns.build_N
+
+    def planted(s, conics):
+        bad = conics.copy()
+        bad[5] = vectors[0]
+        return build_N(s, bad)
+
+    monkeypatch.setattr(ns, "build_N", planted)
+
+
+_DISC_OK = {"isomorphic": True, "witness_ok": True}
+_DISC_FAIL = {"isomorphic": False, "witness_ok": False}
+
+# One planted fault per row: (command, plant, exit code, error type, the
+# row's expected and computed values, every row that fails). Not in the
+# table: h_self_product, since h.h = 4 follows from h's doubled row
+# [0 | 2] by the doubled-row Gram formula whatever N is.
+PLANTED = {
+    "no_duplicates": (
+        "leech", _duplicate_vector, 3, "ArithmeticError", True, False,
+        {"no_duplicates", "negation_closed"},
+    ),
+    "S_rank": (
+        "ns", lambda mp, v: mp.setattr(ns, "SEED_ROWS", ns.SEED_ROWS[:4]), 1, None, 20, 21,
+        {
+            "S_rank", "N_rank", "N_det", "N_signature", "discriminant_orders",
+            "discriminant_N_block_form_a", "discriminant_N_block_form_b",
+            "discriminant_neg_N_vs_T", "discriminant_complement_identity",
+        },
+    ),
+    "S_contains_hbar": (
+        "ns", lambda mp, v: mp.setattr(ns, "HBAR", (2, 2) + (0,) * 22),
+        3, "ConstructionError", True, False,
+        {"S_contains_hbar", "hbar_parity_in_S"},
+    ),
+    "classes_in_N": (
+        "ns", _foreign_class, 1, None, 800, 799,
+        {"classes_in_N", "class_products_complementary"},
+    ),
+    # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
+    "discriminant_N_block_form_a": (
+        "ns",
+        lambda mp, v: mp.setattr(ns, "BLOCKS_N_A", ((4, Fraction(1, 4)),) + ns.BLOCKS_N_A[1:]),
+        1, None, _DISC_OK, _DISC_FAIL,
+        {"discriminant_N_block_form_a"},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(PLANTED))
+def test_planted_fault_fails_its_row(row, monkeypatch, tmp_path, vectors):
+    command, plant, exit_code, error, expected, computed, failing = PLANTED[row]
+    plant(monkeypatch, vectors)
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--json", str(out)]) == exit_code
+    data = json.loads(out.read_text())
+    assert data["overall"] is False
+    assert data.get("error", {}).get("type") == error
+    rows = {c["name"]: c for sec in data["stages"].values() for c in sec["checks"]}
+    assert (rows[row]["pass"], rows[row]["expected"], rows[row]["computed"]) == (
+        False, expected, computed
+    )
+    assert {name for name, c in rows.items() if not c["pass"]} == failing
 
 
 def test_json_determinism_across_threads(tmp_path):

@@ -1,13 +1,11 @@
 """Tests for the rank-20 construction, extension, and scans."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from conics800 import census, exact, ns, report
+from conics800 import census, exact, ns
 from conics800.errors import ConstructionError
-from conics800.lattices import IntegralLattice, short_vectors
+from conics800.lattices import IntegralLattice, orthogonal_complement, short_vectors
 
 
 def test_S_shape_and_membership(s_lattice, lam, conics):
@@ -38,7 +36,9 @@ def test_hbar_parity_negative_control(s_lattice, vectors):
 
 
 def test_w_equals_seed_complement(s_lattice, lam):
-    w = ns.hbar_perp(s_lattice, lam)
+    w = ns.hbar_perp(s_lattice)
+    seed_complement = orthogonal_complement(ns.build_vtilde(lam), lam)
+    assert w.solver.h == seed_complement.solver.h
     assert w.rank == 19
     assert exact.det_bareiss(w.gram_int()) == 160
 
@@ -74,21 +74,11 @@ def test_class_products(n_lattice, true_products):
     assert np.array_equal(cc, 2 - true_products)
 
 
-def test_build_N_rejects_a_foreign_class(s_lattice, lam, conics, vectors):
-    # census row 0 is a minimal vector, not a conic; copy, since the
-    # conics fixture is shared by the session
-    assert not (conics == vectors[0]).all(axis=1).any()
-    bad = conics.copy()
-    bad[5] = vectors[0]
-    with pytest.raises(ConstructionError, match="conic 5"):
-        ns.build_N(s_lattice, lam, bad)
-
-
-def test_build_N_rejects_a_foreign_glue(s_lattice, lam, conics, vectors):
+def test_build_N_rejects_a_foreign_glue(s_lattice, conics, vectors):
     bad = conics.copy()
     bad[0] = vectors[0]
     with pytest.raises(ConstructionError):
-        ns.build_N(s_lattice, lam, bad)
+        ns.build_N(s_lattice, bad)
 
 
 def test_glue_independence(conics, n_lattice):
@@ -102,22 +92,6 @@ def test_discriminant_report(n_lattice):
     for name in ("seed_block_form", "N_block_form_a", "N_block_form_b",
                  "neg_N_vs_T", "complement_identity"):
         assert rep[name] == {"isomorphic": True, "witness_ok": True}
-
-
-def test_wrong_block_form_fails_its_row(lam, conics, true_products, monkeypatch):
-    # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
-    wrong = ((4, Fraction(1, 4)),) + ns.BLOCKS_N_A[1:]
-    monkeypatch.setattr(ns, "BLOCKS_N_A", wrong)
-    state = report.Pipeline(lam=lam, conics=conics, true_products=true_products)
-    section, ok = report.stage_ns(state)
-    assert not ok
-    rows = {c["name"]: c for c in section["checks"]}
-    row = rows["discriminant_N_block_form_a"]
-    assert row["computed"] == {"isomorphic": False, "witness_ok": False}
-    assert row["pass"] is False
-    assert [c["name"] for c in section["checks"] if not c["pass"]] == [
-        "discriminant_N_block_form_a"
-    ]
 
 
 def test_bad_vector_scans_empty(n_lattice):
