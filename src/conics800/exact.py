@@ -193,33 +193,21 @@ def _reduce_against_hnf(h, pivots, v):
     return coeffs
 
 
-def _pivots_of(h) -> list[tuple[int, int]]:
-    out = []
-    for i, row in enumerate(h):
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            out.append((i, c))
-    return out
-
-
 class LeftSolver:
-    """Reusable integer solver for ``x @ m == v`` with ``m`` fixed.
+    """Reusable integer solver against the row HNF ``h`` of a fixed ``m``.
 
-    Computes the row HNF ``h`` and its transform once; each solve is then
-    a single reduction pass. ``rank`` is the number of pivots, and
-    ``contains`` is the reduction pass alone, without the transform.
-    When ``m`` has full row rank and is its own HNF, the transform is the
-    identity and solve returns the reduction's coefficients as they are.
-    Use this instead of repeated solve_left calls when solving many
-    right-hand sides against one matrix.
+    Computes ``h = hnf(m)`` once; ``solve(v)`` is then one reduction pass
+    and returns the coordinates x with ``x @ h == v``, or None when v is
+    not in the row span. When ``m`` is its own HNF (as N's basis in
+    ``ns``), these are the coordinates over ``m`` itself. ``rank`` is the
+    number of pivots, and ``contains`` is membership in the row span.
     """
 
     def __init__(self, m):
-        self._nrows = len(m)
-        self.h, self._u = hnf(m, transform=True)
-        self._pivots = _pivots_of(self.h)
-        if self.rank == self._nrows and self.h == copy_matrix(m):
-            self._u = None  # U m = m with m of full row rank forces U = I
+        self.h = hnf(m)
+        self._pivots = [
+            (i, next(j for j, x in enumerate(row) if x)) for i, row in enumerate(self.h) if any(row)
+        ]
 
     @property
     def rank(self) -> int:
@@ -230,20 +218,7 @@ class LeftSolver:
         return _reduce_against_hnf(self.h, self._pivots, v) is not None
 
     def solve(self, v):
-        coeffs = _reduce_against_hnf(self.h, self._pivots, v)
-        if coeffs is None or self._u is None:
-            return coeffs
-        x = [0] * self._nrows
-        for i, q in enumerate(coeffs):
-            if q:
-                for j in range(self._nrows):
-                    x[j] += q * self._u[i][j]
-        return x
-
-
-def solve_left(m, v):
-    """Integer solution x of ``x @ m == v``, or None."""
-    return LeftSolver(m).solve(v)
+        return _reduce_against_hnf(self.h, self._pivots, v)
 
 
 def snf(m: Sequence[Sequence[int]]):

@@ -12,14 +12,15 @@ matrix; finite quadratic forms are integer numerators over the level
 plain ints. Forms are compared by a pruned search over generator
 images, and the returned witness is re-verified exhaustively.
 
-Short vectors come from an exact Fincke-Pohst walk over an LLL-reduced
-basis: the integral LLL of the Gram matrix yields the leading minors and
-Gram-Schmidt numerators that make every layer bound an integer
-comparison. The tree is walked depth-first over bounded blocks, each
-expanded a level at a time, and each block of leaves goes onto the
-output list as soon as the walk reaches it. Live memory is the output
-list plus one block per level of the current path, not the widest
-level nor a full-size array of the rows.
+Short vectors of a positive-definite integer Gram come from one exact
+Fincke-Pohst walk over an LLL-reduced basis: the integral LLL of the
+Gram matrix yields the leading minors and Gram-Schmidt numerators that
+make every layer bound an integer comparison, and the walk visits one
+row of each +-x pair. The tree is walked depth-first over bounded
+blocks, each expanded a level at a time, and each block of leaves goes
+onto the output list as soon as the walk reaches it. Live memory is the
+output list plus one block per level of the current path, not the
+widest level nor a full-size array of the rows.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 class IntegralLattice:
     """A free Z-module of integer row vectors with form x.y / ambient_scale.
 
-    `solver` is the exact solver over the basis; `solver.h` is its HNF.
+    `solver` holds the basis's HNF `solver.h` and solves over it.
     """
 
     def __init__(self, basis, ambient_scale: int = 1):
@@ -290,72 +291,58 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
-def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
-    """All integer x with (x+shift)' G (x+shift) equal to norm_target.
+def short_vectors(gram, norm_target) -> list[list[int]]:
+    """All integer x with x' G x equal to norm_target.
 
     G must be a positive-definite integer Gram (NotPositiveDefiniteError
     otherwise). Output is in the walk's deterministic order, not sorted.
-    With a (rational) coset shift the returned rows are the integer parts x.
 
     The walk is exact, over an LLL-reduced basis: ``exact.lll_gram`` of
     G/c (c the gcd of G's entries) gives a unimodular H, G' = H (G/c) H',
-    its leading minors d_i and Gram-Schmidt numerators lam. With D the
-    shift's denominator, z = D (y + s H^-1) is integral and needs
-    z' G' z = T' = T D^2 / c, so there is no solution unless T' is an
-    integer. With t_i = d_{i+1} z_i + sum_{j>i} lam[j][i] z_j, the
+    its leading minors d_i and Gram-Schmidt numerators lam. The rows are
+    x = y H with y' G' y = T' = T / c, so there is no solution unless T'
+    is an integer. With t_i = d_{i+1} y_i + sum_{j>i} lam[j][i] y_j, the
     integers A_n = 0, A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times
     the partial norm of levels >= i (a Schur-complement form), so y_i is
     admitted iff t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept
-    iff A_0 = T'; rows map back as x = y H. Admitted nodes have
-    t_i^2 <= d_i d_{i+1} T', which bounds every int64 intermediate of
-    the walk before it starts.
+    iff A_0 = T'. Admitted nodes have t_i^2 <= d_i d_{i+1} T', which
+    bounds every int64 intermediate of the walk before it starts.
 
-    Without a shift the walk visits only rows whose last nonzero
-    coordinate is positive (one subtree per top level k, from the zero
-    prefix with y_k >= 1); the output is those rows in walk order, then
-    their negatives in the same order, then the zero row if T' = 0. It
-    goes depth-first over blocks of at most _CHUNK frontier rows, each
-    expanded one level at a time, and a row at level i stores only its
-    n - i filled coordinates. Each block of leaves is mapped back as
-    soon as it is reached and appended to the output list (its
-    negatives to a second list, joined at the end), so live memory is
-    the output list plus one block per level: no array of all leaves or
-    of all mapped rows exists. The map back is guarded in Python ints:
-    |x_c| <= max|y| * sum_j |H_jc| must stay below 2^62.
+    The walk visits only rows whose last nonzero coordinate is positive
+    (one subtree per top level k, from the zero prefix with y_k >= 1);
+    the output is those rows in walk order, then their negatives in the
+    same order, then the zero row if T' = 0. It goes depth-first over
+    blocks of at most _CHUNK frontier rows, each expanded one level at a
+    time, and a row at level i stores only its n - i filled coordinates.
+    Each block of leaves is mapped back as soon as it is reached and
+    appended to the output list (its negatives to a second list, joined
+    at the end), so live memory is the output list plus one block per
+    level: no array of all leaves or of all mapped rows exists. The map
+    back is guarded in Python ints: |x_c| <= max|y| * sum_j |H_jc| must
+    stay below 2^62.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram] or not exact.is_symmetric(g):
         raise ConstructionError("short_vectors requires a symmetric integer Gram matrix")
     n = len(g)
-    target = Fraction(norm_target)
-    if target < 0:
+    content = math.gcd(*(x for row in g for x in row)) or 1
+    goal, rest = divmod(Fraction(norm_target), content)
+    if goal < 0 or rest:
         return []
     if n == 0:
-        return [[]] if target == 0 else []
-    shift = [Fraction(x) for x in (coset_shift or [0] * n)]
-    denom = math.lcm(*(s.denominator for s in shift))
-    shift_num = [int(s * denom) for s in shift]
-    content = math.gcd(*(x for row in g for x in row)) or 1
+        return [[]] if goal == 0 else []
     h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
-    goal, rest = divmod(target * denom * denom, content)
-    if rest:
-        return []
-    half = not any(shift_num)
-    # x + s = (y + s H^-1) H, and H is unimodular, so r = denom * s H^-1 is integral.
-    r = [0] * n if half else exact.solve_left(h, shift_num)
-    # t_i = m_i y_i + e_i, where e_i = y_{>i} . cols_i + e0_i.
-    m = [d[i + 1] * denom for i in range(n)]
-    e0 = [d[i + 1] * r[i] + sum(lam[j][i] * r[j] for j in range(i + 1, n)) for i in range(n)]
-    # |t_i| <= isqrt(d_i d_{i+1} T') bounds |e_i|, hence |y_i|, level by level.
+    # t_i = d_{i+1} y_i + e_i with e_i = y_{>i} . cols_i; |t_i| <= isqrt(d_i d_{i+1} T')
+    # bounds |e_i|, hence |y_i|, level by level.
     y_max, top = [0] * n, 0
     for i in range(n - 1, -1, -1):
         t_max = math.isqrt(d[i] * d[i + 1] * goal)
-        e_max = abs(e0[i]) + denom * sum(abs(lam[j][i]) * y_max[j] for j in range(i + 1, n))
-        y_max[i] = (t_max + e_max) // m[i]
-        top = max(top, 2 * (t_max + 1) ** 2, t_max + e_max, m[i])
+        e_max = sum(abs(lam[j][i]) * y_max[j] for j in range(i + 1, n))
+        y_max[i] = (t_max + e_max) // d[i + 1]
+        top = max(top, 2 * (t_max + 1) ** 2, t_max + e_max, d[i + 1])
     if top >= 2**62:
         raise ConstructionError("short_vectors: entries too large for the int64 walk")
-    cols = [np.array([denom * lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
+    cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
     # |x_c| <= max|y| * sum_j |H_jc|; bounded in Python ints before H enters int64.
     h_sum = max(sum(abs(row[c]) for row in h) for c in range(n))
     h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
@@ -373,19 +360,18 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
                 raise ConstructionError("short_vectors: entries too large for the int64 map back")
             x = y @ h_arr
             found.extend(x.tolist())
-            if half:  # -y maps to -x
-                negated.extend((-x).tolist())
+            negated.extend((-x).tolist())  # -y maps to -x
             return
-        e = partial @ cols[i] + e0[i]
+        e = partial @ cols[i]
         t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
-        lo = -((t_top + e) // m[i])
-        hi = (t_top - e) // m[i]
+        lo = -((t_top + e) // d[i + 1])
+        hi = (t_top - e) // d[i + 1]
         if lo_min is not None:
             lo = np.maximum(lo, lo_min)
         counts = np.maximum(hi - lo + 1, 0)
         reps = np.repeat(np.arange(len(partial)), counts)
         values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
-        t = m[i] * values + e[reps]
+        t = d[i + 1] * values + e[reps]
         below = (d[i] * above[reps] + t * t) // d[i + 1]
         child = np.empty((len(reps), n - i), dtype=np.int64)
         child[:, 0] = values
@@ -393,12 +379,9 @@ def short_vectors(gram, norm_target, coset_shift=None) -> list[list[int]]:
         for start in range(0, len(child), _CHUNK):
             expand(child[start : start + _CHUNK], below[start : start + _CHUNK], i - 1)
 
-    if half:
-        for k in range(n - 1, -1, -1):
-            expand(np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), k, lo_min=1)
-    else:
-        expand(np.zeros((1, 0), np.int64), np.zeros(1, np.int64), n - 1)
+    for k in range(n - 1, -1, -1):
+        expand(np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), k, lo_min=1)
     found += negated
-    if half and goal == 0:
+    if goal == 0:
         found.append([0] * n)
     return found

@@ -11,9 +11,10 @@ in M/2, so each of its vectors is a doubled ambient row in Z^24 + Zh:
 N's basis is the HNF of such rows, and one exact solver over it places
 h and every class.
 
-Every class question in N (all e with given e*e and e*h) goes through
-one coset scan, classes_of: the two bad-vector scans, and the count of
-all conic classes.
+Every class question in N (all e with given e*e and e*h) is one
+short-vector walk of the positive-definite form Q(e) = (e*h)^2 - 2 e*e:
+classes_of counts all conic classes, and bad_vector_scan answers both
+bad-vector questions with a single walk.
 """
 
 from __future__ import annotations
@@ -227,38 +228,40 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
     return report
 
 
-def classes_of(gram, h, norm, degree) -> list[tuple[int, ...]]:
-    """All e with e.e = norm and e.h = degree, in the lattice's coordinates.
-
-    Works on any integral lattice with h.h = 4 whose h-complement is
-    negative definite. Any e0 with e0.h = degree seeds the search;
-    without one there is no such e. With K the saturated h-complement,
-    e = e0 + xK, and e - (degree/4) h = (x + s)K, where s is 1/4 the
-    K-coordinates of 4 e0 - degree h. Its square is norm - degree^2/4,
-    so the x are one short-vector search on -K G K' in that coset.
-    Every e is re-checked exactly.
-    """
+def _q_walk(gram, h, target, degrees) -> dict[int, list[tuple[int, ...]]]:
+    """For each e.h in degrees, every e with that e.h and with
+    Q(e) = (e.h)^2 - 2 e.e equal to target, from one short-vector walk of
+    Q (see classes_of). Each returned e is re-checked exactly."""
     gram = [[int(x) for x in row] for row in gram]
     h = [int(x) for x in h]
     gh = exact.mat_vec_mul(gram, h)
     if sum(a * b for a, b in zip(h, gh)) != 4:
         raise ConstructionError("polarization does not have h.h = 4")
-    e0 = exact.solve_left([[x] for x in gh], [degree])
-    if e0 is None:
-        return []
-    k = exact.kernel_left([[x] for x in gh])
-    neg = [[-x for x in row] for row in exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))]
-    # 4 e0 - degree h is orthogonal to h, so it lies in the saturated K.
-    coords = exact.solve_left(k, [4 * a - degree * b for a, b in zip(e0, h)])
-    shift = [Fraction(x, 4) for x in coords]
-    found = []
-    for x in short_vectors(neg, Fraction(degree * degree, 4) - norm, coset_shift=shift):
-        e = [a + b for a, b in zip(e0, exact.vec_mat_mul(x, k))]
-        ge = exact.mat_vec_mul(gram, e)
-        if sum(a * b for a, b in zip(e, ge)) != norm or sum(a * b for a, b in zip(h, ge)) != degree:
-            raise VerificationError(f"class scan returned a non-witness {e}")
-        found.append(tuple(e))
+    q = [[a * b - 2 * x for b, x in zip(gh, row)] for a, row in zip(gh, gram)]
+    found: dict[int, list[tuple[int, ...]]] = {d: [] for d in degrees}
+    for e in short_vectors(q, target):
+        eh = sum(a * b for a, b in zip(e, gh))
+        if eh in found:
+            ee = sum(a * b for a, b in zip(e, exact.mat_vec_mul(gram, e)))
+            if eh * eh - 2 * ee != target:
+                raise VerificationError(f"class scan returned a non-witness {e}")
+            found[eh].append(tuple(e))
     return found
+
+
+def classes_of(gram, h, norm, degree) -> list[tuple[int, ...]]:
+    """All e with e.e = norm and e.h = degree, in the lattice's coordinates.
+
+    Works on any integral lattice with h.h = 4 whose h-complement is
+    negative definite. With g = G h, the form Q(e) = (e.h)^2 - 2 e.e has
+    the integral Gram g g' - 2G. Writing e = (e.h/4) h + k with k in the
+    rational h-complement gives Q(e) = (e.h)^2 / 2 - 2 k.k, so Q is
+    positive definite exactly when the h-complement is negative definite.
+    Every wanted e has Q(e) = degree^2 - 2 norm, so the answer is the
+    rows of one walk of Q at that value with e.h = degree; Q then fixes
+    e.e = norm.
+    """
+    return _q_walk(gram, h, degree * degree - 2 * norm, (degree,))[degree]
 
 
 def bad_vector_scan(gram, h_coords):
@@ -266,9 +269,13 @@ def bad_vector_scan(gram, h_coords):
 
     These are the bad classes of Saint-Donat's very-ampleness conditions
     for a degree-4 polarization; both lists are expected empty for the
-    constructed lattice and non-empty for the planted controls.
+    constructed lattice and non-empty for the planted controls. Both
+    kinds have Q = 4, and Q >= (e.h)^2 / 2 leaves e.h in {0, +-1, +-2},
+    so one walk answers both: e.h = 0 is kind 1, e.h = 2 is kind 2, and
+    e.h = -2 (the negatives of kind 2) is dropped.
     """
-    return classes_of(gram, h_coords, -2, 0), classes_of(gram, h_coords, 0, 2)
+    found = _q_walk(gram, h_coords, 4, (0, 2))
+    return found[0], found[2]
 
 
 def scan_N(n: PolarizedLattice):

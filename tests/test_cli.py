@@ -161,6 +161,18 @@ PLANTED = {
         1, None, _DISC_OK, _DISC_FAIL,
         {"discriminant_N_block_form_a"},
     ),
+    # diag(4, -4) with h = (1, 0): h-perp is Z(0, 1) of norm -4, so there is
+    # no root orthogonal to h, and e.h = 4 e_1 is never 2
+    "planted_control_exceptional": (
+        "ns", lambda mp, v: mp.setattr(ns, "PLANTED_KIND1", ((4, 0), (0, -4))),
+        1, None, True, False,
+        {"planted_control_exceptional"},
+    ),
+    "planted_control_isotropic": (
+        "ns", lambda mp, v: mp.setattr(ns, "PLANTED_KIND2", ((4, 0), (0, -4))),
+        1, None, True, False,
+        {"planted_control_isotropic"},
+    ),
 }
 
 

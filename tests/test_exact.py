@@ -182,11 +182,11 @@ def test_hnf_preserves_row_span():
     rng = random.Random(37)
     for _ in range(100):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        h = exact.nonzero_rows(exact.hnf(m))
+        h, u = exact.hnf(m, transform=True)
+        assert exact.mat_mul(u, m) == h  # the rows of H lie in the span of M
+        solver = exact.LeftSolver(exact.nonzero_rows(h))
         for row in m:
-            assert exact.solve_left(h, row) is not None
-        for row in h:
-            assert exact.solve_left(m, row) is not None
+            assert solver.solve(row) is not None
 
 
 def _maximal_minors_gcd(rows):
@@ -262,6 +262,12 @@ def test_kernel_left_is_saturated_annihilator():
     assert exact.kernel_left(cases[-1]) == exact.identity(3)
 
 
+def _in_span(m, v):
+    """Membership oracle: the HNF is canonical, so v lies in the row span
+    of m iff adding it leaves the HNF's nonzero rows unchanged."""
+    return exact.nonzero_rows(exact.hnf(m + [v])) == exact.nonzero_rows(exact.hnf(m))
+
+
 def test_solve_left_roundtrip_and_unsolvable():
     rng = random.Random(71)
     for _ in range(100):
@@ -270,54 +276,54 @@ def test_solve_left_roundtrip_and_unsolvable():
         m = _random_matrix(rng, n, c)
         x = [rng.randint(-5, 5) for _ in range(n)]
         v = exact.vec_mat_mul(x, m)
-        got = exact.solve_left(m, v)
+        solver = exact.LeftSolver(m)
+        got = solver.solve(v)
         assert got is not None
-        assert exact.vec_mat_mul(got, m) == v
-    assert exact.solve_left([[2, 0], [0, 2]], [1, 0]) is None
+        assert exact.vec_mat_mul(got, solver.h) == v
+        assert solver.contains(v)
+    assert exact.LeftSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
 
 
-def test_left_solver_matches_solve_left():
+def test_left_solver_solves_over_its_hnf():
     rng = random.Random(73)
     m = _random_matrix(rng, 4, 5)
     solver = exact.LeftSolver(m)
+    assert solver.h == exact.hnf(m)
     for _ in range(50):
         x = [rng.randint(-5, 5) for _ in range(4)]
         v = exact.vec_mat_mul(x, m)
         a = solver.solve(v)
-        b = exact.solve_left(m, v)
-        assert exact.vec_mat_mul(a, m) == v
-        assert (a is None) == (b is None)
+        assert exact.vec_mat_mul(a, solver.h) == v
         assert solver.contains(v)
     # Rank 4 in Z^5: most random right-hand sides lie outside the span.
     outside = 0
     for _ in range(50):
         v = [rng.randint(-5, 5) for _ in range(5)]
         a = solver.solve(v)
-        assert solver.contains(v) == (a is not None) == (exact.solve_left(m, v) is not None)
+        assert solver.contains(v) == (a is not None) == _in_span(m, v)
+        if a is not None:
+            assert exact.vec_mat_mul(a, solver.h) == v
         outside += a is None
     assert outside
 
 
 def test_left_solver_on_an_hnf_matrix():
-    """A full-row-rank matrix that is its own HNF is solved without its
-    identity transform. Its coefficients are unique, so they must be the
-    ones the right-hand side was built from, and those a scrambled (non-HNF)
-    basis of the same span gives, mapped back through its transform."""
+    """A full-row-rank matrix that is its own HNF is solved in its own
+    coordinates. They are unique, so they must be the ones the right-hand
+    side was built from; a scrambled (non-HNF) basis of the same span has
+    the same HNF, hence gives the same coordinates."""
     rng = random.Random(79)
     for _ in range(40):
         n = rng.randint(1, 4)
         m = exact.nonzero_rows(exact.hnf(_random_matrix(rng, n, n + rng.randint(0, 2))))
-        assert exact.hnf(m) == m
         u = _unimodular(rng, len(m))
         scrambled = exact.LeftSolver(exact.mat_mul(u, m))
         solver = exact.LeftSolver(m)
+        assert solver.h == scrambled.h == m
         for _ in range(10):
             x = [rng.randint(-5, 5) for _ in range(len(m))]
             v = exact.vec_mat_mul(x, m)
-            got = solver.solve(v)
-            assert exact.vec_mat_mul(got, m) == v
-            assert got == x == exact.solve_left(m, v)
-            assert exact.vec_mat_mul(scrambled.solve(v), u) == x
+            assert solver.solve(v) == x == scrambled.solve(v)
     assert exact.LeftSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
 
 

@@ -21,24 +21,13 @@ from conics800.lattices import (
 )
 
 
-def _box_short_vectors(gram, target, shift=None, bound=8):
-    """Oracle: brute-force enumeration over an integer box.
-
-    With D the lcm of the target's and the shift's denominators,
-    y = D*(x + shift) is integral and the norm test becomes
-    y' G y == target*D^2 in Python ints.
-    """
+def _box_short_vectors(gram, target, bound=8):
+    """Oracle: brute-force enumeration over an integer box, in Python ints."""
     n = len(gram)
-    t = Fraction(target)
-    shift = [Fraction(x) for x in (shift or [0] * n)]
-    denom = math.lcm(t.denominator, *(s.denominator for s in shift))
-    shift_num = [int(s * denom) for s in shift]
-    t_scaled = int(t * denom * denom)
     out = []
     for cand in product(range(-bound, bound + 1), repeat=n):
-        y = [c * denom + s for c, s in zip(cand, shift_num)]
-        norm = sum(y[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
-        if norm == t_scaled:
+        norm = sum(cand[i] * gram[i][j] * cand[j] for i in range(n) for j in range(n))
+        if norm == target:
             out.append(list(cand))
     return sorted(out)
 
@@ -62,38 +51,15 @@ def test_short_vectors_against_box_oracle():
     scaled = [_scaled(gram, c) for c in (2, 3) for gram in grams]
     for gram in grams + [[[a]] for a in range(1, 6)] + scaled:
         for target in (0, 1, 2, 3, 4):
-            want = _box_short_vectors(gram, target)
-            for shift in (None, [0] * len(gram)):
-                got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
-                assert got == want
-
-
-def test_short_vectors_coset_against_box_oracle():
-    rng = random.Random(19)
-    cases = []
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        gram = _random_posdef(rng, n)
-        cases.append((gram, [Fraction(rng.randint(-1, 1), rng.choice((2, 3))) for _ in range(n)]))
-    scaled = [(_scaled(gram, c), shift) for c in (2, 3) for gram, shift in cases]
-    cases += [([[a]], [s]) for a in range(1, 6) for s in (Fraction(1, 2), Fraction(-1, 3))]
-    non_integral = 0
-    for gram, shift in cases + scaled:
-        content = math.gcd(*(x for row in gram for x in row))
-        denom = math.lcm(*(Fraction(s).denominator for s in shift))
-        for target in (0, Fraction(1, 4), 1, 2):
-            got = sorted(list(v) for v in short_vectors(gram, target, coset_shift=shift))
-            assert got == _box_short_vectors(gram, target, shift)
-            if (Fraction(target) * denom**2 / content).denominator != 1:
-                non_integral += 1
-                assert got == []
-    assert non_integral > 0
+            got = sorted(list(v) for v in short_vectors(gram, target))
+            assert got == _box_short_vectors(gram, target)
 
 
 def test_short_vectors_identity_contract():
     got = short_vectors([[1, 0], [0, 1]], 1)
     assert sorted(map(list, got)) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
     assert short_vectors([[1, 0], [0, 1]], 3) == []
+    assert short_vectors([[1, 0], [0, 1]], Fraction(1, 2)) == []
     # Rank 0: only the empty vector, of norm 0.
     assert short_vectors([], 0) == [[]]
     assert short_vectors([], 1) == []
@@ -118,19 +84,13 @@ E8_CARTAN = [
     for i in range(8)
 ]
 
-# Half a root: the norm-3/2 vectors of E8 + r/2 are w/2 for the 56
-# norm-6 vectors w congruent to r mod 2E8 (6720 spread over 120 classes).
-E8_HALF_ROOT = [Fraction(1, 2)] + [0] * 7
-
 
 def _e8_outputs():
-    return [short_vectors(E8_CARTAN, t) for t in (2, 4, 6)] + [
-        short_vectors(E8_CARTAN, Fraction(3, 2), coset_shift=E8_HALF_ROOT)
-    ]
+    return [short_vectors(E8_CARTAN, t) for t in (2, 4, 6, 8)]
 
 
 def test_short_vectors_e8_theta_counts():
-    assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 56]
+    assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 17520]
 
 
 def test_short_vectors_rows_then_negatives():
@@ -153,16 +113,9 @@ def test_short_vectors_unimodular_invariance(seed):
     """Solutions in the basis U B are x U^-1 for the solutions x in B."""
     u = _random_unimodular(random.Random(seed), 8)
     skewed = exact.mat_mul(exact.mat_mul(u, E8_CARTAN), exact.transpose(u))
-    # A shift s in B-coordinates is s U^-1 in U B coordinates.
-    shift = [Fraction(x, 2) for x in exact.solve_left(u, [2 * s for s in E8_HALF_ROOT])]
-    for target, base_shift, skew_shift in (
-        (2, None, None),
-        (4, None, None),
-        (Fraction(3, 2), E8_HALF_ROOT, shift),
-    ):
-        got = short_vectors(skewed, target, coset_shift=skew_shift)
-        mapped = sorted(exact.vec_mat_mul(x, u) for x in got)
-        assert mapped == sorted(short_vectors(E8_CARTAN, target, coset_shift=base_shift))
+    for target in (2, 4):
+        mapped = sorted(exact.vec_mat_mul(x, u) for x in short_vectors(skewed, target))
+        assert mapped == sorted(short_vectors(E8_CARTAN, target))
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -198,7 +151,7 @@ def test_integral_lattice_roundtrip():
     assert lat.rank == 2
     assert lat.contains([2, 3, 0])
     assert not lat.contains([1, 0, 0])
-    assert exact.solve_left(lat.basis, [4, 3, 0]) == [2, 1]
+    assert lat.solver.solve([4, 3, 0]) == [2, 1]
     assert lat.gram_int() == [[4, 0], [0, 9]]
     even = IntegralLattice([[2, 0], [0, 2]])
     cases = [[2, 2], [1, 0], np.array([4, -2]), (3, 3)]

@@ -129,12 +129,11 @@ def test_extract_basis_overflow_guard():
 
 def test_all_vectors_lie_in_basis_span(vectors, basis):
     """Every census vector v has integer coordinates c = (v B'/8) G^-1 over
-    the basis B, and c B = v. G = B B'/8 is unimodular, so G^-1 is integral;
-    it comes from exact solves and enters int64 after a size check."""
+    the basis B, and c B = v. G = B B'/8 has determinant 1, so G^-1 is its
+    adjugate; it is exact and enters int64 after a size check."""
     gram = [[x // 8 for x in row] for row in exact.mat_mul(basis, exact.transpose(basis))]
-    solver = exact.LeftSolver(gram)
-    gram_inv = [solver.solve(row) for row in exact.identity(24)]
-    assert None not in gram_inv
+    det, gram_inv = exact.adjugate(gram)
+    assert det == 1
     inv = np.array(gram_inv, dtype=np.int64)
     b = np.array(basis, dtype=np.int64)
     raw = vectors.astype(np.int64) @ b.T

@@ -1,10 +1,14 @@
 """Tests for the rank-20 construction, extension, and scans."""
 
+import math
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conics800 import census, exact, ns
-from conics800.errors import ConstructionError
+from conics800.errors import ConstructionError, NotPositiveDefiniteError
 from conics800.lattices import IntegralLattice, orthogonal_complement, short_vectors
 
 
@@ -60,8 +64,8 @@ def _doubled_sum_rows(n):
 
 def test_extension_index_two(n_lattice):
     # the basis of (-W) + Zh in N's coordinates has determinant +-2: index 2
-    hnf2 = n_lattice.hnf2.tolist()
-    coords = [exact.solve_left(hnf2, row) for row in _doubled_sum_rows(n_lattice)]
+    solver = exact.LeftSolver(n_lattice.hnf2.tolist())
+    coords = [solver.solve(row) for row in _doubled_sum_rows(n_lattice)]
     assert abs(exact.det_bareiss(coords)) == 2
 
 
@@ -110,8 +114,9 @@ def test_kind1_scan_is_the_root_scan_of_W(n_lattice, s_lattice):
     neg = [[-x for x in row] for row in exact.mat_mul(exact.mat_mul(k, gram), exact.transpose(k))]
     # -W (doubled ambient rows [2w | 0]) lies in h-perp in N;
     # equal determinants make them equal.
+    solver = exact.LeftSolver(n.hnf2.tolist())
     for row in _doubled_sum_rows(n)[:-1]:
-        x = exact.solve_left(n.hnf2.tolist(), row)
+        x = solver.solve(row)
         assert x is not None and sum(a * b for a, b in zip(x, gh)) == 0
     assert exact.det_bareiss(neg) == exact.det_bareiss(n.w.gram_int()) == 160
     assert all(s_lattice.contains(row) for row in n.w.basis)
@@ -177,6 +182,59 @@ def test_conic_class_planted_controls():
     }
     assert len(found) == len(expected) == 72
     assert set(found) == expected
+
+
+def _box_classes(gram, h, norm, degree):
+    """Oracle: every e of a box with e.e = norm and e.h = degree, in Python ints.
+
+    Such an e has Q(e) = (e.h)^2 - 2 e.e = T = degree^2 - 2 norm, and a
+    positive-definite Q bounds e_i^2 <= T (Q^-1)_ii = T adj(Q)_ii / det Q.
+    """
+    gh = exact.mat_vec_mul(gram, h)
+    q = [[a * b - 2 * x for b, x in zip(gh, row)] for a, row in zip(gh, gram)]
+    det, adj = exact.adjugate(q)
+    t = degree * degree - 2 * norm
+    bounds = [math.isqrt(t * adj[i][i] // det) for i in range(len(gram))]
+    out = []
+    for e in product(*(range(-b, b + 1) for b in bounds)):
+        ge = exact.mat_vec_mul(gram, e)
+        ee, eh = (sum(x * y for x, y in zip(v, ge)) for v in (e, h))
+        if ee == norm and eh == degree:
+            out.append(e)
+    return sorted(out)
+
+
+def test_classes_of_against_box_oracle():
+    """Random Grams [[4, b], [b', C]] with h = e1 whose h-complement is
+    negative definite (signature (1, n - 1)), at ranks 1 to 4."""
+    rng = random.Random(89)
+    grams, rejected = [], 0
+    while len(grams) < 40:
+        n = rng.randint(1, 4)
+        b = [rng.randint(-3, 3) for _ in range(n - 1)]
+        c = [[0] * (n - 1) for _ in range(n - 1)]
+        for i in range(n - 1):
+            c[i][i] = -2 * rng.randint(0, 3)
+            for j in range(i):
+                c[i][j] = c[j][i] = rng.randint(-3, 3)
+        gram = [[4] + b] + [[bi] + row for bi, row in zip(b, c)]
+        if exact.signature(gram) == (1, n - 1, 0):
+            grams.append(gram)
+        else:
+            rejected += 1
+    assert rejected
+    found = {0: 0, 1: 0}
+    for gram in grams:
+        h = [1] + [0] * (len(gram) - 1)
+        for norm in (-4, -2, 0):
+            for degree in range(4):
+                want = _box_classes(gram, h, norm, degree)
+                assert sorted(ns.classes_of(gram, h, norm, degree)) == want
+                found[degree % 2] += len(want)
+    assert found[0] and found[1]
+    # Outside the precondition Q is indefinite, and the walk refuses it.
+    with pytest.raises(NotPositiveDefiniteError):
+        ns.classes_of([[4, 0], [0, 2]], (1, 0), -2, 0)
 
 
 def test_scan_rejects_wrong_polarization_norm():
