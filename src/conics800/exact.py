@@ -3,8 +3,9 @@
 Everything here runs on Python's arbitrary-precision ints: Hermite
 normal forms, where one elimination of the augmented rows ``[M | I]``
 also yields the unimodular transform and the canonical left kernel;
-Smith normal forms with their left transform; fraction-free
-determinants and adjugates; integer linear solves; LLL reduction of
+Smith normal forms with their left transform; determinants and
+adjugates from one fraction-free Gauss-Jordan elimination; integer
+linear solves over an HNF without zero rows; LLL reduction of
 positive-definite Gram matrices (integral, so it also yields exact
 Gram-Schmidt data); and exact signatures of symmetric forms (the one
 place ``fractions.Fraction`` appears, inside the congruence
@@ -173,52 +174,41 @@ def kernel_left(m) -> IntMatrix:
     return [urow for hrow, urow in zip(h, u) if not any(hrow)]
 
 
-def _reduce_against_hnf(h, pivots, v):
-    """Integer coefficients of v over the pivot rows of an HNF matrix,
-    or None when v is not in their integer span."""
-    w = [int(x) for x in v]
-    coeffs = [0] * len(h)
-    for i, c in pivots:
-        if w[c] == 0:
-            continue
-        q, rem = divmod(w[c], h[i][c])
-        if rem:
-            return None
-        coeffs[i] = q
-        row = h[i]
-        for j in range(c, len(w)):
-            w[j] -= q * row[j]
-    if any(w):
-        return None
-    return coeffs
-
-
 class LeftSolver:
     """Reusable integer solver against the row HNF ``h`` of a fixed ``m``.
 
-    Computes ``h = hnf(m)`` once; ``solve(v)`` is then one reduction pass
+    ``h`` holds only the nonzero rows of ``hnf(m)``, computed once, so
+    ``rank`` is its length. ``solve(v)`` is one reduction pass over it
     and returns the coordinates x with ``x @ h == v``, or None when v is
-    not in the row span. When ``m`` is its own HNF (as N's basis in
-    ``ns``), these are the coordinates over ``m`` itself. ``rank`` is the
-    number of pivots, and ``contains`` is membership in the row span.
+    not in the row span. When ``m`` is its own HNF, these are the
+    coordinates over ``m`` itself.
     """
 
     def __init__(self, m):
-        self.h = hnf(m)
-        self._pivots = [
-            (i, next(j for j, x in enumerate(row) if x)) for i, row in enumerate(self.h) if any(row)
-        ]
+        self.h = nonzero_rows(hnf(m))
+        self._pivots = [next(j for j, x in enumerate(row) if x) for row in self.h]
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self.h)
 
     def contains(self, v) -> bool:
         """Does v lie in the integer row span of m?"""
-        return _reduce_against_hnf(self.h, self._pivots, v) is not None
+        return self.solve(v) is not None
 
     def solve(self, v):
-        return _reduce_against_hnf(self.h, self._pivots, v)
+        w = [int(x) for x in v]
+        coeffs = [0] * len(self.h)
+        for i, (row, c) in enumerate(zip(self.h, self._pivots)):
+            if w[c] == 0:
+                continue
+            q, rem = divmod(w[c], row[c])
+            if rem:
+                return None
+            coeffs[i] = q
+            for j in range(c, len(w)):
+                w[j] -= q * row[j]
+        return None if any(w) else coeffs
 
 
 def snf(m: Sequence[Sequence[int]]):
@@ -289,48 +279,21 @@ def invariant_factors(m) -> tuple[int, ...]:
     return tuple(d for d in divisors if d != 1)
 
 
-def det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """``(det m, adj m)`` of a nonsingular square integer matrix, so
-    ``adj m @ m == det m * I``.
-
-    Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss, Math.
-    Comp. 22, 1968): after step k every entry is a (k+1) x (k+1) minor,
-    so each division by the previous pivot is exact, and the last step
-    leaves ``[d I | d m^-1]`` with d the determinant of the row-swapped m.
-    Raises ArithmeticError when m is singular.
+def _bareiss_jordan(a: IntMatrix, n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of the first n columns of the n rows a, in place. After step k
+    every entry is a (k+1) x (k+1) minor, so each division is exact.
+    Returns (sign, d): d I is left in the first n columns, d is the
+    determinant of the row-swapped square part (0 when it is singular,
+    1 when n = 0), and sign is that of the row swaps.
     """
-    n = len(m)
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     sign = 1
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                raise ArithmeticError("adjugate of a singular matrix")
+                return sign, 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         rk = a[k]
@@ -340,7 +303,29 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    return sign, prev
+
+
+def det_bareiss(m: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix: 0 when it is
+    singular, 1 for the 0 x 0 matrix."""
+    sign, d = _bareiss_jordan(copy_matrix(m), len(m))
+    return sign * d
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """``(det m, adj m)`` of a nonsingular square integer matrix, so
+    ``adj m @ m == det m * I``.
+
+    _bareiss_jordan on ``[m | I]`` leaves ``[d I | d m^-1]`` up to the
+    row swaps' sign. Raises ArithmeticError when m is singular.
+    """
+    n = len(m)
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, d = _bareiss_jordan(a, n)
+    if d == 0:
+        raise ArithmeticError("adjugate of a singular matrix")
+    return sign * d, [[sign * x for x in row[n:]] for row in a]
 
 
 def signature(gram) -> tuple[int, int, int]:

@@ -186,6 +186,7 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
     With L G R = D (Smith form of G; only L is needed), the rows of L
     divided by the divisors generate the discriminant group: generator i
     is (row i of L)/d_i of order d_i, and q, b are evaluated through G.
+    G is degenerate exactly when a divisor is 0.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram]:
@@ -194,9 +195,9 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
         raise ConstructionError("Gram matrix must be symmetric")
     if any(g[i][i] % 2 for i in range(len(g))):
         raise VerificationError("discriminant_form requires an even lattice")
-    if exact.det_bareiss(g) == 0:
-        raise VerificationError("discriminant_form requires a nondegenerate lattice")
     divisors, left = exact.snf(g)
+    if 0 in divisors:
+        raise VerificationError("discriminant_form requires a nondegenerate lattice")
     gens = [(row, d) for row, d in zip(left, divisors) if d > 1]
     lg = exact.mat_mul([row for row, _ in gens], g)
     values = [

@@ -34,7 +34,6 @@ from .errors import ConstructionError
 from .golay import GolayCode, positions_of
 
 RAW_NORM = 32
-TRUE_NORM = 4
 
 SHAPE31_COUNT = 98304
 SHAPE20_COUNT = 97152

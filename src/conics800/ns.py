@@ -123,17 +123,18 @@ def _doubled(conic) -> list[int]:
 def _glue(w: IntegralLattice, conic):
     """Index-2 extension N of (-W) + Zh glued by c0 = l - hbar/2 + h/2.
 
-    w is hbar_perp's W. Returns (h2, gram): h2 is the HNF of the doubled
-    ambient rows [2w | 0] of W's basis, [0 | 2] of h and _doubled(l) of
-    c0, N's canonical basis; gram is N's integer Gram in it. Hard-errors
-    on a defective basis or a non-integral or odd extension. The index
-    is 2 when det N = -160 (N_det) and |det W| = 160 (the complement
-    identity row): det((-W) + Zh) = -4 det W is the index squared times
-    det N.
+    w is hbar_perp's W. Returns (solver, gram): solver is the LeftSolver
+    of the doubled ambient rows [2w | 0] of W's basis, [0 | 2] of h and
+    _doubled(l) of c0, and its HNF solver.h is N's canonical basis; gram
+    is N's integer Gram in it. Hard-errors on a defective basis or a
+    non-integral or odd extension. The index is 2 when det N = -160
+    (N_det) and |det W| = 160 (the complement identity row):
+    det((-W) + Zh) = -4 det W is the index squared times det N.
     """
     rows = [[2 * x for x in row] + [0] for row in w.basis]
     rows += [[0] * len(HBAR) + [2], _doubled(conic)]
-    h2 = exact.nonzero_rows(exact.hnf(rows))
+    solver = exact.LeftSolver(rows)
+    h2 = solver.h
     if len(h2) != w.rank + 1:
         raise ConstructionError("extension basis is defective")
 
@@ -146,7 +147,7 @@ def _glue(w: IntegralLattice, conic):
     gram = [[x // scale for x in row] for row in scaled]
     if any(gram[i][i] % 2 for i in range(len(gram))):
         raise VerificationError("extension lattice is not even")
-    return h2, gram
+    return solver, gram
 
 
 def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
@@ -155,19 +156,18 @@ def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
     The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0].
     Hard-errors when the extension cannot be built exactly (see _glue);
     h's doubled row [0 | 2] is one of the rows whose HNF is N's basis,
-    so h always lies in N. A conic class outside N is left out of
-    classes, so the report's class rows fail. N's rank, determinant,
-    signature and class products are returned for the report to judge.
+    so h always lies in N. h and every class are solved over that basis
+    by _glue's solver. A conic class outside N is left out of classes,
+    so the report's class rows fail. N's rank, determinant, signature
+    and class products are returned for the report to judge.
     """
     w = hbar_perp(s)
-    h2, gram = _glue(w, conics[0])
-
-    n_solver = exact.LeftSolver(h2)
-    h_coords = n_solver.solve([0] * len(HBAR) + [2])
+    solver, gram = _glue(w, conics[0])
+    h_coords = solver.solve([0] * len(HBAR) + [2])
 
     classes = []
     for conic in conics.tolist():
-        xi = n_solver.solve(_doubled(conic))
+        xi = solver.solve(_doubled(conic))
         if xi is not None:
             classes.append(xi)
 
@@ -175,7 +175,7 @@ def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
         gram=np.array(gram, dtype=np.int64),
         h=np.array(h_coords, dtype=np.int64),
         classes=np.array(classes, dtype=np.int64),
-        hnf2=np.array(h2, dtype=np.int64),
+        hnf2=np.array(solver.h, dtype=np.int64),
         w=w,
     )
 
@@ -185,8 +185,8 @@ def check_glue_independence(
 ) -> bool:
     """Glue the extension of n's W by a different conic; the canonical
     basis (hence the Gram) must come out identical."""
-    h2, gram = _glue(n.w, conics[other_index])
-    return bool(np.array_equal(h2, n.hnf2) and np.array_equal(gram, n.gram))
+    solver, gram = _glue(n.w, conics[other_index])
+    return bool(np.array_equal(solver.h, n.hnf2) and np.array_equal(gram, n.gram))
 
 
 def check_h_parity(n: PolarizedLattice) -> bool:
@@ -273,6 +273,15 @@ def bad_vector_scan(gram, h_coords):
     kinds have Q = 4, and Q >= (e.h)^2 / 2 leaves e.h in {0, +-1, +-2},
     so one walk answers both: e.h = 0 is kind 1, e.h = 2 is kind 2, and
     e.h = -2 (the negatives of kind 2) is dropped.
+
+    For the constructed N both lists are also empty by an argument with
+    no walk (Conway & Sloane, SPLAG, ch. 4 §11). Each e in N is a
+    doubled row [u | k] with e.h = 2k and e.e = k^2 - u.u/32, and each
+    basis row has u in the Leech lattice and u = k hbar mod 2 Leech. Kind
+    1 has k = 0 and u.u = 64, so u/2 is a root of the Leech lattice,
+    which has none. Kind 2 has k = 1 and u.u = 32, so u is a minimal
+    vector in hbar's class mod 2 Leech; that class holds only +-hbar,
+    and neither [+-hbar | 1] lies in N.
     """
     found = _q_walk(gram, h_coords, 4, (0, 2))
     return found[0], found[2]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def check(name: str, expected, computed, source: str) -> dict:
 
 @dataclass
 class Pipeline:
-    """Shared state threaded through the verification stages."""
+    """The run's flags, the objects a later stage reads, and the error."""
 
     octad_choice: str = "lex"
     threads: int = 1
@@ -81,12 +81,7 @@ class Pipeline:
     lam: IntegralLattice | None = None
     leech_gram: list | None = None
     conics: np.ndarray | None = None
-    records: list | None = None
     true_products: np.ndarray | None = None
-    hist: dict | None = None
-    s: IntegralLattice | None = None
-    n: ns.PolarizedLattice | None = None
-    sections: dict = field(default_factory=dict)
     error: Conics800Error | ArithmeticError | None = None
 
     def choice_arg(self) -> int | None:
@@ -165,16 +160,16 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     add(check("seed_gram_det", census.SEED_DET, exact.det_bareiss(seed_gram), "determinant-oracle"))
     state.conics = census.find_conics(state.vectors)
     add(check("conic_count", census.CONIC_COUNT, len(state.conics), "exhaustive-scan"))
-    state.records = census.classify_all(state.conics, state.code)
+    records = census.classify_all(state.conics, state.code)
     add(
         check(
             "pattern_split",
             census.PATTERN_COUNTS,
-            census.pattern_split(state.records),
+            census.pattern_split(records),
             "exhaustive-scan",
         )
     )
-    recount = census.recount_by_codewords(state.code, state.records)
+    recount = census.recount_by_codewords(state.code, records)
     add(
         check(
             "recount_underlined_factors",
@@ -192,8 +187,8 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
         )
     )
     add(check("recount_grand_total", census.CONIC_COUNT, recount["total"], "independent-recount"))
-    state.true_products, state.hist = census.intersection_data(state.conics)
-    add(check("pairwise_products_max_2", True, max(state.hist) <= 2, "exhaustive-scan"))
+    state.true_products, hist = census.intersection_data(state.conics)
+    add(check("pairwise_products_max_2", True, max(hist) <= 2, "exhaustive-scan"))
     add(
         check(
             "self_products_4",
@@ -206,7 +201,7 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
         check(
             "intersection_histogram",
             {"-2": 400, "0": 72240, "1": 174720, "2": 72240},
-            {str(k): v for k, v in sorted(state.hist.items())},
+            {str(k): v for k, v in sorted(hist.items())},
             "exhaustive-scan",
         )
     )
@@ -231,7 +226,7 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     splits = {}
     for choice in range(4):
         if choice == state.frame.choice:
-            splits[str(choice)] = census.pattern_split(state.records)
+            splits[str(choice)] = census.pattern_split(records)
             continue
         c2, _ = golay.normalize_frame(raw, choice)
         v2 = leech.all_minimal_vectors(c2)
@@ -254,12 +249,12 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
 
 def stage_ns(state: Pipeline, section: dict) -> None:
     add = section["checks"].append
-    state.s = s = ns.build_S(state.lam)
+    s = ns.build_S(state.lam)
     add(check("S_rank", 20, s.rank, "construction"))
     add(check("S_contains_hbar", True, s.contains(list(ns.HBAR)), "construction"))
     add(check("S_root_free", 0, len(short_vectors(s.gram_int(), 2)), "enumeration-oracle"))
     add(check("hbar_parity_in_S", True, ns.check_hbar_parity(s), "exhaustive-scan"))
-    state.n = n = ns.build_N(s, state.conics)
+    n = ns.build_N(s, state.conics)
     n_gram = n.gram.tolist()
     add(check("N_rank", 20, n.rank, "construction"))
     add(check("N_det", -160, exact.det_bareiss(n_gram), "determinant-oracle"))
@@ -296,13 +291,7 @@ def stage_ns(state: Pipeline, section: dict) -> None:
             "construction",
         )
     )
-    for name in (
-        "seed_block_form",
-        "N_block_form_a",
-        "N_block_form_b",
-        "neg_N_vs_T",
-        "complement_identity",
-    ):
+    for name in [k for k in disc if k != "group_orders"]:
         add(
             check(
                 f"discriminant_{name}",
@@ -358,10 +347,11 @@ def run_pipeline(
         "heavy": stage_heavy,
     }
     names = STAGE_ORDER[: STAGE_ORDER.index(upto) + 1] + (("heavy",) if heavy else ())
+    sections: dict = {}
     overall = True
     error = None
     for name in names:
-        section = state.sections[name] = {"checks": []}
+        section = sections[name] = {"checks": []}
         t0 = time.monotonic()
         try:
             runners[name](state, section)
@@ -379,7 +369,7 @@ def run_pipeline(
             "version": __version__,
             "octad_choice": state.octad_choice,
         },
-        "stages": dict(state.sections),
+        "stages": sections,
         "overall": overall,
     }
     if error is not None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conics800 import census, cli, leech, ns, report
+from conics800 import census, cli, golay, leech, ns, report
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -125,14 +125,46 @@ def _foreign_class(monkeypatch, vectors):
     monkeypatch.setattr(ns, "build_N", planted)
 
 
+def _three_frame_candidates(monkeypatch, vectors):
+    frame_candidates = golay.frame_candidates
+    monkeypatch.setattr(golay, "frame_candidates", lambda code: frame_candidates(code)[:3])
+
+
+def _seed_gram_entry(monkeypatch, vectors):
+    gram = [list(row) for row in census.SEED_GRAM]
+    gram[0][1] = gram[1][0] = 3
+    monkeypatch.setattr(census, "SEED_GRAM", tuple(map(tuple, gram)))
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
-# One planted fault per row: (command, plant, exit code, error type, the
-# row's expected and computed values, every row that fails). Not in the
-# table: h_self_product, since h.h = 4 follows from h's doubled row
+# One planted fault per row: (command line, plant, exit code, error type,
+# the row's expected and computed values, every row that fails). Not in
+# the table: h_self_product, since h.h = 4 follows from h's doubled row
 # [0 | 2] by the doubled-row Gram formula whatever N is.
 PLANTED = {
+    "frame_octad_candidates": (
+        "golay", _three_frame_candidates, 1, None, 4, 3, {"frame_octad_candidates"},
+    ),
+    "shape_counts": (
+        "leech", lambda mp, v: mp.setattr(leech, "SHAPE40_COUNT", 1105), 1, None,
+        [98304, 97152, 1105], [98304, 97152, 1104], {"shape_counts"},
+    ),
+    "norm_4_vector_count": (
+        "leech --heavy", lambda mp, v: mp.setattr(report, "HEAVY_EXPECTED", 196561),
+        1, None, 196561, 196560, {"norm_4_vector_count"},
+    ),
+    "seed_gram": (
+        "conics", _seed_gram_entry, 1, None,
+        [[4, 3, 0, 0, 0], [3, 4, 2, 0, 1], [0, 2, 4, 2, -1], [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]],
+        [[4, 2, 0, 0, 0], [2, 4, 2, 0, 1], [0, 2, 4, 2, -1], [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]],
+        {"seed_gram"},
+    ),
+    "seed_gram_det": (
+        "conics", lambda mp, v: mp.setattr(census, "SEED_DET", 161), 1, None, 161, 160,
+        {"seed_gram_det"},
+    ),
     "no_duplicates": (
         "leech", _duplicate_vector, 3, "ArithmeticError", True, False,
         {"no_duplicates", "negation_closed"},
@@ -161,6 +193,20 @@ PLANTED = {
         1, None, _DISC_OK, _DISC_FAIL,
         {"discriminant_N_block_form_a"},
     ),
+    # form b with q = 1/4 in place of -1/4 on its 4-part is not isomorphic to discr N
+    "discriminant_N_block_form_b": (
+        "ns",
+        lambda mp, v: mp.setattr(ns, "BLOCKS_N_B", ((4, Fraction(1, 4)),) + ns.BLOCKS_N_B[1:]),
+        1, None, _DISC_OK, _DISC_FAIL,
+        {"discriminant_N_block_form_b"},
+    ),
+    # a generator of the seed's 5-part has q in {2/5, 8/5}, never 4/5
+    "discriminant_seed_block_form": (
+        "ns",
+        lambda mp, v: mp.setattr(ns, "BLOCKS_VT", ns.BLOCKS_VT[:-1] + ((5, Fraction(4, 5)),)),
+        1, None, _DISC_OK, _DISC_FAIL,
+        {"discriminant_seed_block_form"},
+    ),
     # diag(4, -4) with h = (1, 0): h-perp is Z(0, 1) of norm -4, so there is
     # no root orthogonal to h, and e.h = 4 e_1 is never 2
     "planted_control_exceptional": (
@@ -181,7 +227,7 @@ def test_planted_fault_fails_its_row(row, monkeypatch, tmp_path, vectors):
     command, plant, exit_code, error, expected, computed, failing = PLANTED[row]
     plant(monkeypatch, vectors)
     out = tmp_path / "r.json"
-    assert cli.main([command, "--json", str(out)]) == exit_code
+    assert cli.main(command.split() + ["--json", str(out)]) == exit_code
     data = json.loads(out.read_text())
     assert data["overall"] is False
     assert data.get("error", {}).get("type") == error

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conics800 import census, exact, ns
+from conics800 import census, exact, golay, ns
 from conics800.errors import ConstructionError, NotPositiveDefiniteError
 from conics800.lattices import IntegralLattice, orthogonal_complement, short_vectors
 
@@ -130,6 +130,57 @@ def _rank20(block, entry):
     for i, row in enumerate(block):
         g[i][: len(row)] = row
     return g
+
+
+def _in_golay_construction(x, code) -> bool:
+    """x lies in the Golay-code lattice of SPLAG ch. 4 (11.8): all entries
+    of one parity, the positions of x = 2 (even) or x = 1 (odd) mod 4 a
+    codeword, and the entry sum 0 (even) or 4 (odd) mod 8."""
+    odd = x[0] % 2
+    if any(v % 2 != odd for v in x):
+        return False
+    mask = golay.mask_of(i + 1 for i, v in enumerate(x) if v % 4 == (1 if odd else 2))
+    return mask in code and sum(x) % 8 == 4 * odd
+
+
+def _congruent_to_hbar(rows, basis) -> bool:
+    """Every doubled row [u | k] has u in the Leech lattice and
+    u = k hbar mod 2 Leech. The lattice is unimodular at form x.y / 8, so
+    x lies in it (in twice it) when every raw dot x.b with a basis row b
+    is 0 mod 8 (mod 16)."""
+    b = np.array(basis, dtype=np.int64).T
+    u = np.asarray(rows, dtype=np.int64)[:, :-1]
+    k = np.asarray(rows, dtype=np.int64)[:, -1:]
+    hbar = np.array(ns.HBAR, dtype=np.int64)
+    return bool(((u @ b) % 8 == 0).all() and (((u - k * hbar) @ b) % 16 == 0).all())
+
+
+def test_saint_donat_scans_from_the_leech_lattice(n_lattice, s_lattice, lam, basis, code,
+                                                  vectors):
+    """Both bad-vector scans and S's root-freeness, proved from the Leech
+    lattice with no short-vector walk (the argument is in
+    ns.bad_vector_scan's docstring)."""
+    # The Leech lattice has no roots: its basis lies in the Golay-code
+    # lattice, whose minimum raw norm is 32 as the code's minimum weight is 8.
+    assert all(_in_golay_construction(row, code) for row in basis)
+    assert golay.min_nonzero_weight(code) == 8
+    # so neither has S, which lies in it
+    assert all(lam.contains(row) for row in s_lattice.basis)
+    # every e = [u | k] in N has u = k hbar mod 2 Leech
+    assert _congruent_to_hbar(n_lattice.hnf2, basis)
+    # hbar's class mod 2 Leech holds only +-hbar among the minimal vectors
+    hbar = np.array(ns.HBAR, dtype=np.int64)
+    diff = (vectors.astype(np.int64) - hbar) @ np.array(basis, dtype=np.int64).T
+    same = vectors[(diff % 16 == 0).all(axis=1)]
+    assert sorted(map(tuple, same.tolist())) == sorted([ns.HBAR, tuple((-hbar).tolist())])
+    # and neither [hbar | 1] nor [-hbar | 1] is in N
+    solver = exact.LeftSolver(n_lattice.hnf2.tolist())
+    assert solver.solve(list(ns.HBAR) + [1]) is None
+    assert solver.solve((-hbar).tolist() + [1]) is None
+    # negative control: a perturbed basis row breaks the congruence
+    bad = n_lattice.hnf2.copy()
+    bad[0][0] += 2
+    assert not _congruent_to_hbar(bad, basis)
 
 
 def test_planted_controls():

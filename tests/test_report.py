@@ -29,6 +29,8 @@ def test_stripped_report_matches_reference():
 
 
 @pytest.mark.heavy
-def test_full_report_matches_reference_lex():
-    """The lex frame with the heavy norm-4 and norm-2 enumerations."""
-    assert _digest("lex", heavy=True) == _reference("full")["lex"]
+def test_full_report_matches_reference():
+    """Every frame recorded for the full run, with the heavy norm-4 and
+    norm-2 enumerations."""
+    expected = _reference("full")
+    assert {frame: _digest(frame, heavy=True) for frame in expected} == expected
