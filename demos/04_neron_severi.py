@@ -44,7 +44,7 @@ def main() -> None:
     comp = np.array_equal(cc, 2 - products)
     print(f"  c_i.c_j = 2 - l_i.l_j for all pairs: {comp}")
     print(f"  glue choice does not matter: "
-          f"{ns.check_glue_independence(n, conics, other_index=1)}")
+          f"{ns.check_glue_independence(n, conics)}")
 
     print("\nDiscriminant forms (group order, block identifications):")
     disc = ns.verify_discriminants(n)

@@ -1,11 +1,14 @@
 """The 800 conic vectors: filter, classify, recount, intersect.
 
 A conic is a minimal vector l with true products (2, 1, 0, 0, 0)
-against the five fixed generators below. The four patterns are keyed
-off the coordinate profile on positions 1-9; an independent recount
-then reproduces the same numbers from the Golay code alone by counting
-codewords with prescribed intersections with {1,...,9}, so the same
-800 arrives by two routes that share nothing but the code.
+against the five fixed generators below. One table, PROFILES, looks up
+each conic's pattern from its entries on positions 1-9, and
+WINDOW_CONDITIONS gives each pattern's codeword window; a conic that
+fits neither is left unclassified, and the report's pattern_split row
+shows it. An independent recount then reproduces the same numbers from
+the Golay code alone by counting codewords with prescribed
+intersections with {1,...,9}, so the same 800 arrives by two routes
+that share nothing but the code.
 """
 
 from __future__ import annotations
@@ -52,12 +55,22 @@ NINE_MASK = mask_of(range(1, 10))
 MOVABLE_POSITIONS = (6, 7, 8, 9)
 
 # Codeword-side window conditions on o & {1..9}, with the expected
-# per-window codeword counts and sign/choice multipliers.
+# per-window codeword counts and sign/choice multipliers. A conic's
+# window is "fixed" plus its movable pair.
 WINDOW_CONDITIONS = {
     "P1": {"fixed": (1, 4), "per_pair": 16, "octads_only": False, "signs": 1},
     "P2": {"fixed": (2, 3, 5), "per_pair": 16, "octads_only": False, "signs": 1},
     "P3": {"fixed": (1, 2), "per_pair": 10, "octads_only": True, "signs": 32},
     "P4": {"fixed": (1, 2), "per_pair": 3, "octads_only": True, "signs": 8},
+}
+
+# Pattern of a conic by its entries on positions 1-5 and its sorted
+# entries on the movable positions.
+PROFILES = {
+    ((1, 3, -1, 1, -1), (-1, -1, 1, 1)): "P1",
+    ((3, 1, 1, -1, 1), (-1, -1, 1, 1)): "P2",
+    ((2, 2, 0, 0, 0), (0, 0, 0, 0)): "P3",
+    ((2, 2, 0, 0, 0), (-2, 0, 0, 2)): "P4",
 }
 
 
@@ -100,53 +113,37 @@ def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     return found[np.lexsort(found.T[::-1])]
 
 
-def classify(l, code: GolayCode) -> ConicRecord:
-    """Pattern tag, movable pair, and inducing codeword of one conic."""
-    l = tuple(int(x) for x in l)
-    amax = max(abs(x) for x in l)
-    head = l[:5]
-    if amax == 3:
-        k = next(i for i, x in enumerate(l) if abs(x) == 3)
-        signs = [x if i != k else -x // 3 for i, x in enumerate(l)]
-        codeword = sum(1 << i for i, s in enumerate(signs) if s == 1)
-        if codeword not in code:
-            raise VerificationError(f"conic sign vector is not a codeword: {l}")
-        pair = tuple(p for p in MOVABLE_POSITIONS if l[p - 1] == 1)
-        if head == (1, 3, -1, 1, -1):
-            pattern = "P1"
-        elif head == (3, 1, 1, -1, 1):
-            pattern = "P2"
-        else:
-            raise VerificationError(f"unmatched shape31 conic profile {head}")
-        if len(pair) != 2:
-            raise VerificationError(f"conic {l} lacks a movable +1 pair on 6..9")
-        window = WINDOW_CONDITIONS[pattern]["fixed"] + pair
-        if codeword & NINE_MASK != mask_of(window):
-            raise VerificationError(f"conic codeword window mismatch for {l}")
-        return ConicRecord(l, pattern, pair, codeword, k + 1)
-    if amax == 2:
-        support = sum(1 << i for i, x in enumerate(l) if x)
-        if support not in code:
-            raise VerificationError(f"conic support is not an octad: {l}")
-        if head != (2, 2, 0, 0, 0):
-            raise VerificationError(f"unmatched shape20 conic profile {head}")
-        movable = [p for p in MOVABLE_POSITIONS if l[p - 1]]
-        if not movable:
-            if support & NINE_MASK != mask_of((1, 2)):
-                raise VerificationError(f"conic octad window mismatch for {l}")
-            return ConicRecord(l, "P3", None, support, None)
-        if len(movable) == 2:
-            plus = [p for p in movable if l[p - 1] == 2]
-            minus = [p for p in movable if l[p - 1] == -2]
-            if len(plus) == 1 and len(minus) == 1:
-                if support & NINE_MASK != mask_of((1, 2) + tuple(movable)):
-                    raise VerificationError(f"conic octad window mismatch for {l}")
-                return ConicRecord(l, "P4", (plus[0], minus[0]), support, None)
-    raise VerificationError(f"conic matches no pattern: {l}")
+def classify(l, code: GolayCode) -> ConicRecord | None:
+    """Pattern tag, movable pair, and inducing codeword of one conic, or
+    None when the conic matches no pattern.
+
+    PROFILES picks the pattern from the entries on positions 1-5 and the
+    sorted entries on the movable positions, so a conic without its
+    movable pair matches none. The inducing codeword is the support
+    (shape 2^8) or the set of +1 entries (shape 3 1^23: both heads carry
+    +3, whose sign is -1). The movable pair is the codeword's movable
+    positions, the +2 first for P4. A codeword outside the code, or one
+    that meets {1..9} outside the pattern's window, also gives None:
+    the pattern_split row judges the result.
+    """
+    l = tuple(map(int, l))
+    pattern = PROFILES.get((l[:5], tuple(sorted(l[p - 1] for p in MOVABLE_POSITIONS))))
+    if pattern is None:
+        return None
+    cond = WINDOW_CONDITIONS[pattern]
+    octad = cond["octads_only"]
+    codeword = sum(1 << i for i, x in enumerate(l) if (x if octad else x == 1))
+    movable = [p for p in MOVABLE_POSITIONS if codeword >> (p - 1) & 1]
+    pair = tuple(sorted(movable, key=lambda p: -l[p - 1]))
+    if codeword not in code or codeword & NINE_MASK != mask_of(cond["fixed"] + pair):
+        return None
+    return ConicRecord(l, pattern, pair or None, codeword, None if octad else l.index(3) + 1)
 
 
 def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
-    return [classify(row, code) for row in conics]
+    """The records of the conics that classify; the others are dropped."""
+    records = (classify(row.tolist(), code) for row in conics)
+    return [r for r in records if r is not None]
 
 
 def pattern_split(records: list[ConicRecord]) -> dict[str, int]:

@@ -15,7 +15,7 @@ import sys
 
 from . import golay as golay_mod
 from .errors import VerificationError
-from .report import Pipeline, print_human, run_pipeline, serialize
+from .report import Pipeline, format_row, print_human, run_pipeline, serialize
 
 
 def _add_common(p: argparse.ArgumentParser, octad: bool = False) -> None:
@@ -92,11 +92,7 @@ def _print_selected(report: dict, names: set[str]) -> None:
     for stage, section in report["stages"].items():
         for c in section["checks"]:
             if c["name"] in names:
-                mark = "PASS" if c["pass"] else "FAIL"
-                line = f"[{mark}] {stage}.{c['name']}: {c['computed']}"
-                if not c["pass"]:
-                    line += f"  (expected {c['expected']})"
-                print(line)
+                print(format_row(c, f"{stage}.{c['name']}"))
 
 
 def main(argv=None) -> int:

@@ -7,11 +7,10 @@ Smith normal forms with their left transform; determinants and
 adjugates from one fraction-free Gauss-Jordan elimination; integer
 linear solves over an HNF without zero rows; LLL reduction of
 positive-definite Gram matrices (integral, so it also yields exact
-Gram-Schmidt data); and exact signatures of symmetric forms (the one
-place ``fractions.Fraction`` appears, inside the congruence
-diagonalization). Intermediate entries of the normal-form algorithms
-routinely exceed machine words even for small inputs, so none of this
-goes through numpy.
+Gram-Schmidt data); and exact signatures of symmetric forms by a
+symmetric fraction-free elimination. Intermediate entries of the
+normal-form algorithms routinely exceed machine words even for small
+inputs, so none of this goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched.
@@ -19,7 +18,6 @@ functions leave their inputs untouched.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotPositiveDefiniteError
@@ -47,10 +45,6 @@ def mat_mul(a, b):
 
 def mat_vec_mul(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def vec_mat_mul(v, a):
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def is_symmetric(m) -> bool:
@@ -331,11 +325,19 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
 def signature(gram) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly.
 
-    Works by rational congruence diagonalization; no floating point.
+    Symmetric fraction-free elimination: a congruence diagonalization
+    whose trailing block is kept as prev times the rational Schur
+    complement, prev being the last pivot, so each division by it is
+    exact (Bareiss, Math. Comp. 22, 1968). A zero diagonal entry is
+    swapped, rows and columns together, with a later nonzero one in its
+    column, or its row and column are folded into those of a later
+    entry; a zero row of the trailing block counts as zero. Pivot p
+    stands for the diagonal entry p / prev, positive when p * prev > 0.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = copy_matrix(gram)
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0 and a[j][k] != 0), None)
@@ -344,32 +346,25 @@ def signature(gram) -> tuple[int, int, int]:
                 if other is None:
                     zero += 1
                     continue
-                # Diagonal is zero but a[other][k] is not: fold row/col `other` in.
-                for j in range(n):
+                # a[other][other] is 0 too, so the folded pivot is 2 a[other][k].
+                for j in range(k, n):
                     a[k][j] += a[other][j]
-                for i in range(n):
+                for i in range(k, n):
                     a[i][k] += a[i][other]
             else:
                 a[k], a[swap] = a[swap], a[k]
                 for row in a:
                     row[k], row[swap] = row[swap], row[k]
-        pivot = a[k][k]
-        if pivot == 0:
-            zero += 1
-            continue
-        if pivot > 0:
+        rk = a[k]
+        p = rk[k]
+        if p * prev > 0:
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
+            f = a[i][k]
+            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], rk[k + 1:])]
+        prev = p
     return pos, neg, zero
 
 

@@ -180,12 +180,10 @@ def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
     )
 
 
-def check_glue_independence(
-    n: PolarizedLattice, conics: np.ndarray, other_index: int = 1
-) -> bool:
-    """Glue the extension of n's W by a different conic; the canonical
-    basis (hence the Gram) must come out identical."""
-    solver, gram = _glue(n.w, conics[other_index])
+def check_glue_independence(n: PolarizedLattice, conics: np.ndarray) -> bool:
+    """Glue the extension of n's W by conics[1] instead of conics[0]; the
+    canonical basis (hence the Gram) must come out identical."""
+    solver, gram = _glue(n.w, conics[1])
     return bool(np.array_equal(solver.h, n.hnf2) and np.array_equal(gram, n.gram))
 
 

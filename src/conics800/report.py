@@ -173,7 +173,7 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     add(
         check(
             "recount_underlined_factors",
-            {"P1": 16, "P2": 16, "P3": 10, "P4": 3},
+            {p: c["per_pair"] for p, c in census.WINDOW_CONDITIONS.items()},
             {p: d["underline"] for p, d in recount["patterns"].items()},
             "independent-recount",
         )
@@ -278,7 +278,7 @@ def stage_ns(state: Pipeline, section: dict) -> None:
         check(
             "glue_choice_independent",
             True,
-            ns.check_glue_independence(n, state.conics, other_index=1),
+            ns.check_glue_independence(n, state.conics),
             "independent-recount",
         )
     )
@@ -390,6 +390,15 @@ def strip_volatile(obj):
     return obj
 
 
+def format_row(c: dict, label: str) -> str:
+    """One check as a line: its mark, label and computed value, and its
+    expected value when it fails."""
+    line = f"[{'PASS' if c['pass'] else 'FAIL'}] {label}: {c['computed']}"
+    if not c["pass"]:
+        line += f"  (expected {c['expected']})"
+    return line
+
+
 def print_human(report: dict, stream) -> None:
     env = report["environment"]
     print(f"schema {report['schema']}  version {env['version']}  "
@@ -397,11 +406,7 @@ def print_human(report: dict, stream) -> None:
     for stage, section in report["stages"].items():
         print(f"\n[{stage}]  elapsed {section['elapsed']}s", file=stream)
         for c in section["checks"]:
-            mark = "PASS" if c["pass"] else "FAIL"
-            line = f"  [{mark}] {c['name']}: {c['computed']}"
-            if not c["pass"]:
-                line += f"  (expected {c['expected']})"
-            print(line, file=stream)
+            print("  " + format_row(c, c["name"]), file=stream)
         if "clique" in section:
             print(f"  clique: {section['clique']}", file=stream)
         if "clique_count" in section:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conics800 import census, exact, golay, leech
-from conics800.errors import VerificationError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -74,11 +73,12 @@ def test_classification_consistency(records, code):
 
 def test_classify_rejects_unknown_profile(code):
     bogus = [1] * 24
-    with pytest.raises(VerificationError):
-        census.classify(bogus, code)
-    bogus2 = [3, 1, 1, -1, 1] + [1] * 19  # sign vector is not a codeword
-    with pytest.raises(VerificationError):
-        census.classify(bogus2, code)
+    assert census.classify(bogus, code) is None
+    bogus2 = [3, 1, 1, -1, 1] + [1] * 19  # no movable -1 entries
+    assert census.classify(bogus2, code) is None
+    # P2's profile, but the +1 entries have weight 20, so no codeword
+    bogus3 = [3, 1, 1, -1, 1, 1, 1, -1, -1] + [1] * 15
+    assert census.classify(bogus3, code) is None
 
 
 def test_recount_matches_census(code, records):

@@ -136,6 +136,11 @@ def _seed_gram_entry(monkeypatch, vectors):
     monkeypatch.setattr(census, "SEED_GRAM", tuple(map(tuple, gram)))
 
 
+def _no_p2_profile(monkeypatch, vectors):
+    p2 = next(k for k, p in census.PROFILES.items() if p == "P2")
+    monkeypatch.delitem(census.PROFILES, p2)
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
@@ -164,6 +169,23 @@ PLANTED = {
     "seed_gram_det": (
         "conics", lambda mp, v: mp.setattr(census, "SEED_DET", 161), 1, None, 161, 160,
         {"seed_gram_det"},
+    ),
+    # the P2 conics classify nowhere, in every frame; the recount reads
+    # the code alone, and the ns stage still runs
+    "pattern_split": (
+        "ns", _no_p2_profile, 1, None, census.PATTERN_COUNTS,
+        {"P1": 96, "P2": 0, "P3": 320, "P4": 288},
+        {"pattern_split", "frame_invariance_splits"},
+    ),
+    "recount_underlined_factors": (
+        "conics", lambda mp, v: mp.setitem(census.WINDOW_CONDITIONS["P3"], "per_pair", 11),
+        1, None, {"P1": 16, "P2": 16, "P3": 11, "P4": 3}, {"P1": 16, "P2": 16, "P3": 10, "P4": 3},
+        {"recount_underlined_factors"},
+    ),
+    "recount_totals": (
+        "conics", lambda mp, v: mp.setitem(census.WINDOW_CONDITIONS["P1"], "signs", 2),
+        1, None, census.PATTERN_COUNTS, {"P1": 192, "P2": 96, "P3": 320, "P4": 288},
+        {"recount_totals", "recount_grand_total"},
     ),
     "no_duplicates": (
         "leech", _duplicate_vector, 3, "ArithmeticError", True, False,
@@ -236,6 +258,9 @@ def test_planted_fault_fails_its_row(row, monkeypatch, tmp_path, vectors):
         False, expected, computed
     )
     assert {name for name, c in rows.items() if not c["pass"]} == failing
+    if error is None:  # a failing row does not stop the run
+        last = "heavy" if "--heavy" in command else command.split()[0]
+        assert list(data["stages"])[-1] == last
 
 
 def test_json_determinism_across_threads(tmp_path):

@@ -164,7 +164,7 @@ def test_hnf_transform_reproduces_hnf():
     cases = [_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(100)]
     for _ in range(60):
         m = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 5))
-        rows = m + [exact.vec_mat_mul([rng.randint(-3, 3) for _ in m], m)]
+        rows = m + [exact.mat_mul([[rng.randint(-3, 3) for _ in m]], m)[0]]
         rng.shuffle(rows)
         cases.append(rows)
     cases += [[[] for _ in range(n)] for n in (1, 2, 4)]
@@ -253,7 +253,7 @@ def test_kernel_left_is_saturated_annihilator():
     for m in cases:
         k = exact.kernel_left(m)
         for row in k:
-            assert all(x == 0 for x in exact.vec_mat_mul(row, m))
+            assert all(x == 0 for x in exact.mat_mul([row], m)[0])
         assert len(k) == len(m) - exact.LeftSolver(m).rank
         if k:
             assert exact.nonzero_rows(exact.hnf(k)) == k
@@ -275,11 +275,11 @@ def test_solve_left_roundtrip_and_unsolvable():
         c = rng.randint(1, 4)
         m = _random_matrix(rng, n, c)
         x = [rng.randint(-5, 5) for _ in range(n)]
-        v = exact.vec_mat_mul(x, m)
+        v = exact.mat_mul([x], m)[0]
         solver = exact.LeftSolver(m)
         got = solver.solve(v)
         assert got is not None
-        assert exact.vec_mat_mul(got, solver.h) == v
+        assert exact.mat_mul([got], solver.h)[0] == v
         assert solver.contains(v)
     assert exact.LeftSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
 
@@ -291,9 +291,9 @@ def test_left_solver_solves_over_its_hnf():
     assert solver.h == exact.hnf(m)
     for _ in range(50):
         x = [rng.randint(-5, 5) for _ in range(4)]
-        v = exact.vec_mat_mul(x, m)
+        v = exact.mat_mul([x], m)[0]
         a = solver.solve(v)
-        assert exact.vec_mat_mul(a, solver.h) == v
+        assert exact.mat_mul([a], solver.h)[0] == v
         assert solver.contains(v)
     # Rank 4 in Z^5: most random right-hand sides lie outside the span.
     outside = 0
@@ -302,7 +302,7 @@ def test_left_solver_solves_over_its_hnf():
         a = solver.solve(v)
         assert solver.contains(v) == (a is not None) == _in_span(m, v)
         if a is not None:
-            assert exact.vec_mat_mul(a, solver.h) == v
+            assert exact.mat_mul([a], solver.h)[0] == v
         outside += a is None
     assert outside
 
@@ -322,7 +322,7 @@ def test_left_solver_on_an_hnf_matrix():
         assert solver.h == scrambled.h == m
         for _ in range(10):
             x = [rng.randint(-5, 5) for _ in range(len(m))]
-            v = exact.vec_mat_mul(x, m)
+            v = exact.mat_mul([x], m)[0]
             assert solver.solve(v) == x == scrambled.solve(v)
     assert exact.LeftSolver([[2, 0], [0, 2]]).solve([1, 0]) is None
 
@@ -365,6 +365,13 @@ def test_signature_against_constructed_inertia():
         assert pos == sum(1 for s in signs if s > 0)
         assert neg == sum(1 for s in signs if s < 0)
         assert zero == sum(1 for s in signs if s == 0)
+    # Zero diagonals: a hyperbolic plane, a 3x3 form with no nonzero
+    # diagonal entry to swap in (so it folds), and singular forms with
+    # and without a fold (eigenvalues +-sqrt 2, 0 for the last).
+    assert exact.signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert exact.signature([[0, 2, 1], [2, 0, 3], [1, 3, 0]]) == (1, 2, 0)
+    assert exact.signature([[1, 1, 0], [1, 1, 0], [0, 0, 0]]) == (1, 0, 2)
+    assert exact.signature([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == (1, 1, 1)
 
 
 def test_invariant_factors_drop_units():

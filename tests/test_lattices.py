@@ -114,7 +114,7 @@ def test_short_vectors_unimodular_invariance(seed):
     u = _random_unimodular(random.Random(seed), 8)
     skewed = exact.mat_mul(exact.mat_mul(u, E8_CARTAN), exact.transpose(u))
     for target in (2, 4):
-        mapped = sorted(exact.vec_mat_mul(x, u) for x in short_vectors(skewed, target))
+        mapped = sorted(exact.mat_mul([x], u)[0] for x in short_vectors(skewed, target))
         assert mapped == sorted(short_vectors(E8_CARTAN, target))
 
 

@@ -86,8 +86,8 @@ def test_build_N_rejects_a_foreign_glue(s_lattice, conics, vectors):
 
 
 def test_glue_independence(conics, n_lattice):
-    assert ns.check_glue_independence(n_lattice, conics, other_index=1)
-    assert ns.check_glue_independence(n_lattice, conics, other_index=400)
+    assert ns.check_glue_independence(n_lattice, conics)
+    assert ns.check_glue_independence(n_lattice, conics[399:])
 
 
 def test_discriminant_report(n_lattice):
