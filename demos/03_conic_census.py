@@ -31,7 +31,7 @@ def main() -> None:
     print(f"  {len(conics)} conic vectors, split {census.pattern_split(records)}")
 
     print("\nIndependent recount from the code alone:")
-    recount = census.recount_by_codewords(code, records)
+    recount = census.recount_by_codewords(code)
     for p, d in recount["patterns"].items():
         print(f"  {p}: {recount['correspondence'][p]}")
         print(f"      {d['underline']} codewords per window x "

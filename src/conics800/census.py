@@ -154,22 +154,15 @@ def pattern_split(records: list[ConicRecord]) -> dict[str, int]:
     return split
 
 
-def recount_by_codewords(code: GolayCode, records: list[ConicRecord]) -> dict:
+def recount_by_codewords(code: GolayCode) -> dict:
     """Recompute the pattern counts from the code alone.
 
     For each pattern the recount multiplies the number of codewords
     meeting {1..9} in the stated window by the number of sign/position
-    choices each codeword carries. Each window entry also carries the
-    filtered census bucketed the same way (per movable pair), and
-    "underline" is the codeword count the windows share (the sorted
-    distinct counts if they disagree).
+    choices each codeword carries, and "underline" is the codeword count
+    the windows share (the sorted distinct counts if they disagree).
     """
     pairs = list(combinations(MOVABLE_POSITIONS, 2))
-    by_bucket: dict[tuple[str, tuple], int] = {}
-    for r in records:
-        key: tuple = r.movable_pair if r.movable_pair else ()
-        by_bucket[(r.pattern, key)] = by_bucket.get((r.pattern, key), 0) + 1
-
     report: dict = {"patterns": {}, "correspondence": {}}
     total = 0
     for pattern, cond in WINDOW_CONDITIONS.items():
@@ -179,17 +172,14 @@ def recount_by_codewords(code: GolayCode, records: list[ConicRecord]) -> dict:
         for pair in [()] if pattern == "P3" else pairs:
             window = cond["fixed"] + pair
             n = len(codewords_meeting(code, NINE_MASK, mask_of(window), weight))
+            entries.append({"window": sorted(window), "codewords": n})
             # P4 pairs are ordered (+2, -2): both orders share the octad condition.
-            keys = (pair, pair[::-1]) if pattern == "P4" else (pair,)
-            census = sum(by_bucket.get((pattern, k), 0) for k in keys)
-            entries.append({"window": sorted(window), "codewords": n, "census": census})
-            recount += len(keys) * n * cond["signs"]
+            recount += (2 if pattern == "P4" else 1) * n * cond["signs"]
         counts = sorted({e["codewords"] for e in entries})
         report["patterns"][pattern] = {
             "underline": counts[0] if len(counts) == 1 else counts,
             "signs_per_codeword": cond["signs"],
             "recount": recount,
-            "census": sum(e["census"] for e in entries),
             "windows": entries,
         }
         fixed = ",".join(str(x) for x in cond["fixed"])

@@ -13,14 +13,15 @@ plain ints. Forms are compared by a pruned search over generator
 images, and the returned witness is re-verified exhaustively.
 
 Short vectors of a positive-definite integer Gram come from one exact
-Fincke-Pohst walk over an LLL-reduced basis: the integral LLL of the
-Gram matrix yields the leading minors and Gram-Schmidt numerators that
-make every layer bound an integer comparison, and the walk visits one
-row of each +-x pair. The tree is walked depth-first over bounded
-blocks, each expanded a level at a time, and each block of leaves goes
-onto the output list as soon as the walk reaches it. Live memory is the
-output list plus one block per level of the current path, not the
-widest level nor a full-size array of the rows.
+Fincke-Pohst walk over an LLL-reduced basis (_half_walk): the integral
+LLL of the Gram matrix yields the leading minors and Gram-Schmidt
+numerators that make every layer bound an integer comparison, and the
+walk visits one row of each +-x pair. The tree is walked depth-first
+over bounded blocks, each expanded a level at a time, and yields each
+block of leaves as soon as it reaches it, so the walk itself holds one
+block per level of the current path. It has two consumers:
+short_vectors maps each block back onto its output list, and
+count_vectors only counts the leaves, building no row at all.
 """
 
 from __future__ import annotations
@@ -292,17 +293,21 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
-def short_vectors(gram, norm_target) -> list[list[int]]:
-    """All integer x with x' G x equal to norm_target.
+def _half_walk(gram, norm_target):
+    """Check G, reduce it, and start the walk: returns (zero, h, leaves).
 
-    G must be a positive-definite integer Gram (NotPositiveDefiniteError
-    otherwise). Output is in the walk's deterministic order, not sorted.
+    zero says whether T' = 0, so that the zero row is a solution; h is
+    the unimodular LLL transform H (empty when nothing is walked); and
+    leaves is a generator of the admitted leaf blocks of y, int64 arrays
+    of at most _CHUNK rows in walk order, one row of each +-y pair.
+    Every check runs before this returns, the walk only as leaves is
+    consumed.
 
     The walk is exact, over an LLL-reduced basis: ``exact.lll_gram`` of
-    G/c (c the gcd of G's entries) gives a unimodular H, G' = H (G/c) H',
-    its leading minors d_i and Gram-Schmidt numerators lam. The rows are
-    x = y H with y' G' y = T' = T / c, so there is no solution unless T'
-    is an integer. With t_i = d_{i+1} y_i + sum_{j>i} lam[j][i] y_j, the
+    G/c (c the gcd of G's entries) gives H, G' = H (G/c) H', its leading
+    minors d_i and Gram-Schmidt numerators lam. The solutions are
+    x = y H with y' G' y = T' = T / c, so there is none unless T' is an
+    integer. With t_i = d_{i+1} y_i + sum_{j>i} lam[j][i] y_j, the
     integers A_n = 0, A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times
     the partial norm of levels >= i (a Schur-complement form), so y_i is
     admitted iff t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept
@@ -310,17 +315,11 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     bounds every int64 intermediate of the walk before it starts.
 
     The walk visits only rows whose last nonzero coordinate is positive
-    (one subtree per top level k, from the zero prefix with y_k >= 1);
-    the output is those rows in walk order, then their negatives in the
-    same order, then the zero row if T' = 0. It goes depth-first over
-    blocks of at most _CHUNK frontier rows, each expanded one level at a
-    time, and a row at level i stores only its n - i filled coordinates.
-    Each block of leaves is mapped back as soon as it is reached and
-    appended to the output list (its negatives to a second list, joined
-    at the end), so live memory is the output list plus one block per
-    level: no array of all leaves or of all mapped rows exists. The map
-    back is guarded in Python ints: |x_c| <= max|y| * sum_j |H_jc| must
-    stay below 2^62.
+    (one subtree per top level k, from the zero prefix with y_k >= 1).
+    It goes depth-first over blocks of at most _CHUNK frontier rows,
+    each expanded one level at a time, and a row at level i stores only
+    its n - i filled coordinates, so live memory is one block per level
+    of the current path.
     """
     g = [[int(x) for x in row] for row in gram]
     if g != [list(row) for row in gram] or not exact.is_symmetric(g):
@@ -328,10 +327,8 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     n = len(g)
     content = math.gcd(*(x for row in g for x in row)) or 1
     goal, rest = divmod(Fraction(norm_target), content)
-    if goal < 0 or rest:
-        return []
-    if n == 0:
-        return [[]] if goal == 0 else []
+    if goal < 0 or rest or n == 0:
+        return goal == 0 and not rest, [], iter(())
     h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
     # t_i = d_{i+1} y_i + e_i with e_i = y_{>i} . cols_i; |t_i| <= isqrt(d_i d_{i+1} T')
     # bounds |e_i|, hence |y_i|, level by level.
@@ -344,24 +341,13 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     if top >= 2**62:
         raise ConstructionError("short_vectors: entries too large for the int64 walk")
     cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
-    # |x_c| <= max|y| * sum_j |H_jc|; bounded in Python ints before H enters int64.
-    h_sum = max(sum(abs(row[c]) for row in h) for c in range(n))
-    h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
-    found: list[list[int]] = []
-    negated: list[list[int]] = []
 
-    def expand(partial: np.ndarray, above: np.ndarray, i: int, lo_min=None) -> None:
+    def expand(partial: np.ndarray, above: np.ndarray, i: int, lo_min=None):
         """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1} and A_{i+1}."""
         if i < 0:
-            # Map the block's leaves back, x = y H in int64, onto the output lists.
             y = partial[above == goal]
-            if not len(y):
-                return
-            if h_arr is None or int(np.abs(y).max()) * h_sum >= 2**62:
-                raise ConstructionError("short_vectors: entries too large for the int64 map back")
-            x = y @ h_arr
-            found.extend(x.tolist())
-            negated.extend((-x).tolist())  # -y maps to -x
+            if len(y):
+                yield y
             return
         e = partial @ cols[i]
         t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
@@ -378,11 +364,56 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
         child[:, 0] = values
         child[:, 1:] = partial[reps]
         for start in range(0, len(child), _CHUNK):
-            expand(child[start : start + _CHUNK], below[start : start + _CHUNK], i - 1)
+            yield from expand(child[start : start + _CHUNK], below[start : start + _CHUNK], i - 1)
 
-    for k in range(n - 1, -1, -1):
-        expand(np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), k, lo_min=1)
+    def leaves():
+        for k in range(n - 1, -1, -1):
+            root = np.zeros((1, n - 1 - k), np.int64)
+            yield from expand(root, np.zeros(1, np.int64), k, lo_min=1)
+
+    return goal == 0, h, leaves()
+
+
+def short_vectors(gram, norm_target) -> list[list[int]]:
+    """All integer x with x' G x equal to norm_target.
+
+    G must be a positive-definite integer Gram (NotPositiveDefiniteError
+    otherwise). Output is in the walk's deterministic order, not sorted:
+    the half walk's rows (see _half_walk) mapped back in walk order, then
+    their negatives in the same order, then the zero row if T' = 0.
+    Each block of leaves is mapped back, x = y H in int64, as soon as the
+    walk reaches it and appended to the output list (its negatives to a
+    second list, joined at the end), so live memory is the output list
+    plus one block per level: no array of all leaves or of all mapped
+    rows exists. The map back is guarded in Python ints: |x_c| <= max|y|
+    * sum_j |H_jc| must stay below 2^62.
+    """
+    zero, h, leaves = _half_walk(gram, norm_target)
+    # |x_c| <= max|y| * sum_j |H_jc|; bounded in Python ints before H enters int64.
+    h_sum = max((sum(abs(row[c]) for row in h) for c in range(len(h))), default=0)
+    h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
+    found: list[list[int]] = []
+    negated: list[list[int]] = []
+    for y in leaves:
+        if h_arr is None or int(np.abs(y).max()) * h_sum >= 2**62:
+            raise ConstructionError("short_vectors: entries too large for the int64 map back")
+        x = y @ h_arr
+        found.extend(x.tolist())
+        negated.extend((-x).tolist())  # -y maps to -x
     found += negated
-    if goal == 0:
-        found.append([0] * n)
+    if zero:
+        found.append([0] * len(h))
     return found
+
+
+def count_vectors(gram, norm_target) -> int:
+    """The number of integer x with x' G x equal to norm_target, which is
+    len(short_vectors(gram, norm_target)), with the same checks and raises.
+
+    It counts the same half walk's leaves and builds no row: H is
+    unimodular, so x = y H is a bijection and needs no map back. Each
+    leaf stands for itself and its negative; the zero row adds one when
+    T' = 0.
+    """
+    zero, _, leaves = _half_walk(gram, norm_target)
+    return 2 * sum(len(y) for y in leaves) + zero

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, census, exact, golay, leech, ns
 from .errors import Conics800Error
-from .lattices import IntegralLattice, short_vectors
+from .lattices import IntegralLattice, count_vectors, short_vectors
 
 SCHEMA = "conics800-report/1"
 
@@ -75,6 +75,7 @@ class Pipeline:
 
     octad_choice: str = "lex"
     threads: int = 1
+    raw_code: golay.GolayCode | None = None
     code: golay.GolayCode | None = None
     frame: golay.Frame | None = None
     vectors: np.ndarray | None = None
@@ -90,8 +91,8 @@ class Pipeline:
 
 def stage_golay(state: Pipeline, section: dict) -> None:
     add = section["checks"].append
-    raw = golay.build_golay()
-    state.code, state.frame = golay.normalize_frame(raw, state.choice_arg())
+    state.raw_code = golay.build_golay()
+    state.code, state.frame = golay.normalize_frame(state.raw_code, state.choice_arg())
     code = state.code
     add(check("codeword_count", 4096, len(code.words), "construction"))
     add(
@@ -169,7 +170,7 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
             "exhaustive-scan",
         )
     )
-    recount = census.recount_by_codewords(state.code, records)
+    recount = census.recount_by_codewords(state.code)
     add(
         check(
             "recount_underlined_factors",
@@ -221,14 +222,14 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     )
 
     # Frame invariance: the same split for every one of the 4 choices.
-    # The run's own frame ("lex" is choice 0) reuses the split above.
-    raw = golay.build_golay()
+    # The run's own frame ("lex" is choice 0) reuses the split above, and
+    # every other frame re-normalizes the raw code stage_golay built.
     splits = {}
     for choice in range(4):
         if choice == state.frame.choice:
             splits[str(choice)] = census.pattern_split(records)
             continue
-        c2, _ = golay.normalize_frame(raw, choice)
+        c2, _ = golay.normalize_frame(state.raw_code, choice)
         v2 = leech.all_minimal_vectors(c2)
         k2 = census.find_conics(v2)
         splits[str(choice)] = census.pattern_split(census.classify_all(k2, c2))
@@ -310,12 +311,17 @@ def stage_ns(state: Pipeline, section: dict) -> None:
 
 
 def stage_heavy(state: Pipeline, section: dict) -> None:
-    """Independent short-vector enumeration over the 24x24 basis Gram."""
+    """Independent short-vector enumeration over the 24x24 basis Gram.
+
+    The rows judge counts only, so both come from count_vectors: the
+    same exact walk as short_vectors, counting its leaves without
+    mapping them back or listing them.
+    """
     add = section["checks"].append
-    found4 = short_vectors(state.leech_gram, HEAVY_NORM_TARGET)
-    add(check("norm_4_vector_count", HEAVY_EXPECTED, len(found4), "enumeration-oracle"))
-    found2 = short_vectors(state.leech_gram, 2)
-    add(check("norm_2_vector_count", 0, len(found2), "enumeration-oracle"))
+    count4 = count_vectors(state.leech_gram, HEAVY_NORM_TARGET)
+    add(check("norm_4_vector_count", HEAVY_EXPECTED, count4, "enumeration-oracle"))
+    count2 = count_vectors(state.leech_gram, 2)
+    add(check("norm_2_vector_count", 0, count2, "enumeration-oracle"))
 
 
 STAGE_ORDER = ("golay", "leech", "conics", "ns")

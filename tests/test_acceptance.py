@@ -76,7 +76,7 @@ def test_criterion_05_conic_census(vectors, code):
     t0 = time.monotonic()
     found = census.find_conics(vectors)
     recs = census.classify_all(found, code)
-    recount = census.recount_by_codewords(code, recs)
+    recount = census.recount_by_codewords(code)
     elapsed = time.monotonic() - t0
     assert len(found) == 800
     split = {"P1": 0, "P2": 0, "P3": 0, "P4": 0}

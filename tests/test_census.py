@@ -82,18 +82,29 @@ def test_classify_rejects_unknown_profile(code):
 
 
 def test_recount_matches_census(code, records):
-    rep = census.recount_by_codewords(code, records)
+    rep = census.recount_by_codewords(code)
     assert rep["total"] == 800
     per = {p: d["recount"] for p, d in rep["patterns"].items()}
     assert per == census.PATTERN_COUNTS
     under = {p: d["underline"] for p, d in rep["patterns"].items()}
     assert under == {"P1": 16, "P2": 16, "P3": 10, "P4": 3}
+    split = census.pattern_split(records)
     for pattern, d in rep["patterns"].items():
-        assert d["census"] == d["recount"]
+        # The census of each window: the records of the pattern whose
+        # movable pair (either order for P4) is the window's.
+        fixed = set(census.WINDOW_CONDITIONS[pattern]["fixed"])
+        windows = [
+            sum(
+                r.pattern == pattern and set(r.movable_pair or ()) == set(e["window"]) - fixed
+                for r in records
+            )
+            for e in d["windows"]
+        ]
+        assert split[pattern] == sum(windows) == d["recount"]
         per_codeword = d["signs_per_codeword"] * (2 if pattern == "P4" else 1)
-        for entry in d["windows"]:
+        for entry, in_window in zip(d["windows"], windows):
             assert entry["codewords"] == d["underline"]
-            assert entry["census"] == entry["codewords"] * per_codeword
+            assert in_window == entry["codewords"] * per_codeword
 
 
 def test_intersection_histogram(products_hist):

@@ -141,6 +141,23 @@ def _no_p2_profile(monkeypatch, vectors):
     monkeypatch.delitem(census.PROFILES, p2)
 
 
+def _e8_cubed_gram(monkeypatch, vectors):
+    """The heavy stage reads E8+E8+E8 in place of the Leech Gram: even,
+    unimodular and of rank 24 too, but with 720 roots and 179280 vectors
+    of norm 4."""
+    edges = {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
+    e8 = [[2 if i == j else -1 if (min(i, j), max(i, j)) in edges else 0 for j in range(8)]
+          for i in range(8)]
+    gram = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)] for i in range(24)]
+    stage_leech = report.stage_leech
+
+    def planted(state, section):
+        stage_leech(state, section)
+        state.leech_gram = gram
+
+    monkeypatch.setattr(report, "stage_leech", planted)
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
@@ -159,6 +176,10 @@ PLANTED = {
     "norm_4_vector_count": (
         "leech --heavy", lambda mp, v: mp.setattr(report, "HEAVY_EXPECTED", 196561),
         1, None, 196561, 196560, {"norm_4_vector_count"},
+    ),
+    "norm_2_vector_count": (
+        "leech --heavy", _e8_cubed_gram, 1, None, 0, 720,
+        {"norm_2_vector_count", "norm_4_vector_count"},
     ),
     "seed_gram": (
         "conics", _seed_gram_entry, 1, None,

@@ -13,6 +13,7 @@ from conics800.errors import ConstructionError, NotPositiveDefiniteError, Verifi
 from conics800.lattices import (
     FiniteQuadraticForm,
     IntegralLattice,
+    count_vectors,
     discriminant_form,
     fqf_isomorphic,
     orthogonal_complement,
@@ -53,6 +54,8 @@ def test_short_vectors_against_box_oracle():
         for target in (0, 1, 2, 3, 4):
             got = sorted(list(v) for v in short_vectors(gram, target))
             assert got == _box_short_vectors(gram, target)
+            assert count_vectors(gram, target) == len(got)
+        assert count_vectors(gram, Fraction(1, 2)) == len(short_vectors(gram, Fraction(1, 2)))
 
 
 def test_short_vectors_identity_contract():
@@ -63,6 +66,8 @@ def test_short_vectors_identity_contract():
     # Rank 0: only the empty vector, of norm 0.
     assert short_vectors([], 0) == [[]]
     assert short_vectors([], 1) == []
+    assert count_vectors([], 0) == 1
+    assert count_vectors([], 1) == 0
 
 
 def test_short_vectors_map_back_guard_is_exact():
@@ -91,6 +96,11 @@ def _e8_outputs():
 
 def test_short_vectors_e8_theta_counts():
     assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 17520]
+    assert [count_vectors(E8_CARTAN, t) for t in (2, 4, 6, 8)] == [240, 2160, 6720, 17520]
+    # E8+E8+E8 at rank 24: 3 * 240 roots, and 3 * 2160 + 3 * 240^2 norm-4 vectors.
+    cubed = [[E8_CARTAN[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
+             for i in range(24)]
+    assert [count_vectors(cubed, t) for t in (2, 4)] == [720, 179280]
 
 
 def test_short_vectors_rows_then_negatives():
@@ -116,6 +126,7 @@ def test_short_vectors_unimodular_invariance(seed):
     for target in (2, 4):
         mapped = sorted(exact.mat_mul([x], u)[0] for x in short_vectors(skewed, target))
         assert mapped == sorted(short_vectors(E8_CARTAN, target))
+        assert count_vectors(skewed, target) == len(mapped)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -134,16 +145,17 @@ def test_isqrt_exact_up_to_the_walk_bound():
 
 
 def test_short_vectors_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        short_vectors([[1, 0], [0, -1]], 2)
-    with pytest.raises(ConstructionError):
-        short_vectors([[Fraction(1, 2), 0], [0, 1]], 2)
-    with pytest.raises(ConstructionError):
-        short_vectors([[2, 1], [0, 2]], 2)  # not symmetric
-    # Leading minors near 2^81 exceed the int64 walk's bound.
     p = 2**27 + 1
-    with pytest.raises(ConstructionError):
-        short_vectors([[p, 1], [1, p]], 2)
+    for walk in (short_vectors, count_vectors):
+        with pytest.raises(NotPositiveDefiniteError):
+            walk([[1, 0], [0, -1]], 2)
+        with pytest.raises(ConstructionError):
+            walk([[Fraction(1, 2), 0], [0, 1]], 2)
+        with pytest.raises(ConstructionError):
+            walk([[2, 1], [0, 2]], 2)  # not symmetric
+        # Leading minors near 2^81 exceed the int64 walk's bound.
+        with pytest.raises(ConstructionError):
+            walk([[p, 1], [1, p]], 2)
 
 
 def test_integral_lattice_roundtrip():

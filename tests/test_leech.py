@@ -7,7 +7,7 @@ import pytest
 
 from conics800 import exact, golay, leech
 from conics800.errors import ConstructionError
-from conics800.lattices import short_vectors
+from conics800.lattices import count_vectors, short_vectors
 
 
 def test_census_counts_and_invariants(code):
@@ -189,3 +189,24 @@ def test_norm4_enumeration_memory_follows_its_output(basis):
     assert peak <= 1.25 * held
     half = len(rows) // 2
     assert all(rows[k + half] == [-x for x in rows[k]] for k in range(half))
+
+
+@pytest.mark.heavy
+def test_norm4_count_lists_no_rows(basis):
+    """count_vectors walks the norm-4 tree without building its rows: its
+    traced peak is at most half of what short_vectors' list holds."""
+    gram = _leech_gram(basis)
+    tracemalloc.start()
+    try:
+        rows = short_vectors(gram, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        count = count_vectors(gram, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == len(rows) == 196560
+    assert peak <= held / 2
