@@ -215,15 +215,14 @@ def disjointness_masks(true_products: np.ndarray) -> list[int]:
 
 def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:
     """Lexicographically least clique of the given size, by ordered DFS;
-    empty when none exists."""
+    empty when none exists. A child is entered only if it and its later
+    neighbours can still fill the clique, so nodes need no bound."""
     n = len(masks)
     full = (1 << n) - 1
 
     def dfs(clique: list[int], cand: int) -> list[int] | None:
         if len(clique) == size:
             return clique
-        if len(clique) + cand.bit_count() < size:
-            return None
         c = cand
         while c:
             v = (c & -c).bit_length() - 1

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heavy",
         action="store_true",
         help="also cross-check the count by independent short-vector "
-        "enumeration (a few seconds)",
+        "enumeration (about half a second)",
     )
 
     c = sub.add_parser("conics", help="filter and classify the 800 conic vectors")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--skip-heavy",
         action="store_true",
-        help="omit the long independent enumeration cross-check",
+        help="omit the independent enumeration cross-check",
     )
     return ap
 

@@ -13,11 +13,13 @@ normal-form algorithms routinely exceed machine words even for small
 inputs, so none of this goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
-functions leave their inputs untouched.
+functions leave their inputs untouched, reading them through copy_matrix,
+whose ``operator.index`` refuses a float or a Fraction rather than truncate it.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .errors import NotPositiveDefiniteError
@@ -27,7 +29,7 @@ IntMatrix = list[list[int]]
 
 def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Copy to plain Python ints (numpy scalars would wrap silently)."""
-    return [[int(x) for x in row] for row in m]
+    return [[index(x) for x in row] for row in m]
 
 
 def identity(n: int) -> IntMatrix:
@@ -140,8 +142,7 @@ def hnf(rows: Sequence[Sequence[int]], transform: bool = False):
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: dict = {}
-    for i, row in enumerate(rows):
-        v = [int(x) for x in row]
+    for i, v in enumerate(copy_matrix(rows)):
         if transform:
             v += [int(i == j) for j in range(m)]
         _merge_row(pivots, v)
@@ -191,7 +192,7 @@ class LeftSolver:
         return self.solve(v) is not None
 
     def solve(self, v):
-        w = [int(x) for x in v]
+        w = copy_matrix([v])[0]
         coeffs = [0] * len(self.h)
         for i, (row, c) in enumerate(zip(self.h, self._pivots)):
             if w[c] == 0:
@@ -315,7 +316,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     row swaps' sign. Raises ArithmeticError when m is singular.
     """
     n = len(m)
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(copy_matrix(m))]
     sign, d = _bareiss_jordan(a, n)
     if d == 0:
         raise ArithmeticError("adjugate of a singular matrix")

@@ -48,7 +48,7 @@ class IntegralLattice:
     """
 
     def __init__(self, basis, ambient_scale: int = 1):
-        self.basis = [[int(x) for x in row] for row in basis]
+        self.basis = exact.copy_matrix(basis)
         self.ambient_scale = int(ambient_scale)
         self.solver = exact.LeftSolver(self.basis)
         if self.solver.rank != len(self.basis):
@@ -285,11 +285,16 @@ _CHUNK = 4096
 
 
 def _isqrt(r: np.ndarray) -> np.ndarray:
-    """floor(sqrt(r)) for int64 0 <= r < 2^61. The float64 root is then within
-    2^-21 of the true one, so its floor is off by at most one each way."""
+    """floor(sqrt(r)) for int64 0 <= r < 2^61, from the float64 root s.
+
+    With k = isqrt(r), s is never below k, so one downward step is exact
+    (Goldberg, ACM Computing Surveys 23(1), 1991): rounding is monotonic,
+    so fl(r) >= fl(k^2) >= k^2 (1 - 2^-53) and sqrt(fl(r)) > k - ulp(k)/2,
+    which rounds to at least k. (For k a power of two, k^2 is a double and
+    fl(r) >= k^2 outright.) Likewise r < (k + 1)^2 keeps s <= k + 1.
+    """
     s = np.sqrt(r.astype(np.float64)).astype(np.int64)
     s -= s * s > r
-    s += (s + 1) * (s + 1) <= r
     return s
 
 

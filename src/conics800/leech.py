@@ -44,10 +44,8 @@ MINIMAL_COUNT = 196560
 # at scale 1/8, so |det B|^2 = 8^24.
 RAW_BASIS_DET = 8**12
 
-# extract_basis scans int64 blocks of rows that double from _FIRST_BLOCK
-# up to _CHUNK rows.
-_FIRST_BLOCK = 32
-_CHUNK = 1024
+# Rows per int64 block of the extract_basis scan.
+_CHUNK = 512
 
 
 def shape31_vectors(code: GolayCode) -> np.ndarray:
@@ -123,6 +121,7 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     """
     vectors = all_minimal_vectors(code)
     by_largest = np.bincount(np.abs(vectors).max(axis=1), minlength=5)
+    # int8 entries: each sum is at most 24 * 127^2 = 387096, inside int32.
     norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.int32)
     words = (vectors.view(np.uint8) ^ 0x80).view(">u8")
     ordered = vectors[np.lexsort(words.T[::-1])]
@@ -154,20 +153,16 @@ def extract_basis(vectors: np.ndarray) -> list[list[int]]:
     det' = N_j and, by the rank-one update of B^-1,
     A' = (N_j A - A[:, j] (x) (N - d e_j)) / d, an exact division since
     A' is again an adjugate. So the stop test reads the tracked d. The
-    scan is an int64 product in blocks that double from _FIRST_BLOCK to
-    _CHUNK rows past the last exchange (the hits on every frame lie 0, 1,
-    21, 47, ..., 12287 rows on), after a check that no product can leave
-    int64. Returns the rows as Python ints, in census order.
+    scan past the last exchange is an int64 product in blocks of _CHUNK
+    rows, each after a check that no product can leave int64. Returns
+    the rows as Python ints, in census order.
     """
     det, adj = exact.adjugate(vectors[:24].tolist())
     idx, pos = list(range(24)), 24
     while abs(det) != RAW_BASIS_DET:
         amax = max(max(map(abs, row)) for row in adj)
-        start, size = pos, _FIRST_BLOCK
-        while True:
-            block = vectors[start : start + size].astype(np.int64)
-            if not len(block):
-                raise ConstructionError("leech: minimal vectors did not span the lattice")
+        for start in range(pos, len(vectors), _CHUNK):
+            block = vectors[start : start + _CHUNK].astype(np.int64)
             l1 = int(np.abs(block).sum(axis=1).max())
             if max(l1 * amax, abs(det)) >= 2**63:
                 raise ConstructionError("leech: basis exchange would overflow int64")
@@ -176,8 +171,8 @@ def extract_basis(vectors: np.ndarray) -> list[list[int]]:
             hits = np.flatnonzero(swap.any(axis=1))
             if len(hits):
                 break
-            start += size
-            size = min(2 * size, _CHUNK)
+        else:
+            raise ConstructionError("leech: minimal vectors did not span the lattice")
         j = int(np.flatnonzero(swap[hits[0]])[-1])
         n = num[hits[0]].tolist()
         nj = n[j]

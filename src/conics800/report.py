@@ -44,22 +44,8 @@ HEAVY_NORM_TARGET = 4
 HEAVY_EXPECTED = leech.MINIMAL_COUNT
 
 
-def _plain(value):
-    """Make a value JSON-stable: tuples to lists, numpy to python."""
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def check(name: str, expected, computed, source: str) -> dict:
-    expected = _plain(expected)
-    computed = _plain(computed)
+    """One row; both values are already JSON values (no tuple or numpy)."""
     return {
         "name": name,
         "expected": expected,
@@ -157,7 +143,7 @@ def stage_leech(state: Pipeline, section: dict) -> None:
 def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> None:
     add = section["checks"].append
     seed_gram = census.seed_gram()
-    add(check("seed_gram", census.SEED_GRAM, seed_gram, "construction"))
+    add(check("seed_gram", [list(r) for r in census.SEED_GRAM], seed_gram, "construction"))
     add(check("seed_gram_det", census.SEED_DET, exact.det_bareiss(seed_gram), "determinant-oracle"))
     state.conics = census.find_conics(state.vectors)
     add(check("conic_count", census.CONIC_COUNT, len(state.conics), "exhaustive-scan"))

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output selection, JSON determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,38 @@ def test_construction_failure_exit_3(monkeypatch, capsys, tmp_path):
     assert data["error"] == {
         "stage": "leech", "type": "ConstructionError", "message": "synthetic failure"
     }
+
+
+def test_verification_error_exit_1(monkeypatch, capsys, tmp_path):
+    from conics800.errors import VerificationError
+
+    def boom(vectors):
+        raise VerificationError("synthetic mismatch")
+
+    monkeypatch.setattr(leech, "extract_basis", boom)
+    out = tmp_path / "r.json"
+    assert cli.main(["leech", "--json", str(out)]) == 1
+    assert "verification failed" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert data["overall"] is False
+    kept = data["stages"]["leech"]
+    assert [c["name"] for c in kept["checks"]] == [
+        "shape_counts", "total_minimal_vectors", "all_raw_norms_32",
+        "no_duplicates", "negation_closed",
+    ]
+    assert all(c["pass"] for c in kept["checks"])
+    assert data["error"] == {
+        "stage": "leech", "type": "VerificationError", "message": "synthetic mismatch"
+    }
+
+
+def test_verify_all_skip_heavy_matches_reference(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-all", "--skip-heavy", "--json", str(out)]) == 0
+    data = report.strip_volatile(json.loads(out.read_text(encoding="utf-8")))
+    digest = hashlib.sha256(report.serialize(data).encode("utf-8")).hexdigest()
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["certify"]["light"]["lex"]
+    assert digest == expected
 
 
 def _duplicate_vector(monkeypatch, vectors):

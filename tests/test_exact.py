@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conics800 import exact
 from conics800.errors import NotPositiveDefiniteError
+from conics800.lattices import IntegralLattice
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -391,3 +393,25 @@ def test_snf_contract_example():
     assert d == [1, 1, 2, 2, 40]
     assert exact.invariant_factors(seed) == (2, 2, 40)
     assert exact.det_bareiss(seed) == 160
+
+
+def test_non_integer_entries_are_refused():
+    """Entries are converted with operator.index, not int(): int() would
+    read det [[1.5]] as 1, the signature of [[0.5]] as (0, 0, 1), and the
+    lattice row [0.5, 1] as [0, 1]. numpy integers still pass."""
+    assert exact.det_bareiss([[np.int64(3), np.int8(1)], [1, 1]]) == 2
+    assert IntegralLattice(np.array([[2, 1]], dtype=np.int8)).basis == [[2, 1]]
+    for bad in (1.5, 0.5, 2.0, Fraction(1, 2), Fraction(2)):
+        calls = [
+            lambda: exact.copy_matrix([[bad]]),
+            lambda: exact.det_bareiss([[bad]]),
+            lambda: exact.signature([[bad]]),
+            lambda: exact.hnf([[bad, 1]]),
+            lambda: exact.hnf([[bad, 1]], transform=True),
+            lambda: exact.adjugate([[bad]]),
+            lambda: exact.LeftSolver([[1, 0]]).solve([bad, 0]),
+            lambda: IntegralLattice([[bad, 1]]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()

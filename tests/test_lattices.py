@@ -22,15 +22,16 @@ from conics800.lattices import (
 )
 
 
-def _box_short_vectors(gram, target, bound=8):
-    """Oracle: brute-force enumeration over an integer box, in Python ints."""
+def _box_short_vectors(gram, targets, bound=8):
+    """Oracle: one brute-force scan of an integer box, in Python ints,
+    bucketing the vectors of each target norm, each bucket sorted."""
     n = len(gram)
-    out = []
+    out = {target: [] for target in targets}
     for cand in product(range(-bound, bound + 1), repeat=n):
         norm = sum(cand[i] * gram[i][j] * cand[j] for i in range(n) for j in range(n))
-        if norm == target:
-            out.append(list(cand))
-    return sorted(out)
+        if norm in out:
+            out[norm].append(list(cand))
+    return {target: sorted(vs) for target, vs in out.items()}
 
 
 def _random_posdef(rng, n):
@@ -51,9 +52,10 @@ def test_short_vectors_against_box_oracle():
     # Content 2 and 3: odd targets on 2G and targets 1, 2, 4 on 3G have no solution.
     scaled = [_scaled(gram, c) for c in (2, 3) for gram in grams]
     for gram in grams + [[[a]] for a in range(1, 6)] + scaled:
+        box = _box_short_vectors(gram, (0, 1, 2, 3, 4))
         for target in (0, 1, 2, 3, 4):
             got = sorted(list(v) for v in short_vectors(gram, target))
-            assert got == _box_short_vectors(gram, target)
+            assert got == box[target]
             assert count_vectors(gram, target) == len(got)
         assert count_vectors(gram, Fraction(1, 2)) == len(short_vectors(gram, Fraction(1, 2)))
 
@@ -255,6 +257,11 @@ def test_fqf_negate_involution():
 def test_bad_witness_rejected():
     f = FiniteQuadraticForm.from_blocks((4, Fraction(1, 4)))
     assert verify_fqf_witness(f, f, [(2,)]) is False
+    # On Z/8 with q(g) = 1/8, g -> 3g is an automorphism, but q(3g) = 9/8;
+    # g -> 7g is one too, and q(7g) = 49/8 = 1/8 mod 2.
+    z8 = FiniteQuadraticForm.from_blocks((8, Fraction(1, 8)))
+    assert verify_fqf_witness(z8, z8, [(3,)]) is False
+    assert verify_fqf_witness(z8, z8, [(7,)]) is True
     # Z/2 + Z/2 -> Z/4 sending the generators to 1 and 0: the images
     # generate, and every q numerator agrees (over levels 2 and 4), but
     # the map is no homomorphism.
