@@ -3,14 +3,15 @@
 Everything here runs on Python's arbitrary-precision ints: Hermite
 normal forms, where one elimination of the augmented rows ``[M | I]``
 also yields the unimodular transform and the canonical left kernel;
-Smith normal forms with their left transform; determinants and
-adjugates from one fraction-free Gauss-Jordan elimination; integer
-linear solves over an HNF without zero rows; LLL reduction of
-positive-definite Gram matrices (integral, so it also yields exact
-Gram-Schmidt data); and exact signatures of symmetric forms by a
-symmetric fraction-free elimination. Intermediate entries of the
-normal-form algorithms routinely exceed machine words even for small
-inputs, so none of this goes through numpy.
+the Smith normal form's divisors and left transform, which only the
+discriminant-group generators read; determinants and adjugates from
+one fraction-free Gauss-Jordan elimination; integer linear solves over
+an HNF without zero rows; LLL reduction of positive-definite Gram
+matrices (integral, so it also yields exact Gram-Schmidt data); and
+exact signatures of symmetric forms by a symmetric fraction-free
+elimination. Intermediate entries of the normal-form algorithms
+routinely exceed machine words even for small inputs, so none of this
+goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched, reading them through copy_matrix,
@@ -62,10 +63,6 @@ def _row_sub(m, i, k, q) -> None:
         ri, rk = m[i], m[k]
         for j in range(len(ri)):
             ri[j] -= q * rk[j]
-
-
-def _row_neg(m, i) -> None:
-    m[i] = [-x for x in m[i]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -213,10 +210,12 @@ def snf(m: Sequence[Sequence[int]]):
     Divisors are nonnegative with d1 | d2 | ...; row i of ``L @ M`` is d_i
     times a row of a primitive set (zero when d_i = 0 or i >= len(d)).
     No caller reads R, so none is built. Diagonalizes by alternating row
-    and column HNF passes (each keeps entries reduced, avoiding the
-    coefficient blowup of naive scanning); only the row passes' transforms
-    enter L. Then sorts zeros last and repairs divisibility with the row
-    half of a 2x2 unimodular block.
+    and column HNF passes, a row pass first (each keeps entries reduced,
+    avoiding the coefficient blowup of naive scanning); only the row
+    passes' transforms enter L. A pass leaves positive pivots at
+    increasing positions and zero rows or columns last, so the diagonal
+    it stops at is already nonnegative with its zeros last. Then repairs
+    divisibility with the row half of a 2x2 unimodular block.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -229,36 +228,27 @@ def snf(m: Sequence[Sequence[int]]):
         )
 
     for _ in range(200):
-        if is_diagonal():
-            break
         a, u = hnf(a, transform=True)
         left = mat_mul(u, left)
         if is_diagonal():
             break
         a = transpose(hnf(transpose(a)))
+        if is_diagonal():
+            break
     else:
         raise ArithmeticError("Smith normal form did not converge")
 
+    # Enforce d_i | d_j for i < j: fold row j into row i, and the column
+    # block [[x, -dj/g], [y, di/g]] would leave [[g, 0], [y dj, di dj/g]];
+    # clearing (j, i) is a row operation again.
     k = min(rows, cols)
-    for i in range(k):
-        if a[i][i] < 0:
-            a[i][i] = -a[i][i]
-            _row_neg(left, i)
-
-    # Sort zeros to the end, then enforce d_i | d_j for i < j: fold row j
-    # into row i, and the column block [[x, -dj/g], [y, di/g]] would leave
-    # [[g, 0], [y dj, di dj/g]]; clearing (j, i) is a row operation again.
     changed = True
     while changed:
         changed = False
         for i in range(k):
             for j in range(i + 1, k):
                 di, dj = a[i][i], a[j][j]
-                if di == 0 and dj != 0:
-                    a[i][i], a[j][j] = dj, di
-                    left[i], left[j] = left[j], left[i]
-                    changed = True
-                elif di != 0 and dj % di:
+                if di and dj % di:
                     g, x, y = _xgcd(di, dj)
                     _row_sub(left, i, j, -1)  # row i += row j
                     _row_sub(left, j, i, y * dj // g)  # clear the (j, i) remnant
@@ -266,12 +256,6 @@ def snf(m: Sequence[Sequence[int]]):
                     changed = True
     divisors = [a[i][i] for i in range(k)]
     return divisors, left
-
-
-def invariant_factors(m) -> tuple[int, ...]:
-    """Nontrivial SNF divisors (those different from 1), zeros included."""
-    divisors, _ = snf(m)
-    return tuple(d for d in divisors if d != 1)
 
 
 def _bareiss_jordan(a: IntMatrix, n: int) -> tuple[int, int]:

@@ -27,6 +27,7 @@ count_vectors only counts the leaves, building no row at all.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -49,7 +50,7 @@ class IntegralLattice:
 
     def __init__(self, basis, ambient_scale: int = 1):
         self.basis = exact.copy_matrix(basis)
-        self.ambient_scale = int(ambient_scale)
+        self.ambient_scale = operator.index(ambient_scale)
         self.solver = exact.LeftSolver(self.basis)
         if self.solver.rank != len(self.basis):
             raise ConstructionError("lattice basis rows are dependent")
@@ -172,13 +173,6 @@ class FiniteQuadraticForm:
         """Numerator of b(x, y) over the level, in [0, N)."""
         return self._pair(x, y) % self.level
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return exact.invariant_factors(_diagonal(self.orders))
-
-
-def _diagonal(orders) -> list[list[int]]:
-    return [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
-
 
 def discriminant_form(gram) -> FiniteQuadraticForm:
     """The finite quadratic form on dual/lattice of an even lattice,
@@ -212,8 +206,11 @@ FQF_ORDER_LIMIT = 10**4
 
 
 def _subgroup_is_everything(form: FiniteQuadraticForm, images) -> bool:
-    """Do the image tuples generate the whole group of `form`?"""
-    return not exact.invariant_factors(_diagonal(form.orders) + [list(x) for x in images])
+    """Do the image tuples generate `form`'s group? Exactly when they and
+    the rows diag(orders) span Z^k: the first k rows of their HNF are I."""
+    k = len(form.orders)
+    diagonal = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(form.orders)]
+    return exact.hnf(diagonal + [list(x) for x in images])[:k] == exact.identity(k)
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
@@ -222,14 +219,16 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm):
     Pruned depth-first search over images: candidate images must match
     the generator's order and q value, pair correctly (b) with all
     previously placed images, and the full image set must generate f2.
+    Images of the generators' orders make the map a homomorphism, and
+    generating makes it onto; with equal group orders it is bijective.
     """
     if f1.group_order > FQF_ORDER_LIMIT or f2.group_order > FQF_ORDER_LIMIT:
         raise UnsupportedSizeError(
             f"fqf_isomorphic limited to order {FQF_ORDER_LIMIT}, "
             f"got {f1.group_order} and {f2.group_order}"
         )
-    # Equal invariant factors give equal levels, so numerators compare directly.
-    if f1.invariant_factors() != f2.invariant_factors():
+    # Equal levels let numerators compare directly; the search decides the rest.
+    if (f1.group_order, f1.level) != (f2.group_order, f2.level):
         return False, None
     # Bucket the elements of f2 by (order, q) once.
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}

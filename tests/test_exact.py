@@ -203,7 +203,8 @@ def test_snf_defining_properties():
     divisors have coprime maximal minors and the other rows of L M are
     zero. Such a Q extends to a unimodular matrix, so this is exactly
     L M R = diag(d) for some unimodular R. Diagonal inputs with negative
-    and zero entries skip the HNF passes and need the sign and order repair."""
+    and zero entries check that the first row pass leaves the divisors
+    nonnegative with their zeros last."""
     rng = random.Random(59)
     cases = [_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(200)]
     for _ in range(40):
@@ -376,9 +377,9 @@ def test_signature_against_constructed_inertia():
     assert exact.signature([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == (1, 1, 1)
 
 
-def test_invariant_factors_drop_units():
-    assert exact.invariant_factors([[2, 0], [0, 3]]) == (6,)
-    assert exact.invariant_factors([[1, 0], [0, 1]]) == ()
+def test_snf_divisors_keep_units():
+    assert exact.snf([[2, 0], [0, 3]])[0] == [1, 6]
+    assert exact.snf(exact.identity(2))[0] == [1, 1]
 
 
 def test_hnf_contract_example():
@@ -391,16 +392,17 @@ def test_snf_contract_example():
             [0, 0, 2, 4, 0], [0, 1, -1, 0, 4]]
     d, _ = exact.snf(seed)
     assert d == [1, 1, 2, 2, 40]
-    assert exact.invariant_factors(seed) == (2, 2, 40)
     assert exact.det_bareiss(seed) == 160
 
 
 def test_non_integer_entries_are_refused():
     """Entries are converted with operator.index, not int(): int() would
-    read det [[1.5]] as 1, the signature of [[0.5]] as (0, 0, 1), and the
-    lattice row [0.5, 1] as [0, 1]. numpy integers still pass."""
+    read det [[1.5]] as 1, the signature of [[0.5]] as (0, 0, 1), the
+    lattice row [0.5, 1] as [0, 1], and the Gram of [[4, 0]] over the
+    ambient scale 8.5 as [[2]]. numpy integers still pass."""
     assert exact.det_bareiss([[np.int64(3), np.int8(1)], [1, 1]]) == 2
     assert IntegralLattice(np.array([[2, 1]], dtype=np.int8)).basis == [[2, 1]]
+    assert IntegralLattice([[4, 0]], ambient_scale=np.int64(2)).gram_int() == [[8]]
     for bad in (1.5, 0.5, 2.0, Fraction(1, 2), Fraction(2)):
         calls = [
             lambda: exact.copy_matrix([[bad]]),
@@ -411,6 +413,7 @@ def test_non_integer_entries_are_refused():
             lambda: exact.adjugate([[bad]]),
             lambda: exact.LeftSolver([[1, 0]]).solve([bad, 0]),
             lambda: IntegralLattice([[bad, 1]]),
+            lambda: IntegralLattice([[4, 0]], ambient_scale=bad),
         ]
         for call in calls:
             with pytest.raises(TypeError):

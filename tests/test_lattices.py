@@ -248,6 +248,20 @@ def test_fqf_negative_pairs():
     assert not ok2
 
 
+def test_fqf_search_rejects_same_order_forms():
+    """Z/4 + Z/2 + Z/2 and Z/4 + Z/4 share order 16 and level 4, so only
+    the search tells them apart; Z/8 + Z/2 has order 16 but level 8."""
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    a = FiniteQuadraticForm.from_blocks((4, quarter), (2, half), (2, half))
+    b = FiniteQuadraticForm.from_blocks((4, quarter), (4, quarter))
+    assert (a.group_order, a.level) == (b.group_order, b.level) == (16, 4)
+    assert fqf_isomorphic(a, b) == (False, None)
+    assert fqf_isomorphic(b, a) == (False, None)
+    c = FiniteQuadraticForm.from_blocks((8, Fraction(1, 8)), (2, half))
+    assert (c.group_order, c.level) == (16, 8)
+    assert fqf_isomorphic(c, b) == (False, None)
+
+
 def test_fqf_negate_involution():
     f = FiniteQuadraticForm.from_blocks((4, Fraction(5, 4)), (5, Fraction(2, 5)))
     ok, wit = fqf_isomorphic(f.negate().negate(), f)

@@ -163,14 +163,17 @@ def _leech_gram(basis):
 @pytest.mark.heavy
 def test_norm4_enumeration_is_the_census(code, basis):
     """The 196560 basis coordinates found by Fincke-Pohst map onto exactly
-    the census vectors, as a set of rows."""
+    the census vectors, as a set of rows. Both are sorted by one lexsort,
+    which on these rows is about 5x faster than np.unique(axis=0)."""
     found4 = short_vectors(_leech_gram(basis), 4)
     vectors, _ = leech.census(code)
     ambient = np.array(found4, dtype=np.int64) @ np.array(basis, dtype=np.int64)
     expected = vectors.astype(np.int64)
     assert len(ambient) == len(expected) == 196560
-    assert len(np.unique(ambient, axis=0)) == len(ambient)
-    assert np.array_equal(np.unique(ambient, axis=0), np.unique(expected, axis=0))
+    ambient = ambient[np.lexsort(ambient.T[::-1])]
+    expected = expected[np.lexsort(expected.T[::-1])]
+    assert (ambient[1:] != ambient[:-1]).any(axis=1).all()
+    assert np.array_equal(ambient, expected)
 
 
 @pytest.mark.heavy
