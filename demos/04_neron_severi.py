@@ -35,10 +35,10 @@ def main() -> None:
     gram_int = [[int(x) for x in row] for row in n.gram]
     print(f"  rank {n.rank}, det {exact.det_bareiss(gram_int)}, "
           f"signature {exact.signature(gram_int)}")
-    print(f"  h.h = {int(n.h @ n.gram @ n.h)}, h.x always even: "
+    print(f"  h.h = {int(ns.int64_product(n.h, n.gram, n.h))}, h.x always even: "
           f"{ns.check_h_parity(n)}")
-    cc = n.classes @ n.gram @ n.classes.T
-    ch = n.classes @ n.gram @ n.h
+    cc = ns.int64_product(n.classes, n.gram, n.classes.T)
+    ch = ns.int64_product(n.classes, n.gram, n.h)
     print(f"  800 conic classes c = l - hbar/2 + h/2: c^2 = -2 all "
           f"({bool((cc.diagonal() == -2).all())}), c.h = 2 all ({bool((ch == 2).all())})")
     comp = np.array_equal(cc, 2 - products)

@@ -210,7 +210,13 @@ def disjointness_masks(true_products: np.ndarray) -> list[int]:
     """Adjacency bitmasks: i ~ j iff the classes are disjoint (l_i.l_j = 2)."""
     adj = true_products == 2
     np.fill_diagonal(adj, False)
-    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in adj]
+    return _row_masks(adj)
+
+
+def _row_masks(adj: np.ndarray) -> list[int]:
+    """Row i of a square bool matrix as an int with bit j = adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:
@@ -257,19 +263,21 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
     colours, so only vertices of colour number >= need are branched on,
     in reverse colour order, each cleared from the candidates after its
     branch. Every clique is counted once, at its first branched vertex.
+
+    Each top-level branch v is its own small problem: its candidates
+    (the neighbours of v not yet cleared) are ordered by degree within
+    that set, descending and stable, and renumbered 0..k-1, so every
+    deeper bitset is k bits wide (115 of 800 on average on the conic graph)
+    and every greedy colouring follows MCQ's degree order. Renumbering
+    is a bijection, so the count does not change.
     `exhausted` is False when the deadline cut the search short.
     """
     deadline = monotonic() + budget_seconds
-    non = [~(m | 1 << v) for v, m in enumerate(masks)]
+    n = len(masks)
     count = 0
 
-    def expand(need: int, cand: int) -> bool:
-        nonlocal count
-        if need <= 1:
-            count += cand.bit_count() if need else 1
-            return True
-        if monotonic() > deadline:
-            return False
+    def branches(non: list[int], need: int, cand: int) -> list[int]:
+        """Vertices of colour number >= need, in colour order."""
         branch = []
         uncol = cand
         colour = 0
@@ -283,11 +291,38 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
                 uncol ^= low
                 if colour >= need:
                     branch.append(v)
-        for v in reversed(branch):
-            if not expand(need - 1, cand & masks[v]):
+        return branch
+
+    def expand(tab: list[int], non: list[int], need: int, cand: int) -> bool:
+        nonlocal count
+        if need <= 1:
+            count += cand.bit_count() if need else 1
+            return True
+        if monotonic() > deadline:
+            return False
+        for v in reversed(branches(non, need, cand)):
+            if not expand(tab, non, need - 1, cand & tab[v]):
                 return False
             cand ^= 1 << v
         return True
 
-    exhausted = expand(size, (1 << len(masks)) - 1)
-    return count, exhausted
+    def non_neighbours(tab: list[int]) -> list[int]:
+        return [~(m | 1 << v) for v, m in enumerate(tab)]
+
+    if size <= 1:
+        return (n if size else 1), True
+    if monotonic() > deadline:
+        return 0, False
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    alive = np.ones(n, dtype=bool)
+    for v in reversed(branches(non_neighbours(masks), size, (1 << n) - 1)):
+        sub = np.flatnonzero(adj[v] & alive)
+        alive[v] = False
+        degree = adj[np.ix_(sub, sub)].sum(axis=1)
+        sub = sub[np.argsort(-degree, kind="stable")]
+        tab = _row_masks(adj[np.ix_(sub, sub)])
+        if not expand(tab, non_neighbours(tab), size - 1, (1 << len(tab)) - 1):
+            return count, False
+    return count, True

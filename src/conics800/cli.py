@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["first", "all"],
         default="first",
         help="report the first 16-clique of disjoint conics, or also "
-        "count all of them (exhaustive, a few seconds; a 60 s budget "
-        "is kept as a safety stop)",
+        "count all of them (exhaustive, about 1 s more on a 2-vCPU VM; "
+        "a 60 s budget is kept as a safety stop)",
     )
 
     n = sub.add_parser("ns", help="build and verify the polarized rank-20 lattice")

@@ -187,9 +187,27 @@ def check_glue_independence(n: PolarizedLattice, conics: np.ndarray) -> bool:
     return bool(np.array_equal(solver.h, n.hnf2) and np.array_equal(gram, n.gram))
 
 
+def int64_product(*factors: np.ndarray) -> np.ndarray:
+    """The product of int64 factors, left to right. Before each step a
+    check in Python ints bounds its entries, |(A B)_ij| <= max|A| *
+    max|B| * (inner length), and raises ConstructionError unless the
+    bound is below 2^62, so no product wraps."""
+    product, bound = factors[0], _abs_max(factors[0])
+    for f in factors[1:]:
+        bound *= _abs_max(f) * len(f)
+        if bound >= 2**62:
+            raise ConstructionError("entries too large for an int64 product")
+        product = product @ f
+    return product
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
 def check_h_parity(n: PolarizedLattice) -> bool:
     """True iff h.x is even for every basis vector x of N."""
-    return not (n.gram @ n.h % 2).any()
+    return not (int64_product(n.gram, n.h) % 2).any()
 
 
 def verify_discriminants(n: PolarizedLattice) -> dict:

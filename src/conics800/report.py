@@ -246,13 +246,14 @@ def stage_ns(state: Pipeline, section: dict) -> None:
     add(check("N_rank", 20, n.rank, "construction"))
     add(check("N_det", -160, exact.det_bareiss(n_gram), "determinant-oracle"))
     add(check("N_signature", [1, 19, 0], list(exact.signature(n_gram)), "construction"))
-    add(check("h_self_product", 4, int(n.h @ n.gram @ n.h), "construction"))
+    add(check("h_self_product", 4, int(ns.int64_product(n.h, n.gram, n.h)), "construction"))
     add(check("h_parity_in_N", True, ns.check_h_parity(n), "exhaustive-scan"))
     cls = n.classes
     add(check("classes_in_N", census.CONIC_COUNT, len(cls), "construction"))
-    cc = cls @ n.gram @ cls.T
+    cc = ns.int64_product(cls, n.gram, cls.T)
+    ch = ns.int64_product(cls, n.gram, n.h)
     add(check("class_self_products_-2", True, bool((cc.diagonal() == -2).all()), "exhaustive-scan"))
-    add(check("class_h_products_2", True, bool((cls @ n.gram @ n.h == 2).all()), "exhaustive-scan"))
+    add(check("class_h_products_2", True, bool((ch == 2).all()), "exhaustive-scan"))
     add(
         check(
             "class_products_complementary",

@@ -168,6 +168,53 @@ def test_count_cliques_matches_brute_force():
             assert got == (_brute_force_cliques(masks, size), True), (trial, n, size)
 
 
+def _ordered_dfs_cliques(masks: list[int], size: int) -> int:
+    """Each clique once, in increasing vertex order: a clique is extended
+    only by its higher-index common neighbours. No colouring, no relabeling."""
+
+    def extend(cand: int, need: int) -> int:
+        if need <= 1:
+            return cand.bit_count() if need else 1
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            total += extend(cand & masks[low.bit_length() - 1], need - 1)
+        return total
+
+    return extend((1 << len(masks)) - 1, size)
+
+
+def test_count_cliques_matches_ordered_dfs_on_wide_graphs(monkeypatch):
+    """Graphs of 70-160 vertices, so that the per-branch sub-problems are
+    wider than 64 bits, of widths that are not multiples of 8, and hold
+    degree ties. The sub-problem tables are watched as they are packed:
+    each is in descending degree order."""
+    widths, ties = [], 0
+    row_masks = census._row_masks
+
+    def watched(adj):
+        nonlocal ties
+        degree = adj.sum(axis=1)
+        assert (degree[:-1] >= degree[1:]).all()
+        widths.append(len(adj))
+        ties += int((degree[:-1] == degree[1:]).sum())
+        return row_masks(adj)
+
+    monkeypatch.setattr(census, "_row_masks", watched)
+    rng = random.Random(2003)
+    for i, n in enumerate(range(70, 161, 10)):
+        density = (0.5, 0.4, 0.3)[i % 3]
+        size = 3 + i % 4
+        masks = _random_masks(rng, n, density)
+        expected = _ordered_dfs_cliques(masks, size)
+        assert expected > 0
+        assert census.count_disjoint_16(masks, size=size) == (expected, True), (n, size)
+    assert max(widths) > 64
+    assert any(w % 8 for w in widths)
+    assert ties
+
+
 def test_count_cliques_edge_sizes():
     masks = _random_masks(random.Random(5), 9, 0.5)
     edges = sum(m.bit_count() for m in masks) // 2

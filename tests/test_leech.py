@@ -160,12 +160,28 @@ def _leech_gram(basis):
     return [[x // 8 for x in row] for row in exact.mat_mul(basis, exact.transpose(basis))]
 
 
+@pytest.fixture(scope="module")
+def norm4_walk(basis):
+    """The norm-4 list walk on the Leech Gram, made once for the heavy
+    tests below under tracemalloc: (gram, rows, held, peak), where held
+    is the traced memory the returned list holds and peak the walk's
+    traced peak."""
+    gram = _leech_gram(basis)
+    tracemalloc.start()
+    try:
+        rows = short_vectors(gram, 4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return gram, rows, held, peak
+
+
 @pytest.mark.heavy
-def test_norm4_enumeration_is_the_census(code, basis):
+def test_norm4_enumeration_is_the_census(code, basis, norm4_walk):
     """The 196560 basis coordinates found by Fincke-Pohst map onto exactly
     the census vectors, as a set of rows. Both are sorted by one lexsort,
     which on these rows is about 5x faster than np.unique(axis=0)."""
-    found4 = short_vectors(_leech_gram(basis), 4)
+    _, found4, _, _ = norm4_walk
     vectors, _ = leech.census(code)
     ambient = np.array(found4, dtype=np.int64) @ np.array(basis, dtype=np.int64)
     expected = vectors.astype(np.int64)
@@ -177,17 +193,11 @@ def test_norm4_enumeration_is_the_census(code, basis):
 
 
 @pytest.mark.heavy
-def test_norm4_enumeration_memory_follows_its_output(basis):
+def test_norm4_enumeration_memory_follows_its_output(norm4_walk):
     """While the norm-4 walk runs, no full-size copy of its rows exists: the
     traced peak stays within 1.25x of what the returned list holds (one
     int64 array of all 196560 rows would add about 0.36x)."""
-    gram = _leech_gram(basis)
-    tracemalloc.start()
-    try:
-        rows = short_vectors(gram, 4)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, rows, held, peak = norm4_walk
     assert len(rows) == 196560
     assert peak <= 1.25 * held
     half = len(rows) // 2
@@ -195,16 +205,10 @@ def test_norm4_enumeration_memory_follows_its_output(basis):
 
 
 @pytest.mark.heavy
-def test_norm4_count_lists_no_rows(basis):
+def test_norm4_count_lists_no_rows(norm4_walk):
     """count_vectors walks the norm-4 tree without building its rows: its
     traced peak is at most half of what short_vectors' list holds."""
-    gram = _leech_gram(basis)
-    tracemalloc.start()
-    try:
-        rows = short_vectors(gram, 4)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    gram, rows, held, _ = norm4_walk
     tracemalloc.start()
     try:
         count = count_vectors(gram, 4)

@@ -1,5 +1,6 @@
 """Tests for the rank-20 construction, extension, and scans."""
 
+import dataclasses
 import math
 import random
 from itertools import product
@@ -55,6 +56,19 @@ def test_N_invariants(n_lattice):
     assert all(gram[i][i] % 2 == 0 for i in range(20))
     assert int(n.h @ n.gram @ n.h) == 4
     assert ns.check_h_parity(n)
+
+
+def test_h_parity_refuses_a_product_that_could_wrap(n_lattice):
+    """A Gram scaled by 2^58 still fits int64, but Gram . h would not:
+    check_h_parity raises instead of reading wrapped entries. The bound
+    is exact on both sides of 2^62."""
+    wide = dataclasses.replace(n_lattice, gram=n_lattice.gram * 2**58)
+    with pytest.raises(ConstructionError, match="int64 product"):
+        ns.check_h_parity(wide)
+    below = ns.int64_product(np.array([2**31]), np.array([2**31 - 1]))
+    assert int(below) == 2**62 - 2**31
+    with pytest.raises(ConstructionError, match="int64 product"):
+        ns.int64_product(np.array([2**31]), np.array([-(2**31)]))
 
 
 def _doubled_sum_rows(n):

@@ -1,12 +1,15 @@
-"""The pass-path report is byte-identical to the recorded reference."""
+"""The pass-path report is byte-identical to the recorded reference, and
+the ns stage refuses an int64 product that could wrap."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from conics800 import report
+from conics800 import ns, report
+from conics800.errors import ConstructionError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -34,3 +37,20 @@ def test_full_report_matches_reference():
     norm-2 enumerations."""
     expected = _reference("full")
     assert {frame: _digest(frame, heavy=True) for frame in expected} == expected
+
+
+def test_stage_ns_refuses_class_products_that_could_wrap(
+    monkeypatch, lam, conics, true_products, n_lattice
+):
+    """Classes scaled by 2^29 still fit int64, but their products with
+    the Gram would not: the stage raises at the class products, after
+    the rows before them, instead of judging wrapped entries."""
+    wide = dataclasses.replace(n_lattice, classes=n_lattice.classes * 2**29)
+    monkeypatch.setattr(ns, "build_N", lambda s, conics: wide)
+    state = report.Pipeline(lam=lam, conics=conics, true_products=true_products)
+    section = {"checks": []}
+    with pytest.raises(ConstructionError, match="int64 product"):
+        report.stage_ns(state, section)
+    rows = section["checks"]
+    assert rows[-1]["name"] == "classes_in_N"
+    assert all(row["pass"] for row in rows)
