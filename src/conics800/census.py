@@ -210,11 +210,6 @@ def disjointness_masks(true_products: np.ndarray) -> list[int]:
     """Adjacency bitmasks: i ~ j iff the classes are disjoint (l_i.l_j = 2)."""
     adj = true_products == 2
     np.fill_diagonal(adj, False)
-    return _row_masks(adj)
-
-
-def _row_masks(adj: np.ndarray) -> list[int]:
-    """Row i of a square bool matrix as an int with bit j = adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -269,60 +264,166 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
     that set, descending and stable, and renumbered 0..k-1, so every
     deeper bitset is k bits wide (115 of 800 on average on the conic graph)
     and every greedy colouring follows MCQ's degree order. Renumbering
-    is a bijection, so the count does not change.
-    `exhausted` is False when the deadline cut the search short.
+    is a bijection, so the count does not change. All sub-problems share
+    one uint64 table (_subproblem_table).
+
+    Below the root the search is level-synchronous and bit-parallel, in
+    the style of San Segundo, Rodriguez-Losada & Jimenez (Computers & OR
+    38(2), 2011). It goes depth-first over blocks of at most _CHUNK nodes
+    of one need, and _branch advances a whole block one level with numpy
+    operations that serve every node at once. Colours, branches and
+    nodes are those of a per-node search. The deadline is checked once
+    per block, and `exhausted` is False when it cut the search short.
+
+    `masks` must be a loop-free symmetric adjacency on n = len(masks)
+    bits (ValueError otherwise).
     """
     deadline = monotonic() + budget_seconds
     n = len(masks)
-    count = 0
-
-    def branches(non: list[int], need: int, cand: int) -> list[int]:
-        """Vertices of colour number >= need, in colour order."""
-        branch = []
-        uncol = cand
-        colour = 0
-        while uncol:
-            colour += 1
-            q = uncol
-            while q:
-                low = q & -q
-                v = low.bit_length() - 1
-                q &= non[v]
-                uncol ^= low
-                if colour >= need:
-                    branch.append(v)
-        return branch
-
-    def expand(tab: list[int], non: list[int], need: int, cand: int) -> bool:
-        nonlocal count
-        if need <= 1:
-            count += cand.bit_count() if need else 1
-            return True
-        if monotonic() > deadline:
-            return False
-        for v in reversed(branches(non, need, cand)):
-            if not expand(tab, non, need - 1, cand & tab[v]):
-                return False
-            cand ^= 1 << v
-        return True
-
-    def non_neighbours(tab: list[int]) -> list[int]:
-        return [~(m | 1 << v) for v, m in enumerate(tab)]
-
+    adj = _adjacency(masks)
     if size <= 1:
         return (n if size else 1), True
-    if monotonic() > deadline:
-        return 0, False
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    # The root colouring on n-bit ints: the vertices of colour >= size.
+    non = [~(m | 1 << v) for v, m in enumerate(masks)]
+    branch = []
+    uncol, colour = (1 << n) - 1, 0
+    while uncol:
+        colour += 1
+        q = uncol
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            q &= non[v]
+            uncol ^= low
+            if colour >= size:
+                branch.append(v)
     alive = np.ones(n, dtype=bool)
-    for v in reversed(branches(non_neighbours(masks), size, (1 << n) - 1)):
+    subs = []
+    for v in reversed(branch):
         sub = np.flatnonzero(adj[v] & alive)
         alive[v] = False
         degree = adj[np.ix_(sub, sub)].sum(axis=1)
-        sub = sub[np.argsort(-degree, kind="stable")]
-        tab = _row_masks(adj[np.ix_(sub, sub)])
-        if not expand(tab, non_neighbours(tab), size - 1, (1 << len(tab)) - 1):
-            return count, False
-    return count, True
+        subs.append(sub[np.argsort(-degree, kind="stable")])
+    tab, base = _subproblem_table(adj, subs)
+    widths = np.array([len(sub) for sub in subs], dtype=np.int64)
+    full = np.arange(64 * len(tab)) < widths[:, None]
+    roots = np.packbits(full, axis=1, bitorder="little").view("<u8").T.copy()
+    count = 0
+
+    def walk(base: np.ndarray, cand: np.ndarray, need: int) -> bool:
+        """Search the nodes of one need, a block at a time."""
+        nonlocal count
+        for i in range(0, len(base), _CHUNK):
+            b, c = base[i : i + _CHUNK], cand[:, i : i + _CHUNK]
+            if need == 1:
+                count += int(_popcount(c).sum())
+            elif monotonic() > deadline or not walk(*_branch(tab, b, c, need), need - 1):
+                return False
+        return True
+
+    exhausted = walk(base, roots, size - 1)
+    return count, exhausted
+
+
+# Nodes per block of the clique search.
+_CHUNK = 4096
+
+# Set bits of each byte value.
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+
+
+def _adjacency(masks: list[int]) -> np.ndarray:
+    """The n x n bool matrix of masks, n = len(masks); ValueError unless
+    they are a loop-free symmetric adjacency on n bits."""
+    n = len(masks)
+    width = (n + 7) // 8
+    if not any(m >> n for m in masks):
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+        if not adj.diagonal().any() and (adj == adj.T).all():
+            return adj
+    raise ValueError("masks must be a loop-free symmetric adjacency on len(masks) bits")
+
+
+def _subproblem_table(adj: np.ndarray, subs: list[np.ndarray]):
+    """(tab, base): every sub-problem's closed neighbourhoods in one table.
+
+    Sub-problem s owns columns base[s] + i, i < len(subs[s]), of the
+    uint64 table tab of W rows, W = ceil(K / 64) for the widest K.
+    Column base[s] + i has bit j (word j // 64, bit j % 64) set iff j = i
+    or subs[s][i] ~ subs[s][j]. The table is word-major, so that one
+    word of many nodes is one contiguous read.
+    """
+    widths = [len(sub) for sub in subs]
+    base = np.cumsum([0] + widths[:-1], dtype=np.int64)
+    words = -(-max(widths, default=0) // 64) or 1
+    tab = np.zeros((words, sum(widths)), "<u8")
+    for sub, start in zip(subs, base):
+        block = np.zeros((len(sub), 64 * words), dtype=bool)
+        block[:, : len(sub)] = adj[np.ix_(sub, sub)]
+        np.fill_diagonal(block, True)
+        tab[:, start : start + len(sub)] = np.packbits(block, axis=1, bitorder="little").view("<u8").T
+    return tab, base
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each column of a W x m uint64 array, as int64."""
+    counts = _POP8[words.view(np.uint8)].reshape(len(words), -1, 8)
+    return counts.sum(axis=(0, 2), dtype=np.int64)
+
+
+def _branch(tab: np.ndarray, base: np.ndarray, cand: np.ndarray, need: int):
+    """The children (base, cand) of a block of nodes of one need.
+
+    Node r searches the sub-problem at column base[r] of tab with the
+    candidates in column r of cand (W x m, word-major). Each step colours
+    one vertex of every node still colouring, as its greedy colouring
+    would: when the current class q is empty a new class starts with
+    q = the uncoloured vertices; then the lowest vertex v of q takes the
+    colour and q &= ~tab[v] (v's closed neighbourhood). Colours never
+    decrease, so once a node's colour reaches need every later vertex is
+    branched on. The child of v keeps v's neighbours among the vertices
+    coloured before it, as those after it were branched on and cleared
+    first. Children come node by node, each node's in reverse colour order.
+
+    A node takes one step per candidate. With the nodes sorted by
+    candidate count, descending, those still colouring are a prefix, and
+    a node with fewer than need candidates has no branch and is dropped.
+    """
+    pop = _popcount(cand)
+    order = np.argsort(-pop, kind="stable")[: np.count_nonzero(pop >= need)]
+    pop, start, cand = pop[order], base[order], np.take(cand, order, axis=1)
+    m = len(order)
+    uncol = cand.copy()
+    q = np.zeros_like(cand)
+    colour = np.zeros(m, dtype=np.int64)
+    nodes = np.arange(m)
+    parents, kids = [], []
+    for a in np.searchsorted(-pop, -np.arange(pop[0] if m else 0)):
+        qa, ua = q[:, :a], uncol[:, :a]
+        fresh = ~qa.any(axis=0)
+        colour[:a] += fresh
+        np.copyto(qa, ua, where=fresh)
+        # q's first nonzero word is the number of zero words before it (q != 0)
+        zero = qa[0] == 0
+        word = zero.astype(np.int64)
+        for w in range(1, len(q) - 1):
+            zero &= qa[w] == 0
+            word += zero
+        at = word * m + nodes[:a]
+        bits = q.reshape(-1)[at]
+        low = bits & (~bits + 1)
+        nbr = np.take(tab, start[:a] + np.frexp(low)[1] - 1 + 64 * word, axis=1)
+        qa &= ~nbr
+        b = np.flatnonzero(colour[:a] >= need)
+        if len(b):
+            parents.append(b)
+            # ua still holds v, so the child is v's neighbours coloured before it
+            kids.append(nbr[:, b] & cand[:, b] & ~ua[:, b])
+        uncol.reshape(-1)[at] ^= low
+    if not parents:
+        return base[:0], cand[:, :0]
+    parent = order[np.concatenate(parents)]
+    # reversed, the children are in descending step; a stable sort by parent keeps that
+    back = len(parent) - 1 - np.argsort(parent[::-1], kind="stable")
+    return base[parent[back]], np.take(np.concatenate(kids, axis=1), back, axis=1)

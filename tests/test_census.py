@@ -1,5 +1,6 @@
 """Tests for the conic census, classification, recount, and cliques."""
 
+import itertools
 import json
 import random
 from itertools import combinations
@@ -188,20 +189,21 @@ def _ordered_dfs_cliques(masks: list[int], size: int) -> int:
 def test_count_cliques_matches_ordered_dfs_on_wide_graphs(monkeypatch):
     """Graphs of 70-160 vertices, so that the per-branch sub-problems are
     wider than 64 bits, of widths that are not multiples of 8, and hold
-    degree ties. The sub-problem tables are watched as they are packed:
+    degree ties. The sub-problems are watched as their table is packed:
     each is in descending degree order."""
     widths, ties = [], 0
-    row_masks = census._row_masks
+    subproblem_table = census._subproblem_table
 
-    def watched(adj):
+    def watched(adj, subs):
         nonlocal ties
-        degree = adj.sum(axis=1)
-        assert (degree[:-1] >= degree[1:]).all()
-        widths.append(len(adj))
-        ties += int((degree[:-1] == degree[1:]).sum())
-        return row_masks(adj)
+        for sub in subs:
+            degree = adj[np.ix_(sub, sub)].sum(axis=1)
+            assert (degree[:-1] >= degree[1:]).all()
+            widths.append(len(sub))
+            ties += int((degree[:-1] == degree[1:]).sum())
+        return subproblem_table(adj, subs)
 
-    monkeypatch.setattr(census, "_row_masks", watched)
+    monkeypatch.setattr(census, "_subproblem_table", watched)
     rng = random.Random(2003)
     for i, n in enumerate(range(70, 161, 10)):
         density = (0.5, 0.4, 0.3)[i % 3]
@@ -213,6 +215,97 @@ def test_count_cliques_matches_ordered_dfs_on_wide_graphs(monkeypatch):
     assert max(widths) > 64
     assert any(w % 8 for w in widths)
     assert ties
+
+
+def _mcq_children(masks: list[int], cand: int, need: int) -> list[int]:
+    """The children of one node of a per-node MCQ search, in branch order:
+    the vertices of colour >= need in reverse colour order, each child the
+    candidates adjacent to its vertex, each vertex cleared after its branch."""
+    non = [~(m | 1 << v) for v, m in enumerate(masks)]
+    branch, uncol, colour = [], cand, 0
+    while uncol:
+        colour += 1
+        q = uncol
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            q &= non[v]
+            uncol ^= low
+            if colour >= need:
+                branch.append(v)
+    children = []
+    for v in reversed(branch):
+        children.append(cand & masks[v])
+        cand ^= 1 << v
+    return children
+
+
+def test_branch_matches_the_per_node_search():
+    """One level of the block walk gives the per-node search's children,
+    node by node and in branch order, for nodes of many sizes and needs."""
+    rng = random.Random(1103)
+    n = 150
+    masks = _random_masks(rng, n, 0.5)
+    adj = np.array([[m >> j & 1 for j in range(n)] for m in masks], dtype=bool)
+    tab, _ = census._subproblem_table(adj, [np.arange(n)])
+    assert len(tab) == 3
+    cands = [0, (1 << n) - 1] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(100)]
+    cands += [rng.getrandbits(n) for _ in range(100)]
+    packed = np.array([[c >> 64 * w & (2**64 - 1) for c in cands] for w in range(3)], np.uint64)
+    for need in (2, 3, 5, 8):
+        base, got = census._branch(tab, np.zeros(len(cands), np.int64), packed, need)
+        expected = [child for c in cands for child in _mcq_children(masks, c, need)]
+        assert [sum(int(x) << 64 * w for w, x in enumerate(col)) for col in got.T] == expected
+        assert base.tolist() == [0] * len(expected)
+
+
+def test_triangle_count_on_three_word_sub_problems(monkeypatch):
+    """A dense graph whose sub-problems are wider than 128 bits, so each
+    table column is three 64-bit words; triangles recounted as trace(A^3)/6."""
+    masks = _random_masks(random.Random(300), 300, 0.55)
+    words = []
+    subproblem_table = census._subproblem_table
+
+    def watched(adj, subs):
+        tab, base = subproblem_table(adj, subs)
+        words.append(len(tab))
+        return tab, base
+
+    monkeypatch.setattr(census, "_subproblem_table", watched)
+    a = np.array([[m >> j & 1 for j in range(300)] for m in masks], dtype=np.int64)
+    triangles = int((a @ a * a).sum()) // 6
+    assert census.count_disjoint_16(masks, size=3) == (triangles, True)
+    assert words == [3]
+
+
+def test_clique_count_deadline_is_checked_per_block(monkeypatch):
+    """A clock that ticks once per reading: the deadline passes after the
+    root block and the first block below it, so the count stops early."""
+    masks = _random_masks(random.Random(200), 200, 0.5)
+    full, exhausted = census.count_disjoint_16(masks, size=4)
+    assert exhausted
+    ticks = itertools.count()
+    monkeypatch.setattr(census, "monotonic", lambda: next(ticks))
+    count, exhausted = census.count_disjoint_16(masks, size=4, budget_seconds=2.5)
+    assert exhausted is False
+    assert 0 < count < full
+    assert next(ticks) == 4
+
+
+@pytest.mark.parametrize(
+    "masks, size",
+    [
+        ([0b111, 0b111, 0b111], 3),  # a triangle with loops
+        ([0b1111] * 4, 3),  # K4 with loops
+        ([0b110, 0b101, 0b1011], 2),  # bit 3 of a 3-vertex mask, inside its byte
+        ([0b110, 0b101, 0b011 | 1 << 20], 2),  # bit 20, past its byte
+        ([0b010, 0b000, 0b000], 2),  # 0 ~ 1 but not 1 ~ 0
+        ([-2, 0b101, 0b011], 2),  # a negative mask
+    ],
+)
+def test_count_cliques_refuses_malformed_masks(masks, size):
+    with pytest.raises(ValueError):
+        census.count_disjoint_16(masks, size=size)
 
 
 def test_count_cliques_edge_sizes():

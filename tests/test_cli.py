@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conics800 import census, cli, golay, leech, ns, report
@@ -191,6 +192,31 @@ def _e8_cubed_gram(monkeypatch, vectors):
     monkeypatch.setattr(report, "stage_leech", planted)
 
 
+def _clique_graph(edit):
+    """A plant in the clique rows' graph input: disjointness_masks reads
+    a copy of the true products after edit. The lexicographically least
+    16-clique of the real graph is conics 0-15."""
+
+    def plant(monkeypatch, vectors):
+        disjointness_masks = census.disjointness_masks
+        monkeypatch.setattr(
+            census, "disjointness_masks", lambda products: disjointness_masks(edit(products.copy()))
+        )
+
+    return plant
+
+
+def _swap_15_16(products):
+    order = list(range(len(products)))
+    order[15], order[16] = 16, 15
+    return products[np.ix_(order, order)]
+
+
+def _join_799_to_first_16(products):
+    products[799, :16] = products[:16, 799] = 2
+    return products
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
@@ -240,6 +266,22 @@ PLANTED = {
         "conics", lambda mp, v: mp.setitem(census.WINDOW_CONDITIONS["P1"], "signs", 2),
         1, None, census.PATTERN_COUNTS, {"P1": 192, "P2": 96, "P3": 320, "P4": 288},
         {"recount_totals", "recount_grand_total"},
+    ),
+    # disjoint read as l_i.l_j = -2: a perfect matching, with no 16-clique;
+    # the empty clique then extends by any vertex
+    "disjoint_16_clique_found": (
+        "conics", _clique_graph(lambda products: -products), 1, None, 16, 0,
+        {"disjoint_16_clique_found", "clique_not_extendable"},
+    ),
+    # the graph's labels 15 and 16 swapped: its least clique holds conic 16
+    "clique_pairwise_products_2": (
+        "conics", _clique_graph(_swap_15_16), 1, None, True, False,
+        {"clique_pairwise_products_2"},
+    ),
+    # conic 799 joined to all of conics 0-15 in the graph
+    "clique_not_extendable": (
+        "conics", _clique_graph(_join_799_to_first_16), 1, None, False, True,
+        {"clique_not_extendable"},
     ),
     "no_duplicates": (
         "leech", _duplicate_vector, 3, "ArithmeticError", True, False,

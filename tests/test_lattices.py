@@ -84,6 +84,17 @@ def test_short_vectors_map_back_guard_is_exact():
             short_vectors([[1, big], [big, big * big + 1]], 1)
 
 
+def test_walk_int64_bound_on_both_sides():
+    """diag(1, P) at norm 1: the walk's int64 bound on its intermediates
+    lies between P = 2305843006213062000 and P + 1."""
+    p = 2305843006213062000
+    assert sorted(short_vectors([[1, 0], [0, p]], 1)) == [[-1, 0], [1, 0]]
+    assert count_vectors([[1, 0], [0, p]], 1) == 2
+    for walk in (short_vectors, count_vectors):
+        with pytest.raises(ConstructionError):
+            walk([[1, 0], [0, p + 1]], 1)
+
+
 # Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).
 E8_EDGES = {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
 E8_CARTAN = [
