@@ -217,7 +217,12 @@ def disjointness_masks(true_products: np.ndarray) -> list[int]:
 def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:
     """Lexicographically least clique of the given size, by ordered DFS;
     empty when none exists. A child is entered only if it and its later
-    neighbours can still fill the clique, so nodes need no bound."""
+    neighbours can still fill the clique, so nodes need no bound.
+
+    `masks` must be a loop-free symmetric adjacency on n = len(masks)
+    bits, and `size` non-negative (ValueError otherwise).
+    """
+    _adjacency(masks, size)
     n = len(masks)
     full = (1 << n) - 1
 
@@ -238,7 +243,9 @@ def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:
 
 
 def clique_extension_exists(masks: list[int], clique: list[int]) -> bool:
-    """One pass: is any vertex outside the clique adjacent to all of it?"""
+    """One pass: is any vertex outside the clique adjacent to all of it?
+    `masks` as for find_disjoint_16 (ValueError otherwise)."""
+    _adjacency(masks)
     cm = 0
     for v in clique:
         cm |= 1 << v
@@ -269,18 +276,25 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
 
     Below the root the search is level-synchronous and bit-parallel, in
     the style of San Segundo, Rodriguez-Losada & Jimenez (Computers & OR
-    38(2), 2011). It goes depth-first over blocks of at most _CHUNK nodes
-    of one need, and _branch advances a whole block one level with numpy
-    operations that serve every node at once. Colours, branches and
+    38(2), 2011). Nodes wait in one pool per need. _branch advances a
+    block of at most _CHUNK nodes of one need by one level, with numpy
+    operations that serve every node at once, and the children join the
+    pool of the next need; at need 1 their candidates are counted. The
+    walk branches the deepest pool that holds _CHUNK nodes, else the
+    shallowest pool that holds any: every pool above it is empty, so no
+    more nodes can arrive there. Every block is therefore full except the
+    last of each need. A pool receives children only while it holds fewer
+    than _CHUNK nodes, so beyond the roots it never holds more than
+    _CHUNK - 1 nodes plus one block's children. Colours, branches and
     nodes are those of a per-node search. The deadline is checked once
     per block, and `exhausted` is False when it cut the search short.
 
     `masks` must be a loop-free symmetric adjacency on n = len(masks)
-    bits (ValueError otherwise).
+    bits, and `size` non-negative (ValueError otherwise).
     """
     deadline = monotonic() + budget_seconds
     n = len(masks)
-    adj = _adjacency(masks)
+    adj = _adjacency(masks, size)
     if size <= 1:
         return (n if size else 1), True
     # The root colouring on n-bit ints: the vertices of colour >= size.
@@ -302,27 +316,33 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
     for v in reversed(branch):
         sub = np.flatnonzero(adj[v] & alive)
         alive[v] = False
-        degree = adj[np.ix_(sub, sub)].sum(axis=1)
+        degree = adj.take(sub, 0).take(sub, 1).sum(axis=1)
         subs.append(sub[np.argsort(-degree, kind="stable")])
     tab, base = _subproblem_table(adj, subs)
     widths = np.array([len(sub) for sub in subs], dtype=np.int64)
     full = np.arange(64 * len(tab)) < widths[:, None]
     roots = np.packbits(full, axis=1, bitorder="little").view("<u8").T.copy()
-    count = 0
-
-    def walk(base: np.ndarray, cand: np.ndarray, need: int) -> bool:
-        """Search the nodes of one need, a block at a time."""
-        nonlocal count
-        for i in range(0, len(base), _CHUNK):
-            b, c = base[i : i + _CHUNK], cand[:, i : i + _CHUNK]
-            if need == 1:
-                count += int(_popcount(c).sum())
-            elif monotonic() > deadline or not walk(*_branch(tab, b, c, need), need - 1):
-                return False
-        return True
-
-    exhausted = walk(base, roots, size - 1)
-    return count, exhausted
+    # pools[need]: the nodes of that need not yet branched, one (base, cand)
+    count, pools = 0, [(base[:0], roots[:, :0])] * size
+    need, kids = size - 1, (base, roots)
+    while True:
+        if need == 1:
+            count += int(_popcount(kids[1]).sum())
+        else:
+            pools[need] = tuple(np.concatenate(pair, axis=-1) for pair in zip(pools[need], kids))
+        del kids  # so that only the pool holds the children while the next block branches
+        held = [len(pool[0]) for pool in pools]
+        ready = [k for k in range(2, size) if held[k] >= _CHUNK]
+        left = [k for k in range(2, size) if held[k]]
+        if not left:
+            return count, True
+        need = ready[0] if ready else left[-1]
+        b, c = pools[need]
+        pools[need] = b[_CHUNK:], c[:, _CHUNK:]
+        if monotonic() > deadline:
+            return count, False
+        kids = _branch(tab, b[:_CHUNK], c[:, :_CHUNK], need)
+        need -= 1
 
 
 # Nodes per block of the clique search.
@@ -332,9 +352,12 @@ _CHUNK = 4096
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 
 
-def _adjacency(masks: list[int]) -> np.ndarray:
+def _adjacency(masks: list[int], size: int = 0) -> np.ndarray:
     """The n x n bool matrix of masks, n = len(masks); ValueError unless
-    they are a loop-free symmetric adjacency on n bits."""
+    they are a loop-free symmetric adjacency on n bits and the clique
+    size is non-negative."""
+    if size < 0:
+        raise ValueError(f"a clique cannot have negative size {size}")
     n = len(masks)
     width = (n + 7) // 8
     if not any(m >> n for m in masks):
@@ -360,7 +383,7 @@ def _subproblem_table(adj: np.ndarray, subs: list[np.ndarray]):
     tab = np.zeros((words, sum(widths)), "<u8")
     for sub, start in zip(subs, base):
         block = np.zeros((len(sub), 64 * words), dtype=bool)
-        block[:, : len(sub)] = adj[np.ix_(sub, sub)]
+        block[:, : len(sub)] = adj.take(sub, 0).take(sub, 1)
         np.fill_diagonal(block, True)
         tab[:, start : start + len(sub)] = np.packbits(block, axis=1, bitorder="little").view("<u8").T
     return tab, base
@@ -389,6 +412,12 @@ def _branch(tab: np.ndarray, base: np.ndarray, cand: np.ndarray, need: int):
     A node takes one step per candidate. With the nodes sorted by
     candidate count, descending, those still colouring are a prefix, and
     a node with fewer than need candidates has no branch and is dropped.
+
+    The one float step reads v's bit index from its word. That word of q
+    is nonzero, so its lowest set bit `low` is a uint64 2^k, 0 <= k <= 63.
+    float64 holds every such power exactly (one significant bit, exponent
+    far inside its range), and np.frexp writes it as 0.5 * 2^(k + 1), so
+    frexp's exponent minus one is k, with no rounding.
     """
     pop = _popcount(cand)
     order = np.argsort(-pop, kind="stable")[: np.count_nonzero(pop >= need)]

@@ -301,11 +301,97 @@ def test_clique_count_deadline_is_checked_per_block(monkeypatch):
         ([0b110, 0b101, 0b011 | 1 << 20], 2),  # bit 20, past its byte
         ([0b010, 0b000, 0b000], 2),  # 0 ~ 1 but not 1 ~ 0
         ([-2, 0b101, 0b011], 2),  # a negative mask
+        ([0b110, 0b101, 0b011], -1),  # a negative size
+        ([0b110, 0b101, 0b011], -3),
     ],
 )
 def test_count_cliques_refuses_malformed_masks(masks, size):
     with pytest.raises(ValueError):
         census.count_disjoint_16(masks, size=size)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (census.find_disjoint_16, ([0b110, 0b101, 0b011], -1)),  # a negative size
+        (census.find_disjoint_16, ([0b10, 0b00], 2)),  # 0 ~ 1 but not 1 ~ 0
+        (census.find_disjoint_16, ([0b111] * 3, 3)),  # a triangle with loops
+        (census.clique_extension_exists, ([0b10, 0b00], [1])),
+        (census.clique_extension_exists, ([0b111] * 3, [0])),
+    ],
+    ids=["find-negative-size", "find-asymmetric", "find-loops", "extend-asymmetric", "extend-loops"],
+)
+def test_clique_search_refuses_malformed_input(call, args):
+    """The same refusals as the count's, through the same check."""
+    with pytest.raises(ValueError):
+        call(*args)
+
+
+def _spy_blocks(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Watch census._branch: (need, nodes, table words, children) of
+    every block."""
+    blocks = []
+    branch = census._branch
+
+    def watched(tab, base, cand, need):
+        kids = branch(tab, base, cand, need)
+        blocks.append((need, len(base), len(tab), len(kids[0])))
+        return kids
+
+    monkeypatch.setattr(census, "_branch", watched)
+    return blocks
+
+
+def _assert_pooled_blocks(blocks: list[tuple[int, int, int, int]], chunk: int) -> None:
+    """Every block holds at most chunk nodes, and per need at most one
+    fewer. Replayed from the blocks, each pool but the roots' takes
+    children only while it holds fewer than chunk nodes, gives no more
+    nodes than it took, and ends empty."""
+    held, partial = {}, []
+    for need, nodes, _, kids in blocks:
+        assert 0 < nodes <= chunk
+        if nodes < chunk:
+            partial.append(need)
+        if need in held:
+            held[need] -= nodes
+            assert held[need] >= 0, need
+        if need > 2:
+            assert held.get(need - 1, 0) < chunk, need - 1
+            held[need - 1] = held.get(need - 1, 0) + kids
+    assert len(partial) == len(set(partial)), partial
+    assert not any(held.values()), held
+
+
+def test_clique_walk_nodes_by_need_on_the_census_order(true_products, monkeypatch):
+    """The walk on the census order branches the recorded number of nodes
+    at every need, in full blocks but for the last of each need."""
+    blocks = _spy_blocks(monkeypatch)
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["clique"]["count"]
+    masks = census.disjointness_masks(true_products)
+    assert census.count_disjoint_16(masks) == (expected, True)
+    nodes = dict.fromkeys(range(15, 1, -1), 0)
+    for need, k, _, _ in blocks:
+        nodes[need] += k
+    assert nodes == {15: 552, 14: 22894, 13: 51147, 12: 4116, 11: 216, 10: 61,
+                     **dict.fromkeys(range(9, 1, -1), 60)}
+    _assert_pooled_blocks(blocks, census._CHUNK)
+
+
+def test_clique_walk_pools_small_blocks(monkeypatch):
+    """With 16-node blocks, graphs wider than 64 bits still give the
+    ordered DFS count, in full blocks but for the last of each need."""
+    monkeypatch.setattr(census, "_CHUNK", 16)
+    blocks = _spy_blocks(monkeypatch)
+    rng, widest = random.Random(1611), 0
+    for n, density, sizes in ((80, 0.5, (3, 4, 5)), (130, 0.65, (3, 4))):
+        masks = _random_masks(rng, n, density)
+        for size in sizes:
+            blocks.clear()
+            expected = _ordered_dfs_cliques(masks, size)
+            assert census.count_disjoint_16(masks, size=size) == (expected, True), (n, size)
+            _assert_pooled_blocks(blocks, 16)
+            widest = max(widest, max(words for _, _, words, _ in blocks))
+    assert widest > 1
 
 
 def test_count_cliques_edge_sizes():
