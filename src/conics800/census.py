@@ -13,6 +13,7 @@ that share nothing but the code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from time import monotonic
@@ -244,10 +245,14 @@ def find_disjoint_16(masks: list[int], size: int = 16) -> list[int]:
 
 def clique_extension_exists(masks: list[int], clique: list[int]) -> bool:
     """One pass: is any vertex outside the clique adjacent to all of it?
-    `masks` as for find_disjoint_16 (ValueError otherwise)."""
+    `masks` as for find_disjoint_16, and `clique` distinct vertices of
+    the graph, pairwise adjacent (ValueError otherwise)."""
     _adjacency(masks)
     cm = 0
-    for v in clique:
+    for v in map(operator.index, clique):
+        # masks[v] has no bit v, so a repeated vertex fails here too
+        if not 0 <= v < len(masks) or masks[v] & cm != cm:
+            raise ValueError(f"{list(clique)} is not a clique of the graph")
         cm |= 1 << v
     for v in range(len(masks)):
         if not cm >> v & 1 and masks[v] & cm == cm:
@@ -355,8 +360,9 @@ _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=
 def _adjacency(masks: list[int], size: int = 0) -> np.ndarray:
     """The n x n bool matrix of masks, n = len(masks); ValueError unless
     they are a loop-free symmetric adjacency on n bits and the clique
-    size is non-negative."""
-    if size < 0:
+    size is non-negative. The size is read with operator.index, so a
+    non-integral size raises TypeError."""
+    if operator.index(size) < 0:
         raise ValueError(f"a clique cannot have negative size {size}")
     n = len(masks)
     width = (n + 7) // 8
@@ -413,11 +419,15 @@ def _branch(tab: np.ndarray, base: np.ndarray, cand: np.ndarray, need: int):
     candidate count, descending, those still colouring are a prefix, and
     a node with fewer than need candidates has no branch and is dropped.
 
-    The one float step reads v's bit index from its word. That word of q
-    is nonzero, so its lowest set bit `low` is a uint64 2^k, 0 <= k <= 63.
-    float64 holds every such power exactly (one significant bit, exponent
-    far inside its range), and np.frexp writes it as 0.5 * 2^(k + 1), so
-    frexp's exponent minus one is k, with no rounding.
+    The one float step reads v's bit index from its word, and it is
+    exact. That word of q is nonzero, so its lowest set bit
+    `low = bits & (~bits + 1)` (uint64 two's complement, in integers) is
+    2^k for one k, 0 <= k <= 63. np.frexp first casts low to float64, and
+    the cast is exact: 2^k has one significant bit, within float64's 53,
+    and k lies far inside its exponent range. frexp then writes it as
+    m * 2^e with m in [0.5, 1), which for 2^k is 0.5 * 2^(k + 1), so
+    e - 1 is k with no rounding (Goldberg, ACM Computing Surveys 23(1),
+    1991).
     """
     pop = _popcount(cand)
     order = np.argsort(-pop, kind="stable")[: np.count_nonzero(pop >= need)]

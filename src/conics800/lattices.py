@@ -12,16 +12,18 @@ matrix; finite quadratic forms are integer numerators over the level
 plain ints. Forms are compared by a pruned search over generator
 images, and the returned witness is re-verified exhaustively.
 
-Short vectors of a positive-definite integer Gram come from one exact
-Fincke-Pohst walk over an LLL-reduced basis (_half_walk): the integral
-LLL of the Gram matrix yields the leading minors and Gram-Schmidt
-numerators that make every layer bound an integer comparison, and the
-walk visits one row of each +-x pair. The tree is walked depth-first
-over bounded blocks, each expanded a level at a time, and yields each
-block of leaves as soon as it reaches it, so the walk itself holds one
-block per level of the current path. It has two consumers:
-short_vectors maps each block back onto its output list, and
-count_vectors only counts the leaves, building no row at all.
+Short vectors of a positive-definite integer Gram come from exact
+Fincke-Pohst walks over an LLL-reduced basis. Both walks share one
+prologue (_prologue): the input checks, the content step, the integral
+LLL of the Gram matrix, whose leading minors and Gram-Schmidt numerators
+make every layer bound an integer comparison, and the int64 bound. Both
+visit one row of each +-x pair. short_vectors lists rows: its walk
+(_half_walk) goes depth-first over bounded blocks, each expanded a level
+at a time, and maps each block of leaves back onto its output list as
+soon as it reaches it. count_vectors builds no row: it walks a level at
+a time and merges the nodes whose subtrees must hold equally many
+leaves: those with equal partial norms whose centres agree modulo the
+shifts of the coordinates still to fill.
 """
 
 from __future__ import annotations
@@ -297,26 +299,74 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
-def _half_walk(gram, norm_target):
-    """Check G, reduce it, and start the walk: returns (zero, h, leaves).
+def _prologue(gram, norm_target):
+    """Check G and reduce it, for both walks: returns (zero, walk).
 
-    zero says whether T' = 0, so that the zero row is a solution; h is
-    the unimodular LLL transform H (empty when nothing is walked); and
+    zero says whether T' = 0, so that the zero row is a solution. walk is
+    None when there is nothing to walk (T' is negative or not an integer,
+    or n = 0), and otherwise (goal, h, d, lam, t_max): the target T', the
+    unimodular LLL transform H, the leading minors and Gram-Schmidt
+    numerators of G', and the bounds t_max[i] >= |t_i| on admitted nodes.
+
+    ``exact.lll_gram`` of G/c (c the gcd of G's entries) gives H,
+    G' = H (G/c) H', its leading minors d_i and Gram-Schmidt numerators
+    lam. The solutions are x = y H with y' G' y = T' = T / c, so there is
+    none unless T' is an integer. With t_i = d_{i+1} y_i + e_i and the
+    centre e_i = sum_{j>i} lam[j][i] y_j, the integers A_n = 0,
+    A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times the partial norm
+    of levels >= i (a Schur-complement form), so y_i is admitted iff
+    t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept iff A_0 = T'.
+    Admitted nodes have t_i^2 <= d_i d_{i+1} T', which bounds every int64
+    intermediate of the row walk before it starts (top < 2^62).
+    """
+    g = [[int(x) for x in row] for row in gram]
+    if g != [list(row) for row in gram] or not exact.is_symmetric(g):
+        raise ConstructionError("short vectors need a symmetric integer Gram matrix")
+    n = len(g)
+    content = math.gcd(*(x for row in g for x in row)) or 1
+    goal, rest = divmod(Fraction(norm_target), content)
+    if goal < 0 or rest or n == 0:
+        return goal == 0 and not rest, None
+    h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
+    # |t_i| <= isqrt(d_i d_{i+1} T') bounds |e_i|, hence |y_i|, level by level.
+    y_max, t_max, top = [0] * n, [0] * n, 0
+    for i in range(n - 1, -1, -1):
+        t_max[i] = math.isqrt(d[i] * d[i + 1] * goal)
+        e_max = sum(abs(lam[j][i]) * y_max[j] for j in range(i + 1, n))
+        y_max[i] = (t_max[i] + e_max) // d[i + 1]
+        top = max(top, 2 * (t_max[i] + 1) ** 2, t_max[i] + e_max, d[i + 1])
+    if top >= 2**62:
+        raise ConstructionError("entries too large for the int64 walk")
+    return goal == 0, (int(goal), h, d, lam, t_max)
+
+
+def _children(goal, d, i, cent, above, root=False):
+    """The admitted y_i of a block of nodes at level i: (reps, values,
+    below), where child r has the parent reps[r], y_i = values[r] and
+    A_i = below[r]. Node r holds its centre e_i in cent[r] and its A_{i+1}
+    in above[r]. With root set, the last node is the zero prefix of top
+    level i, whose y_i starts at 1: the walks visit one row of each +-y
+    pair, the one whose last nonzero coordinate is positive."""
+    t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
+    lo = -((t_top + cent) // d[i + 1])
+    hi = (t_top - cent) // d[i + 1]
+    if root:
+        lo[-1] = max(lo[-1], 1)
+    counts = np.maximum(hi - lo + 1, 0)
+    reps = np.repeat(np.arange(len(counts)), counts)
+    values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = d[i + 1] * values + cent[reps]
+    return reps, values, (d[i] * above[reps] + t * t) // d[i + 1]
+
+
+def _half_walk(gram, norm_target):
+    """Check G, reduce it, and start the row walk: returns (zero, h, leaves).
+
+    zero and h are as in _prologue (h empty when nothing is walked); and
     leaves is a generator of the admitted leaf blocks of y, int64 arrays
     of at most _CHUNK rows in walk order, one row of each +-y pair.
     Every check runs before this returns, the walk only as leaves is
     consumed.
-
-    The walk is exact, over an LLL-reduced basis: ``exact.lll_gram`` of
-    G/c (c the gcd of G's entries) gives H, G' = H (G/c) H', its leading
-    minors d_i and Gram-Schmidt numerators lam. The solutions are
-    x = y H with y' G' y = T' = T / c, so there is none unless T' is an
-    integer. With t_i = d_{i+1} y_i + sum_{j>i} lam[j][i] y_j, the
-    integers A_n = 0, A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times
-    the partial norm of levels >= i (a Schur-complement form), so y_i is
-    admitted iff t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept
-    iff A_0 = T'. Admitted nodes have t_i^2 <= d_i d_{i+1} T', which
-    bounds every int64 intermediate of the walk before it starts.
 
     The walk visits only rows whose last nonzero coordinate is positive
     (one subtree per top level k, from the zero prefix with y_k >= 1).
@@ -325,45 +375,21 @@ def _half_walk(gram, norm_target):
     its n - i filled coordinates, so live memory is one block per level
     of the current path.
     """
-    g = [[int(x) for x in row] for row in gram]
-    if g != [list(row) for row in gram] or not exact.is_symmetric(g):
-        raise ConstructionError("short_vectors requires a symmetric integer Gram matrix")
-    n = len(g)
-    content = math.gcd(*(x for row in g for x in row)) or 1
-    goal, rest = divmod(Fraction(norm_target), content)
-    if goal < 0 or rest or n == 0:
-        return goal == 0 and not rest, [], iter(())
-    h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
-    # t_i = d_{i+1} y_i + e_i with e_i = y_{>i} . cols_i; |t_i| <= isqrt(d_i d_{i+1} T')
-    # bounds |e_i|, hence |y_i|, level by level.
-    y_max, top = [0] * n, 0
-    for i in range(n - 1, -1, -1):
-        t_max = math.isqrt(d[i] * d[i + 1] * goal)
-        e_max = sum(abs(lam[j][i]) * y_max[j] for j in range(i + 1, n))
-        y_max[i] = (t_max + e_max) // d[i + 1]
-        top = max(top, 2 * (t_max + 1) ** 2, t_max + e_max, d[i + 1])
-    if top >= 2**62:
-        raise ConstructionError("short_vectors: entries too large for the int64 walk")
+    zero, walk = _prologue(gram, norm_target)
+    if walk is None:
+        return zero, [], iter(())
+    goal, h, d, lam, _ = walk
+    n = len(h)
     cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
 
-    def expand(partial: np.ndarray, above: np.ndarray, i: int, lo_min=None):
+    def expand(partial: np.ndarray, above: np.ndarray, i: int, root=False):
         """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1} and A_{i+1}."""
         if i < 0:
             y = partial[above == goal]
             if len(y):
                 yield y
             return
-        e = partial @ cols[i]
-        t_top = _isqrt(d[i] * (d[i + 1] * goal - above))
-        lo = -((t_top + e) // d[i + 1])
-        hi = (t_top - e) // d[i + 1]
-        if lo_min is not None:
-            lo = np.maximum(lo, lo_min)
-        counts = np.maximum(hi - lo + 1, 0)
-        reps = np.repeat(np.arange(len(partial)), counts)
-        values = lo[reps] + np.arange(len(reps)) - np.repeat(np.cumsum(counts) - counts, counts)
-        t = d[i + 1] * values + e[reps]
-        below = (d[i] * above[reps] + t * t) // d[i + 1]
+        reps, values, below = _children(goal, d, i, partial @ cols[i], above, root)
         child = np.empty((len(reps), n - i), dtype=np.int64)
         child[:, 0] = values
         child[:, 1:] = partial[reps]
@@ -373,9 +399,9 @@ def _half_walk(gram, norm_target):
     def leaves():
         for k in range(n - 1, -1, -1):
             root = np.zeros((1, n - 1 - k), np.int64)
-            yield from expand(root, np.zeros(1, np.int64), k, lo_min=1)
+            yield from expand(root, np.zeros(1, np.int64), k, root=True)
 
-    return goal == 0, h, leaves()
+    return zero, h, leaves()
 
 
 def short_vectors(gram, norm_target) -> list[list[int]]:
@@ -410,14 +436,90 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     return found
 
 
+def _reduction_bound(d, lam, t_max) -> int:
+    """A bound, in Python ints, on every int64 value count_vectors'
+    reduction forms: the children's centres, the quotients times the
+    rows r_l, and the differences.
+
+    A parent at level i has 0 <= e_i < d_{i+1}, so its children have
+    |y_i| <= t_max[i] // d_{i+1} + 1 and centres |e_j| < d_{j+1} +
+    |lam[i][j]| |y_i|. Reducing e_l then takes q_l = floor(e_l / d_{l+1}),
+    |q_l| <= |e_l| // d_{l+1} + 1, and adds at most |q_l lam[l][j]| to
+    each |e_j| with j < l, while |q_l d_{l+1}| <= |e_l| + d_{l+1}.
+    """
+    bound = 0
+    for i in range(len(t_max) - 1, 0, -1):
+        b = [d[j + 1] + abs(lam[i][j]) * (t_max[i] // d[i + 1] + 1) for j in range(i)]
+        for l in range(i - 1, -1, -1):
+            q = b[l] // d[l + 1] + 1
+            for j in range(l):
+                b[j] += q * abs(lam[l][j])
+            bound = max(bound, b[l] + d[l + 1])
+    return bound
+
+
 def count_vectors(gram, norm_target) -> int:
     """The number of integer x with x' G x equal to norm_target, which is
     len(short_vectors(gram, norm_target)), with the same checks and raises.
 
-    It counts the same half walk's leaves and builds no row: H is
-    unimodular, so x = y H is a bijection and needs no map back. Each
-    leaf stands for itself and its negative; the zero row adds one when
-    T' = 0.
+    H is unimodular, so x = y H is a bijection and the count is that of
+    the y. It comes from its own walk over the same tree, one level at a
+    time, which merges the nodes whose subtrees must hold equally many
+    leaves. A node at level i (y_{>i} filled) is a state: its partial
+    centres e_0..e_i (the sums over the filled coordinates) and A_{i+1}.
+    Shifting y_0..y_i by an integer vector z is a bijection on the
+    node's subtree that adds sum_l z_l r_l to the centres, where
+    r_l[j] = lam[l][j] for j < l and r_l[l] = d_{l+1}. So the subtree's
+    leaf count depends only on the state with its centres reduced modulo
+    the rows r_l, which is done top-down so that 0 <= e_j < d_{j+1}.
+    Each state carries an int64 weight, the number of y-prefixes that
+    reach it: children get their parent's weight, and states equal after
+    reduction merge, their weights adding. The roots are the zero
+    prefixes of each top level k with y_k >= 1, as in the row walk, so
+    the count is 2 (total weight of the leaves with A_0 = T') plus 1
+    when T' = 0. Live memory is one level's states and their children.
+
+    Exactness: the reduction's int64 intermediates are bounded in Python
+    ints before the walk (_reduction_bound, below 2^18 on the Leech Gram
+    at norm 4), and must stay below 2^62. Above the leaves, a count is
+    refused (ConstructionError) unless each level's path total, the
+    weight its children carry, is below 2^63: that total is an exact
+    Python-int sum over the level's parents, and every weight and every
+    sum of merged weights is at most it, so none wraps. The leaves'
+    total is the answer, summed in Python ints.
     """
-    zero, _, leaves = _half_walk(gram, norm_target)
-    return 2 * sum(len(y) for y in leaves) + zero
+    zero, walk = _prologue(gram, norm_target)
+    if walk is None:
+        return int(zero)
+    goal, _, d, lam, t_max = walk
+    n = len(d) - 1
+    if _reduction_bound(d, lam, t_max) >= 2**62:
+        raise ConstructionError("count_vectors: entries too large for the int64 reduction")
+    # rows[l] = r_l, the change in e_0..e_l when y_l grows by one
+    rows = [np.array(lam[l][:l] + [d[l + 1]], np.int64) for l in range(n)]
+    cent = np.zeros((n, 0), np.int64)  # one column per state, e_0..e_i
+    above = weight = np.zeros(0, np.int64)
+    for i in range(n - 1, -1, -1):
+        cent = np.concatenate([cent, np.zeros((i + 1, 1), np.int64)], axis=1)
+        above, weight = np.append(above, 0), np.append(weight, 1)
+        reps, values, below = _children(goal, d, i, cent[i], above, root=True)
+        kept = reps if i else reps[below == goal]
+        counts = np.bincount(kept, minlength=len(weight))
+        paths = sum(map(operator.mul, weight.tolist(), counts.tolist()))
+        if i == 0:
+            break
+        if paths >= 2**63:
+            raise ConstructionError("count_vectors: path count too large for int64 weights")
+        child = np.take(cent[:i], reps, axis=1) + rows[i][:i, None] * values
+        for l in range(i - 1, -1, -1):
+            child[: l + 1] -= rows[l][:, None] * (child[l] // d[l + 1])
+        # Merge equal states: sort their key columns, then sum each run's weights.
+        keys = np.concatenate([child, below[None]])
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        first = np.flatnonzero(new)
+        cent, above = keys[:i, first], keys[i, first]
+        weight = np.add.reduceat(weight[reps[order]], first)
+    return 2 * paths + zero

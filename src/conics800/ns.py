@@ -19,6 +19,7 @@ bad-vector questions with a single walk.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,9 +248,13 @@ def verify_discriminants(n: PolarizedLattice) -> dict:
 def _q_walk(gram, h, target, degrees) -> dict[int, list[tuple[int, ...]]]:
     """For each e.h in degrees, every e with that e.h and with
     Q(e) = (e.h)^2 - 2 e.e equal to target, from one short-vector walk of
-    Q (see classes_of). Each returned e is re-checked exactly."""
-    gram = [[int(x) for x in row] for row in gram]
-    h = [int(x) for x in h]
+    Q (see classes_of). Each returned e is re-checked exactly. The Gram
+    and h are read with operator.index, so a non-integral entry raises
+    TypeError."""
+    gram = exact.copy_matrix(gram)
+    h = [operator.index(x) for x in h]
+    if len(h) != len(gram):
+        raise ConstructionError("polarization h does not match the Gram matrix")
     gh = exact.mat_vec_mul(gram, h)
     if sum(a * b for a, b in zip(h, gh)) != 4:
         raise ConstructionError("polarization does not have h.h = 4")

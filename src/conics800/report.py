@@ -300,9 +300,9 @@ def stage_ns(state: Pipeline, section: dict) -> None:
 def stage_heavy(state: Pipeline, section: dict) -> None:
     """Independent short-vector enumeration over the 24x24 basis Gram.
 
-    The rows judge counts only, so both come from count_vectors: the
-    same exact walk as short_vectors, counting its leaves without
-    mapping them back or listing them.
+    The rows judge counts only, so both come from count_vectors: an
+    exact walk after the same prologue as short_vectors, which merges
+    the nodes with equal reduced states and builds no row.
     """
     add = section["checks"].append
     count4 = count_vectors(state.leech_gram, HEAVY_NORM_TARGET)

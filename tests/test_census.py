@@ -318,13 +318,30 @@ def test_count_cliques_refuses_malformed_masks(masks, size):
         (census.find_disjoint_16, ([0b111] * 3, 3)),  # a triangle with loops
         (census.clique_extension_exists, ([0b10, 0b00], [1])),
         (census.clique_extension_exists, ([0b111] * 3, [0])),
+        (census.clique_extension_exists, ([0b110, 0b101, 0b011], [7])),  # outside the graph
+        (census.clique_extension_exists, ([0b110, 0b101, 0b011], [0, 9])),
+        (census.clique_extension_exists, ([0b10, 0b01, 0], [0, 2])),  # 0 and 2 not adjacent
+        (census.clique_extension_exists, ([0b110, 0b101, 0b011], [0, 0])),  # a repeated vertex
     ],
-    ids=["find-negative-size", "find-asymmetric", "find-loops", "extend-asymmetric", "extend-loops"],
+    ids=[
+        "find-negative-size", "find-asymmetric", "find-loops", "extend-asymmetric",
+        "extend-loops", "extend-outside", "extend-outside-pair", "extend-non-clique",
+        "extend-repeated",
+    ],
 )
 def test_clique_search_refuses_malformed_input(call, args):
-    """The same refusals as the count's, through the same check."""
+    """The same refusals as the count's, through the same check, and a
+    clique to extend that is not one."""
     with pytest.raises(ValueError):
         call(*args)
+
+
+@pytest.mark.parametrize("call", [census.find_disjoint_16, census.count_disjoint_16])
+def test_clique_functions_refuse_a_non_integral_size(call):
+    """The size is read with operator.index at entry, as exact reads its
+    matrices: a clique of 2.5 vertices is refused, not searched."""
+    with pytest.raises(TypeError):
+        call([0b110, 0b101, 0b011], 2.5)
 
 
 def _spy_blocks(monkeypatch) -> list[tuple[int, int, int, int]]:
@@ -392,6 +409,17 @@ def test_clique_walk_pools_small_blocks(monkeypatch):
             _assert_pooled_blocks(blocks, 16)
             widest = max(widest, max(words for _, _, words, _ in blocks))
     assert widest > 1
+
+
+def test_branch_bit_index_is_exact():
+    """_branch's one float step: the lowest set bit k of a uint64 word,
+    through frexp's exponent, reads back as k, for the word 2^k and for
+    the word with every bit from k up set."""
+    k = np.arange(64, dtype=np.uint64)
+    power = np.uint64(1) << k
+    for words in (power, ~(power - np.uint64(1))):
+        low = words & (~words + np.uint64(1))
+        assert (np.frexp(low)[1] - 1 == k).all()
 
 
 def test_count_cliques_edge_sizes():

@@ -95,6 +95,52 @@ def test_walk_int64_bound_on_both_sides():
             walk([[1, 0], [0, p + 1]], 1)
 
 
+def _theta_power(k, top):
+    """The q^0..q^top coefficients of theta(q)^k, theta = sum_m q^(m^2),
+    in Python ints: the counts of vectors of each norm in Z^k."""
+    theta = [0] * (top + 1)
+    for m in range(-math.isqrt(top), math.isqrt(top) + 1):
+        theta[m * m] += 1
+    out = [1] + [0] * top
+    for _ in range(k):
+        out = [sum(out[a] * theta[s - a] for a in range(s + 1)) for s in range(top + 1)]
+    return out
+
+
+def test_count_vectors_identity_theta_series():
+    """count_vectors on Z^k is the q^T coefficient of theta^k. On Z^24 the
+    counts at T = 75 and 76 pass 2^63 and still come out exact, as the
+    leaves are summed in Python ints; at T = 77 a level's path total
+    passes 2^63 and the count is refused."""
+    for k, targets in ((4, range(41)), (8, range(41)), (24, [*range(13), 50, 67, 75, 76])):
+        series = _theta_power(k, max(targets))
+        assert [count_vectors(exact.identity(k), t) for t in targets] == [series[t] for t in targets]
+    assert _theta_power(24, 76)[76] >= 2**63
+    with pytest.raises(ConstructionError):
+        count_vectors(exact.identity(24), 77)
+
+
+@pytest.mark.parametrize("bound, refused", [(2**62 - 1, False), (2**62, True)])
+def test_count_vectors_reduction_guard(monkeypatch, bound, refused):
+    """The reduction's int64 bound is refused from 2^62 on. No Gram found
+    brings it near: on 300 random Grams of rank 2 to 14 it stayed below
+    1e-4 of the walk bound that _prologue refuses first."""
+    monkeypatch.setattr(lattices, "_reduction_bound", lambda d, lam, t_max: bound)
+    if refused:
+        with pytest.raises(ConstructionError):
+            count_vectors(E8_CARTAN, 2)
+    else:
+        assert count_vectors(E8_CARTAN, 2) == 240
+
+
+def test_count_vectors_matches_short_vectors_on_random_grams():
+    rng = random.Random(61)
+    for _ in range(30):
+        gram = _random_posdef(rng, rng.randint(4, 8))
+        for target in range(13):
+            assert count_vectors(gram, target) == len(short_vectors(gram, target))
+
+
 # Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).
 E8_EDGES = {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
 E8_CARTAN = [

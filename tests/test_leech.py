@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conics800 import exact, golay, leech
+from conics800 import exact, golay, lattices, leech
 from conics800.errors import ConstructionError
 from conics800.lattices import count_vectors, short_vectors
 
@@ -217,3 +217,16 @@ def test_norm4_count_lists_no_rows(norm4_walk):
         tracemalloc.stop()
     assert count == len(rows) == 196560
     assert peak <= held / 2
+
+
+def test_count_vectors_leech_norm_6(basis):
+    """The q^3 coefficient of the Leech theta series (Conway & Sloane,
+    SPLAG, ch. 4): the merged count reaches it without the 16773120 rows."""
+    gram = _leech_gram(basis)
+    assert [count_vectors(gram, t) for t in (2, 4, 6)] == [0, 196560, 16773120]
+
+
+def test_count_reduction_bound_on_the_leech_gram(basis):
+    """The bound on count_vectors' int64 reduction is about 2^17.6 here."""
+    _, (_, _, d, lam, t_max) = lattices._prologue(_leech_gram(basis), 4)
+    assert 2**17 < lattices._reduction_bound(d, lam, t_max) < 2**18

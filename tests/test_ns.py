@@ -76,6 +76,43 @@ def _doubled_sum_rows(n):
     return [[2 * x for x in row] + [0] for row in n.w.basis] + [[0] * 24 + [2]]
 
 
+def _gf2_kernel(rows: list[int]) -> list[int]:
+    """The vectors x of GF(2)^k, as bitmasks, with sum_i x_i rows[i] = 0,
+    for k rows given as bitmasks: elimination on rows tagged with their
+    own index bits, shifted above every row bit."""
+    shift = max(rows, default=0).bit_length()
+    pending = [row | 1 << (shift + i) for i, row in enumerate(rows)]
+    basis = []
+    while pending:
+        row = pending.pop()
+        low = row & ((1 << shift) - 1)
+        if not low:
+            basis.append(row >> shift)
+            continue
+        pivot = low & -low
+        pending = [r ^ row if r & pivot else r for r in pending]
+    kernel = [0]
+    for b in basis:
+        kernel += [x ^ b for x in kernel]
+    return kernel
+
+
+def test_report_clique_is_a_kummer_set(n_lattice, true_products):
+    """Sixteen disjoint smooth rational curves on a K3 surface have a sum
+    divisible by 2 (Nikulin, Math. USSR Izv. 9, 1975), and their even
+    subsets form the Reed-Muller code RM(1, 4): the empty set, 30 sets of
+    8 and all 16. The report's clique passes this in N: the GF(2) kernel
+    of its 16 class rows has dimension 5 and exactly those weights."""
+    clique = census.find_disjoint_16(census.disjointness_masks(true_products))
+    rows = [sum((int(x) & 1) << j for j, x in enumerate(n_lattice.classes[v])) for v in clique]
+    kernel = _gf2_kernel(rows)
+    assert len(kernel) == 2**5
+    weights = {}
+    for x in kernel:
+        weights[x.bit_count()] = weights.get(x.bit_count(), 0) + 1
+    assert weights == {0: 1, 8: 30, 16: 1}
+
+
 def test_extension_index_two(n_lattice):
     # the basis of (-W) + Zh in N's coordinates has determinant +-2: index 2
     solver = exact.LeftSolver(n_lattice.hnf2.tolist())
@@ -302,11 +339,33 @@ def test_classes_of_against_box_oracle():
         ns.classes_of([[4, 0], [0, 2]], (1, 0), -2, 0)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (ns.classes_of, ([[4.5, 2], [2, -2]], (1, 0), -2, 2)),
+        (ns.classes_of, ([[4, 2], [2, -2]], (1.5, 0), -2, 2)),
+        (ns.bad_vector_scan, ([[4, 0], [0, -2.5]], (1, 0))),
+        (ns.bad_vector_scan, ([[4, 0], [0, -2]], (1.9, 0))),
+    ],
+    ids=["classes-gram", "classes-h", "scan-gram", "scan-h"],
+)
+def test_scans_refuse_non_integral_input(call, args):
+    """The Gram and h are read with operator.index: a float entry is
+    refused, not truncated into an integral lattice with witnesses."""
+    with pytest.raises(TypeError):
+        call(*args)
+
+
 def test_scan_rejects_wrong_polarization_norm():
     with pytest.raises(ConstructionError):
         ns.bad_vector_scan([[2, 0], [0, -2]], (1, 0))
     with pytest.raises(ConstructionError):
         ns.classes_of([[2, 0], [0, -2]], (1, 0), -2, 2)
+    # An h of the wrong length is refused, not truncated or padded.
+    with pytest.raises(ConstructionError):
+        ns.classes_of([[4, 2], [2, -2]], (1, 0, 0), -2, 2)
+    with pytest.raises(ConstructionError):
+        ns.bad_vector_scan([[4, 0], [0, -2]], (1,))
 
 
 def test_build_vtilde_checks(lam):
