@@ -97,54 +97,100 @@ class ConicRecord:
     special_position: int | None  # the -3*sign position for shape31 conics
 
 
+def _integer_rows(rows) -> np.ndarray:
+    """rows as a 2-D array of 24-wide rows whose dtype casts safely to
+    int64. A float dtype or entry (even 2.0) is a TypeError, another
+    shape a ValueError."""
+    rows = np.asarray(rows)
+    if not np.can_cast(rows.dtype, np.int64):
+        raise TypeError(f"conic rows must hold integers, not {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != 24:
+        raise ValueError(f"conic rows must be 24 wide, not of shape {rows.shape}")
+    return rows
+
+
 def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     """Filter the conic vectors and return them lexicographically sorted.
 
     Each seed row in turn keeps the rows with the wanted product: an
     int16 product over the seed row's support, on the rows that passed
     the rows before it (4600 of the 196560 pass the first). int16 is
-    exact for any int8 rows, since |v . s| <= 127 * 24 * 4 < 2^15.
-    `threads` is accepted and ignored: every step runs in one thread.
+    exact for any 8-bit rows, since |v . s| <= 255 * 9 * 4 < 2^15; wider
+    rows take int64 products. `threads` is accepted and ignored: every
+    step runs in one thread.
     """
-    found = vectors
+    found = _integer_rows(vectors)
+    wide = np.int16 if found.dtype.itemsize == 1 else np.int64
     for row, want in zip(SEED_ROWS, CONIC_RAW_DOTS):
         support = np.flatnonzero(row)
-        weights = np.array(row, dtype=np.int16)[support]
-        found = found[found[:, support].astype(np.int16) @ weights == want]
+        weights = np.array(row, dtype=wide)[support]
+        found = found[found[:, support].astype(wide) @ weights == want]
     return found[np.lexsort(found.T[::-1])]
 
 
 def classify(l, code: GolayCode) -> ConicRecord | None:
-    """Pattern tag, movable pair, and inducing codeword of one conic, or
-    None when the conic matches no pattern.
+    """The record of one conic, or None when it matches no pattern: the
+    one-row case of classify_all."""
+    records = classify_all([l], code)
+    return records[0] if records else None
+
+
+def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
+    """Pattern tag, movable pair and inducing codeword of each conic that
+    classifies, in row order; the others are dropped.
 
     PROFILES picks the pattern from the entries on positions 1-5 and the
     sorted entries on the movable positions, so a conic without its
     movable pair matches none. The inducing codeword is the support
     (shape 2^8) or the set of +1 entries (shape 3 1^23: both heads carry
-    +3, whose sign is -1). The movable pair is the codeword's movable
-    positions, the +2 first for P4. A codeword outside the code, or one
-    that meets {1..9} outside the pattern's window, also gives None:
-    the pattern_split row judges the result.
+    +3, whose sign is -1, and the first +3 is the special position). The
+    movable pair is the codeword's movable positions, the +2 first for
+    P4. A codeword outside the code, one that meets {1..9} outside the
+    pattern's window, or a shape 3 1^23 pattern's row with no +3 entry
+    is left out: the pattern_split row judges the result.
+
+    Every step is a pass over all rows: the profiles are compared as one
+    array, the masks are a product with the bit weights, membership is a
+    binary search in the sorted words. PROFILES and WINDOW_CONDITIONS are
+    read at each call. Raises TypeError unless the rows hold integers,
+    and ValueError unless they are 24 wide.
     """
-    l = tuple(map(int, l))
-    pattern = PROFILES.get((l[:5], tuple(sorted(l[p - 1] for p in MOVABLE_POSITIONS))))
-    if pattern is None:
-        return None
-    cond = WINDOW_CONDITIONS[pattern]
-    octad = cond["octads_only"]
-    codeword = sum(1 << i for i, x in enumerate(l) if (x if octad else x == 1))
-    movable = [p for p in MOVABLE_POSITIONS if codeword >> (p - 1) & 1]
-    pair = tuple(sorted(movable, key=lambda p: -l[p - 1]))
-    if codeword not in code or codeword & NINE_MASK != mask_of(cond["fixed"] + pair):
-        return None
-    return ConicRecord(l, pattern, pair or None, codeword, None if octad else l.index(3) + 1)
+    rows = _integer_rows(conics).astype(np.int64)
+    names = list(PROFILES.values())
+    keys = np.array([head + tail for head, tail in PROFILES], dtype=np.int64)
+    conds = [WINDOW_CONDITIONS[name] for name in names]
+    movable = np.array(MOVABLE_POSITIONS) - 1
+    profile = np.concatenate([rows[:, :5], np.sort(rows[:, movable], axis=1)], axis=1)
+    at, which = np.nonzero((profile[:, None, :] == keys.reshape(len(names), 9)).all(axis=2))
 
+    l = rows[at]
+    octad = np.array([c["octads_only"] for c in conds], dtype=bool)[which]
+    bits = np.where(octad[:, None], l != 0, l == 1)
+    codeword = bits @ (np.int64(1) << np.arange(24))
+    words = np.sort(np.array(code.words, dtype=np.int64))
+    in_code = words[np.searchsorted(words, codeword).clip(max=len(words) - 1)] == codeword
+    fixed = np.array([mask_of(c["fixed"]) for c in conds], dtype=np.int64)[which]
+    in_window = (codeword & NINE_MASK) == (fixed | (codeword & mask_of(MOVABLE_POSITIONS)))
+    threes = l == 3
+    keep = in_code & in_window & (octad | threes.any(axis=1))
 
-def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
-    """The records of the conics that classify; the others are dropped."""
-    records = (classify(row.tolist(), code) for row in conics)
-    return [r for r in records if r is not None]
+    # The movable pair, ordered by -l with ties in position order; the
+    # positions off the codeword sort last, past every entry.
+    on = bits[:, movable]
+    order = np.argsort(np.where(on, -l[:, movable], 1 << 62), axis=1, kind="stable")
+    pairs = np.array(MOVABLE_POSITIONS)[order]
+    return [
+        ConicRecord(tuple(row), names[w], tuple(pair[:n]) or None, c, None if o else s + 1)
+        for row, w, pair, n, c, o, s in zip(
+            l[keep].tolist(),
+            which[keep].tolist(),
+            pairs[keep].tolist(),
+            on[keep].sum(axis=1).tolist(),
+            codeword[keep].tolist(),
+            octad[keep].tolist(),
+            threes[keep].argmax(axis=1).tolist(),
+        )
+    ]
 
 
 def pattern_split(records: list[ConicRecord]) -> dict[str, int]:
@@ -195,15 +241,23 @@ def recount_by_codewords(code: GolayCode) -> dict:
 
 
 def intersection_data(conics: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
-    """True pairwise products (800x800 int matrix) and the i<j histogram."""
-    raw = conics.astype(np.int64) @ conics.astype(np.int64).T
-    if (raw % 8).any():
+    """True pairwise products (800x800 int matrix) and the i<j histogram.
+
+    The raw products C C^T are exact int64 sums, so the matrix is exactly
+    symmetric: each off-diagonal value is counted twice over the whole
+    matrix, and the i<j histogram is (the counts of all entries - the
+    counts of the diagonal) / 2. Raises TypeError unless the rows hold
+    integers, and ValueError unless they are 24 wide.
+    """
+    rows = _integer_rows(conics).astype(np.int64)
+    raw = rows @ rows.T
+    if (raw & 7).any():
         raise ConstructionError("conic pairwise products are not multiples of 8")
-    true = raw // 8
-    n = len(conics)
-    iu = np.triu_indices(n, k=1)
-    vals, counts = np.unique(np.asarray(true[iu]), return_counts=True)
-    hist = {int(v): int(c) for v, c in zip(vals, counts)}
+    true = raw >> 3
+    low = int(true.min(initial=0))
+    counts = np.bincount((true - low).ravel())
+    counts -= np.bincount(np.diagonal(true) - low, minlength=len(counts))
+    hist = {int(v) + low: int(counts[v]) // 2 for v in np.flatnonzero(counts)}
     return true, hist
 
 

@@ -25,13 +25,12 @@ BLAS/LAPACK call is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import exact
 from .errors import ConstructionError
-from .golay import GolayCode, positions_of
+from .golay import GolayCode
 
 RAW_NORM = 32
 
@@ -48,50 +47,40 @@ RAW_BASIS_DET = 8**12
 _CHUNK = 512
 
 
-def shape31_vectors(code: GolayCode) -> np.ndarray:
-    """All 98304 shape31 vectors, int8, in canonical order."""
-    words = np.array(code.words, dtype=np.uint32)
-    bits = (words[:, None] >> np.arange(24, dtype=np.uint32)[None, :]) & 1
-    signs = np.where(bits == 1, 1, -1).astype(np.int8)  # +1 on the codeword
-    out = np.repeat(signs, 24, axis=0)
-    rows = np.arange(len(words) * 24)
-    cols = np.tile(np.arange(24), len(words))
-    out[rows, cols] = -3 * out[rows, cols]  # the special position carries -3 * sign
-    return out
-
-
-def shape20_vectors(code: GolayCode) -> np.ndarray:
-    """All 97152 shape20 vectors, int8, in canonical order."""
-    octads = sorted(code.octads)
-    out = np.zeros((len(octads) * 128, 24), dtype=np.int8)
-    g = np.arange(128, dtype=np.uint8)
-    head = np.where((g[:, None] >> np.arange(7, dtype=np.uint8)[None, :]) & 1 == 1, -2, 2).astype(
-        np.int8
-    )
-    plus_head = (head == 2).sum(axis=1)
-    last = np.where(plus_head % 2 == 1, 2, -2).astype(np.int8)  # force even +2 count
-    block = np.concatenate([head, last[:, None]], axis=1)
-    for i, o in enumerate(octads):
-        pos = [p - 1 for p in positions_of(o)]
-        out[i * 128 : (i + 1) * 128, pos] = block
-    return out
-
-
-def shape40_vectors() -> np.ndarray:
-    """All 1104 shape40 vectors, int8, in canonical order."""
-    out = np.zeros((1104, 24), dtype=np.int8)
-    r = 0
-    for i, j in combinations(range(24), 2):
-        for si, sj in ((4, 4), (4, -4), (-4, 4), (-4, -4)):
-            out[r, i] = si
-            out[r, j] = sj
-            r += 1
-    return out
-
-
 def all_minimal_vectors(code: GolayCode) -> np.ndarray:
-    """The 196560 minimal vectors: shape31 block, then shape20, then shape40."""
-    return np.concatenate([shape31_vectors(code), shape20_vectors(code), shape40_vectors()])
+    """The 196560 minimal vectors as int8 rows in canonical order: the
+    shape31 block, then shape20, then shape40.
+
+    The rows are written into one array. Each codeword's 24 shape31 rows
+    are its sign row repeated, with the diagonal scaled by -3. Each
+    octad's 128 shape20 rows are one fixed sign block, written into the
+    octad's eight columns, which come from the words' bit matrix.
+    """
+    words = np.array(code.words, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(words, axis=1, count=24, bitorder="little")
+    octads = np.nonzero(bits[bits.sum(axis=1) == 8])[1].reshape(-1, 8)
+    i, j = np.triu_indices(24, 1)  # the shape40 pairs in lexicographic order
+    n31, n20 = len(bits) * 24, len(octads) * 128
+    out = np.zeros((n31 + n20 + len(i) * 4, 24), dtype=np.int8)
+
+    signs = 2 * bits.view(np.int8) - 1  # +1 on the codeword
+    shape31 = out[:n31].reshape(-1, 24, 24)
+    shape31[:] = signs[:, None, :]
+    shape31.reshape(-1, 24 * 24)[:, ::25] *= -3  # the special position
+
+    g = np.arange(128)[:, None] >> np.arange(7)
+    head = np.where(g & 1 == 1, -2, 2)
+    last = np.where((head == 2).sum(axis=1) % 2 == 1, 2, -2)  # force even +2 count
+    block = np.concatenate([head, last[:, None]], axis=1).astype(np.int8)
+    # (octad, column, sign index): the octad's columns take the block's
+    shape20 = out[n31 : n31 + n20].reshape(-1, 128, 24).transpose(0, 2, 1)
+    shape20[np.arange(len(octads))[:, None], octads] = block.T
+
+    shape40 = out[n31 + n20 :].reshape(-1, 4, 24)
+    pairs = np.arange(len(i))
+    shape40[pairs, :, i] = (4, 4, -4, -4)
+    shape40[pairs, :, j] = (4, -4, 4, -4)
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,30 +96,39 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     """Enumerate all minimal vectors and check the census invariants.
 
     Shapes are counted off the vectors by their largest entry: 3 for
-    shape31, 2 for shape20, 4 for shape40. Norms are int32 sums of the
-    int8 rows' squares.
+    shape31, 2 for shape20, 4 for shape40. Both the largest |entry| and
+    the norm (an int32 sum of squares) are taken over the 24 columns of
+    one transposed copy.
 
     One sort decides both set checks. Flipping each byte's top bit maps
     an entry x to x + 128, so the rows' three big-endian 8-byte words
     sort them lexicographically by entry; and for entries in [-127, 127]
     negation maps x + 128 to 256 - (x + 128), strictly decreasing, so it
-    reverses that order. Hence the rows are distinct exactly when no two
-    adjacent sorted rows are equal, and the rows are closed under
-    negation (as a multiset) exactly when the sorted rows equal the
-    negated sorted rows read backwards.
+    reverses that order. Hence the rows are distinct exactly when every
+    two adjacent sorted rows differ in one of their three words, and the
+    rows are closed under negation (as a multiset) exactly when the
+    sorted flipped bytes b equal 256 - b read backwards: when b plus b
+    read backwards is 0 in uint8 (an entry -128, flipped to 0, is its own
+    negation in int8 too).
     """
     vectors = all_minimal_vectors(code)
-    by_largest = np.bincount(np.abs(vectors).max(axis=1), minlength=5)
-    # int8 entries: each sum is at most 24 * 127^2 = 387096, inside int32.
-    norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.int32)
+    columns = np.abs(np.ascontiguousarray(vectors.T))
+    by_largest = np.bincount(columns.max(axis=0), minlength=5)
+    # int8 entries: each sum is at most 24 * 128^2 = 393216, inside int32.
+    norms = np.einsum("ij,ij->j", columns, columns, dtype=np.int32)
+    del columns  # freed before the sort's copies
     words = (vectors.view(np.uint8) ^ 0x80).view(">u8")
-    ordered = vectors[np.lexsort(words.T[::-1])]
+    ordered = words[np.lexsort(words.T[::-1])]
+    differ = ordered[1:, 0] != ordered[:-1, 0]
+    for k in (1, 2):
+        differ |= ordered[1:, k] != ordered[:-1, k]
+    flipped = ordered.view(np.uint8)
     report = MinimalVectorCensus(
         total=len(vectors),
         shape_counts=tuple(int(by_largest[m]) for m in (3, 2, 4)),
         all_norm_32=bool((norms == RAW_NORM).all()),
-        distinct=bool((ordered[1:] != ordered[:-1]).any(axis=1).all()),
-        negation_closed=bool(np.array_equal(ordered, -ordered[::-1])),
+        distinct=bool(differ.all()),
+        negation_closed=not (flipped + flipped[::-1]).any(),
     )
     return vectors, report
 
@@ -154,19 +152,23 @@ def extract_basis(vectors: np.ndarray) -> list[list[int]]:
     A' = (N_j A - A[:, j] (x) (N - d e_j)) / d, an exact division since
     A' is again an adjugate. So the stop test reads the tracked d. The
     scan past the last exchange is an int64 product in blocks of _CHUNK
-    rows, each after a check that no product can leave int64. Returns
-    the rows as Python ints, in census order.
+    rows, each after a check that no product can leave int64, against an
+    int64 copy of A made once per exchange. Returns the rows as Python
+    ints, in census order.
     """
     det, adj = exact.adjugate(vectors[:24].tolist())
     idx, pos = list(range(24)), 24
     while abs(det) != RAW_BASIS_DET:
         amax = max(max(map(abs, row)) for row in adj)
+        adj64 = None
         for start in range(pos, len(vectors), _CHUNK):
             block = vectors[start : start + _CHUNK].astype(np.int64)
             l1 = int(np.abs(block).sum(axis=1).max())
             if max(l1 * amax, abs(det)) >= 2**63:
                 raise ConstructionError("leech: basis exchange would overflow int64")
-            num = block @ np.array(adj, dtype=np.int64)
+            if adj64 is None:
+                adj64 = np.array(adj, dtype=np.int64)
+            num = block @ adj64
             swap = (num != 0) & (np.abs(num) < abs(det))
             hits = np.flatnonzero(swap.any(axis=1))
             if len(hits):

@@ -1,5 +1,6 @@
 """Tests for the conic census, classification, recount, and cliques."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -38,6 +39,14 @@ def test_find_conics_matches_one_product_oracle():
         oracle = oracle[np.lexsort(oracle.T[::-1])]
         assert len(oracle) == census.CONIC_COUNT
         assert np.array_equal(census.find_conics(vectors), oracle)
+
+
+def test_find_conics_is_exact_on_wide_rows(vectors):
+    """int32 rows take int64 products: an entry moved by 2^16 no longer
+    reads as the conic it was, as a wrapping int16 product would read it."""
+    rows = census.find_conics(vectors).astype(np.int32)
+    rows[0, 0] += 1 << 16
+    assert len(census.find_conics(rows)) == census.CONIC_COUNT - 1
 
 
 def test_conics_satisfy_defining_products(conics):
@@ -80,6 +89,163 @@ def test_classify_rejects_unknown_profile(code):
     # P2's profile, but the +1 entries have weight 20, so no codeword
     bogus3 = [3, 1, 1, -1, 1, 1, 1, -1, -1] + [1] * 15
     assert census.classify(bogus3, code) is None
+
+
+def _classify_oracle(l, code):
+    """The per-row classification the whole-array census.classify_all
+    replaced, kept as its oracle."""
+    l = tuple(map(int, l))
+    pattern = census.PROFILES.get(
+        (l[:5], tuple(sorted(l[p - 1] for p in census.MOVABLE_POSITIONS)))
+    )
+    if pattern is None:
+        return None
+    cond = census.WINDOW_CONDITIONS[pattern]
+    octad = cond["octads_only"]
+    codeword = sum(1 << i for i, x in enumerate(l) if (x if octad else x == 1))
+    movable = [p for p in census.MOVABLE_POSITIONS if codeword >> (p - 1) & 1]
+    pair = tuple(sorted(movable, key=lambda p: -l[p - 1]))
+    if codeword not in code or codeword & census.NINE_MASK != golay.mask_of(cond["fixed"] + pair):
+        return None
+    return census.ConicRecord(
+        l, pattern, pair or None, codeword, None if octad else l.index(3) + 1
+    )
+
+
+def _frame_conics(choice):
+    code, _ = golay.normalize_frame(golay.build_golay(), choice)
+    vectors = leech.all_minimal_vectors(code)
+    return code, vectors, census.find_conics(vectors)
+
+
+def _conics_of(choice):
+    code, _, conics = _frame_conics(choice)
+    return code, conics
+
+
+def _mixed_rows(choice):
+    """The conics and 300 seeded non-conic minimal vectors, shuffled."""
+    code, vectors, conics = _frame_conics(choice)
+    rng = np.random.default_rng(28)
+    seed = np.array(census.SEED_ROWS, dtype=np.int64)
+    others = np.flatnonzero((vectors.astype(np.int64) @ seed.T != census.CONIC_RAW_DOTS).any(1))
+    rows = np.concatenate([conics, vectors[rng.choice(others, 300, replace=False)]])
+    return code, rows[rng.permutation(len(rows))]
+
+
+def _perturbed_conics():
+    """Each lex conic with one entry outside positions 1-9 negated: every
+    profile still matches, and the P1 and P2 codewords leave the code."""
+    code, conics = _conics_of(None)
+    rng = np.random.default_rng(29)
+    rows = conics.copy()
+    rows[np.arange(len(rows)), rng.integers(9, 24, len(rows))] *= -1
+    return code, rows
+
+
+def _no_p2_profile(monkeypatch):
+    p2 = next(k for k, p in census.PROFILES.items() if p == "P2")
+    monkeypatch.delitem(census.PROFILES, p2)
+
+
+def _p3_window_moved(monkeypatch):
+    monkeypatch.setitem(census.WINDOW_CONDITIONS["P3"], "fixed", (1, 3))
+
+
+@pytest.mark.parametrize(
+    "rows, patch",
+    [
+        *[((lambda c=c: _conics_of(c)), None) for c in (None, 0, 1, 2, 3)],
+        ((lambda: _mixed_rows(None)), None),
+        ((lambda: _mixed_rows(3)), None),
+        ((lambda: _conics_of(None)), _no_p2_profile),
+        ((lambda: _conics_of(None)), _p3_window_moved),
+        (_perturbed_conics, None),
+    ],
+    ids=["lex", "0", "1", "2", "3", "mixed-lex", "mixed-3", "no-P2", "P3-window", "perturbed"],
+)
+def test_classify_all_matches_the_per_row_oracle(rows, patch, monkeypatch):
+    """classify_all's records equal the per-row oracle's, in row order,
+    and classify gives the same record row by row. PROFILES and
+    WINDOW_CONDITIONS are patched before the rows are classified."""
+    code, rows = rows()
+    if patch is not None:
+        patch(monkeypatch)
+    oracle = [_classify_oracle(row, code) for row in rows.tolist()]
+    assert census.classify_all(rows, code) == [r for r in oracle if r is not None]
+    assert [census.classify(row, code) for row in rows[::50]] == oracle[::50]
+
+
+@pytest.mark.parametrize(
+    "choice, digest",
+    [
+        (None, "8fc4169cb67f725abd00db1078a7146bcff686e7414392680360cfb394e3f211"),
+        (3, "50cbb5346e67ab44c537fbe5270c5a4437727df2d2a315d1140694c19b556d5f"),
+    ],
+    ids=["lex", "3"],
+)
+def test_all_minimal_vectors_bytes_pinned(choice, digest):
+    """The census rows, dtype and order, byte for byte: sha256 of the
+    int8 array's bytes, recorded from the per-octad enumeration."""
+    code, _ = golay.normalize_frame(golay.build_golay(), choice)
+    vectors = leech.all_minimal_vectors(code)
+    assert vectors.dtype == np.int8 and vectors.shape == (196560, 24)
+    assert hashlib.sha256(vectors.tobytes()).hexdigest() == digest
+
+
+def _pair_histogram(true):
+    """The i<j histogram by listing the pairs, kept as an oracle."""
+    iu = np.triu_indices(len(true), k=1)
+    vals, counts = np.unique(true[iu], return_counts=True)
+    return {int(v): int(c) for v, c in zip(vals, counts)}
+
+
+def test_intersection_histogram_matches_the_pair_route(conics, vectors):
+    """On the conics, and on 400 seeded minimal vectors, whose products
+    run from -4 to 4."""
+    rows = vectors[np.random.default_rng(30).choice(len(vectors), 400, replace=False)]
+    for sample in (conics, rows, rows[:1], rows[:0]):
+        true, hist = census.intersection_data(sample)
+        assert np.array_equal(true, sample.astype(np.int64) @ sample.astype(np.int64).T // 8)
+        assert hist == _pair_histogram(true)
+    assert min(census.intersection_data(rows)[1]) == -4
+
+
+def _with_half(row):
+    row = row.astype(np.float64)
+    row[7] += 0.5
+    return row
+
+
+@pytest.mark.parametrize(
+    "call, rows, error",
+    [
+        ("classify", lambda conics, vectors: _with_half(conics[0]), TypeError),
+        ("classify", lambda conics, vectors: _with_half(conics[0]).tolist(), TypeError),
+        ("classify", lambda conics, vectors: [2, 2, 0, 0, 0], ValueError),
+        ("classify", lambda conics, vectors: conics[:2], ValueError),
+        ("classify_all", lambda conics, vectors: _with_half(conics), TypeError),
+        ("classify_all", lambda conics, vectors: conics.astype(np.float64), TypeError),
+        ("classify_all", lambda conics, vectors: conics[:, :23], ValueError),
+        ("find_conics", lambda conics, vectors: vectors.astype(np.float64), TypeError),
+        ("find_conics", lambda conics, vectors: vectors[:, :23], ValueError),
+        ("intersection_data", lambda conics, vectors: _with_half(conics), TypeError),
+        ("intersection_data", lambda conics, vectors: conics[0], ValueError),
+        ("intersection_data", lambda conics, vectors: conics[:, :20], ValueError),
+    ],
+    ids=[
+        "classify-half", "classify-half-list", "classify-5-wide", "classify-2d",
+        "classify_all-half", "classify_all-float", "classify_all-23-wide",
+        "find_conics-float", "find_conics-23-wide",
+        "intersection_data-half", "intersection_data-1d", "intersection_data-20-wide",
+    ],
+)
+def test_conic_entry_points_refuse_malformed_rows(call, rows, error, conics, vectors, code):
+    """Integer rows 24 wide only: a float dtype or entry is a TypeError,
+    another width or rank a ValueError."""
+    args = (rows(conics, vectors),) + ((code,) if call.startswith("classify") else ())
+    with pytest.raises(error):
+        getattr(census, call)(*args)
 
 
 def test_recount_matches_census(code, records):

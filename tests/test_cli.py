@@ -217,13 +217,108 @@ def _join_799_to_first_16(products):
     return products
 
 
+def _census_rows(edit):
+    """A plant in the census rows' input: census() reads the rows of
+    all_minimal_vectors after edit. The last four rows are the shape40
+    vectors on positions 23 and 24, signs (+,+), (+,-), (-,+), (-,-)."""
+
+    def plant(monkeypatch, vectors):
+        all_minimal_vectors = leech.all_minimal_vectors
+        monkeypatch.setattr(
+            leech, "all_minimal_vectors", lambda code: edit(all_minimal_vectors(code))
+        )
+
+    return plant
+
+
+def _append_pair_outside_the_shapes(rows):
+    # +-(5, 1^7): norm 32 and a distinct, negation-closed pair, but 5 is
+    # nobody's largest entry, so no shape count moves
+    x = np.zeros((1, 24), dtype=np.int8)
+    x[0, :8] = [5, 1, 1, 1, 1, 1, 1, 1]
+    return np.concatenate([rows, x, -x])
+
+
+def _norm_48_pair(rows):
+    # +-(4, 4) on positions 23, 24 become +-(4, 4, 4) on 22-24
+    rows[-4] = rows[-1] = 0
+    rows[-4, 21:] = 4
+    rows[-1, 21:] = -4
+    return rows
+
+
+def _unpaired_row(rows):
+    # -(4, 4) on positions 23, 24 becomes (4, 1^16): the same largest
+    # entry and norm, with no negative among the rows
+    rows[-1] = 0
+    rows[-1, 0] = 4
+    rows[-1, 1:17] = 1
+    return rows
+
+
+def _drop_last_conic(monkeypatch, vectors):
+    # in every frame, so the splits lose a P2 conic too
+    find_conics = census.find_conics
+    monkeypatch.setattr(
+        census, "find_conics", lambda vectors, threads=1: find_conics(vectors, threads=threads)[:-1]
+    )
+
+
+def _products_of(edit):
+    """A plant in the product rows' input: intersection_data reads a copy
+    of the conics after edit. Conic 799 is outside the least 16-clique,
+    conics 0-15, and extends it in no edit below."""
+
+    def plant(monkeypatch, vectors):
+        intersection_data = census.intersection_data
+        monkeypatch.setattr(
+            census, "intersection_data", lambda conics: intersection_data(edit(conics.copy()))
+        )
+
+    return plant
+
+
+def _conic_799_repeats_798(conics):
+    conics[799] = conics[798]
+    return conics
+
+
+def _conic_799_zero(conics):
+    conics[799] = 0
+    return conics
+
+
+def _conic_799_negated(conics):
+    conics[799] = -conics[799]
+    return conics
+
+
+def _frame_3_unnormalized(monkeypatch, vectors):
+    """Frame 3 of the splits reads the raw code, in the coordinates it was
+    built in, in place of its normalized code."""
+    normalize_frame = golay.normalize_frame
+
+    def planted(code, octad_choice=None):
+        if octad_choice == 3:
+            return code, normalize_frame(code, 3)[1]
+        return normalize_frame(code, octad_choice)
+
+    monkeypatch.setattr(golay, "normalize_frame", planted)
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
+_SPLIT = census.PATTERN_COUNTS
+
+# Rows no planted fault can reach, with the reason.
+UNREACHABLE = {
+    "h_self_product": "h.h = 4 follows from h's doubled row [0 | 2] by the "
+    "doubled-row Gram formula whatever N is",
+}
+
 # One planted fault per row: (command line, plant, exit code, error type,
-# the row's expected and computed values, every row that fails). Not in
-# the table: h_self_product, since h.h = 4 follows from h's doubled row
-# [0 | 2] by the doubled-row Gram formula whatever N is.
+# the row's expected and computed values, every row that fails).
 PLANTED = {
     "frame_octad_candidates": (
         "golay", _three_frame_candidates, 1, None, 4, 3, {"frame_octad_candidates"},
@@ -231,6 +326,16 @@ PLANTED = {
     "shape_counts": (
         "leech", lambda mp, v: mp.setattr(leech, "SHAPE40_COUNT", 1105), 1, None,
         [98304, 97152, 1105], [98304, 97152, 1104], {"shape_counts"},
+    ),
+    "total_minimal_vectors": (
+        "leech", _census_rows(_append_pair_outside_the_shapes), 1, None, 196560, 196562,
+        {"total_minimal_vectors"},
+    ),
+    "all_raw_norms_32": (
+        "leech", _census_rows(_norm_48_pair), 1, None, True, False, {"all_raw_norms_32"},
+    ),
+    "negation_closed": (
+        "leech", _census_rows(_unpaired_row), 1, None, True, False, {"negation_closed"},
     ),
     "norm_4_vector_count": (
         "leech --heavy", lambda mp, v: mp.setattr(report, "HEAVY_EXPECTED", 196561),
@@ -266,6 +371,32 @@ PLANTED = {
         "conics", lambda mp, v: mp.setitem(census.WINDOW_CONDITIONS["P1"], "signs", 2),
         1, None, census.PATTERN_COUNTS, {"P1": 192, "P2": 96, "P3": 320, "P4": 288},
         {"recount_totals", "recount_grand_total"},
+    ),
+    "conic_count": (
+        "conics", _drop_last_conic, 1, None, 800, 799,
+        {"conic_count", "pattern_split", "intersection_histogram", "frame_invariance_splits"},
+    ),
+    # two equal conics meet in l.l = 4
+    "pairwise_products_max_2": (
+        "conics", _products_of(_conic_799_repeats_798), 1, None, True, False,
+        {"pairwise_products_max_2", "intersection_histogram"},
+    ),
+    "self_products_4": (
+        "conics", _products_of(_conic_799_zero), 1, None, True, False,
+        {"self_products_4", "intersection_histogram"},
+    ),
+    # -l_799 meets the others in -2, -1, 0 and 2: within the bound of 2
+    "intersection_histogram": (
+        "conics", _products_of(_conic_799_negated), 1, None,
+        {"-2": 400, "0": 72240, "1": 174720, "2": 72240},
+        {"-2": 578, "-1": 440, "0": 72240, "1": 174280, "2": 72062},
+        {"intersection_histogram"},
+    ),
+    "frame_invariance_splits": (
+        "conics", _frame_3_unnormalized, 1, None,
+        {str(c): _SPLIT for c in range(4)},
+        {"0": _SPLIT, "1": _SPLIT, "2": _SPLIT, "3": {"P1": 48, "P2": 48, "P3": 128, "P4": 80}},
+        {"frame_invariance_splits"},
     ),
     # disjoint read as l_i.l_j = -2: a perfect matching, with no 16-clique;
     # the empty clique then extends by any vertex
@@ -338,6 +469,10 @@ PLANTED = {
         {"planted_control_isotropic"},
     ),
 }
+
+
+def test_unreachable_rows_have_no_plant():
+    assert not set(UNREACHABLE) & set(PLANTED)
 
 
 @pytest.mark.parametrize("row", list(PLANTED))
