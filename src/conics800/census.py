@@ -113,18 +113,15 @@ def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     """Filter the conic vectors and return them lexicographically sorted.
 
     Each seed row in turn keeps the rows with the wanted product: an
-    int16 product over the seed row's support, on the rows that passed
-    the rows before it (4600 of the 196560 pass the first). int16 is
-    exact for any 8-bit rows, since |v . s| <= 255 * 9 * 4 < 2^15; wider
-    rows take int64 products. `threads` is accepted and ignored: every
-    step runs in one thread.
+    int64 product over the seed row's support, on the rows that passed
+    the rows before it (4600 of the 196560 pass the first). `threads` is
+    accepted and ignored: every step runs in one thread.
     """
     found = _integer_rows(vectors)
-    wide = np.int16 if found.dtype.itemsize == 1 else np.int64
     for row, want in zip(SEED_ROWS, CONIC_RAW_DOTS):
         support = np.flatnonzero(row)
-        weights = np.array(row, dtype=wide)[support]
-        found = found[found[:, support].astype(wide) @ weights == want]
+        weights = np.array(row, dtype=np.int64)[support]
+        found = found[found[:, support].astype(np.int64) @ weights == want]
     return found[np.lexsort(found.T[::-1])]
 
 
@@ -167,7 +164,7 @@ def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
     octad = np.array([c["octads_only"] for c in conds], dtype=bool)[which]
     bits = np.where(octad[:, None], l != 0, l == 1)
     codeword = bits @ (np.int64(1) << np.arange(24))
-    words = np.sort(np.array(code.words, dtype=np.int64))
+    words = np.array(code.words, dtype=np.int64)  # sorted, as GolayCode keeps them
     in_code = words[np.searchsorted(words, codeword).clip(max=len(words) - 1)] == codeword
     fixed = np.array([mask_of(c["fixed"]) for c in conds], dtype=np.int64)[which]
     in_window = (codeword & NINE_MASK) == (fixed | (codeword & mask_of(MOVABLE_POSITIONS)))
@@ -246,10 +243,16 @@ def intersection_data(conics: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     The raw products C C^T are exact int64 sums, so the matrix is exactly
     symmetric: each off-diagonal value is counted twice over the whole
     matrix, and the i<j histogram is (the counts of all entries - the
-    counts of the diagonal) / 2. Raises TypeError unless the rows hold
-    integers, and ValueError unless they are 24 wide.
+    counts of the diagonal) / 2. The counts are kept for every value
+    from the least product to the greatest, so the entries must fit in
+    8 bits: then |product| <= 24 * 128^2 / 8, and the counts stay under
+    10^5 whatever the rows. Raises TypeError unless the rows hold
+    integers, and ValueError unless they are 24 wide with every entry in
+    [-128, 127].
     """
     rows = _integer_rows(conics).astype(np.int64)
+    if rows.min(initial=0) < -128 or rows.max(initial=0) > 127:
+        raise ValueError("conic entries must lie in [-128, 127]")
     raw = rows @ rows.T
     if (raw & 7).any():
         raise ConstructionError("conic pairwise products are not multiples of 8")

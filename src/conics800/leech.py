@@ -54,7 +54,9 @@ def all_minimal_vectors(code: GolayCode) -> np.ndarray:
     The rows are written into one array. Each codeword's 24 shape31 rows
     are its sign row repeated, with the diagonal scaled by -3. Each
     octad's 128 shape20 rows are one fixed sign block, written into the
-    octad's eight columns, which come from the words' bit matrix.
+    octad's eight columns, which come from the words' bit matrix. The
+    octads follow in the order of code.words, which GolayCode keeps
+    sorted, so they come in ascending mask order.
     """
     words = np.array(code.words, dtype="<u4").view(np.uint8).reshape(-1, 4)
     bits = np.unpackbits(words, axis=1, count=24, bitorder="little")
@@ -119,15 +121,12 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     del columns  # freed before the sort's copies
     words = (vectors.view(np.uint8) ^ 0x80).view(">u8")
     ordered = words[np.lexsort(words.T[::-1])]
-    differ = ordered[1:, 0] != ordered[:-1, 0]
-    for k in (1, 2):
-        differ |= ordered[1:, k] != ordered[:-1, k]
     flipped = ordered.view(np.uint8)
     report = MinimalVectorCensus(
         total=len(vectors),
         shape_counts=tuple(int(by_largest[m]) for m in (3, 2, 4)),
         all_norm_32=bool((norms == RAW_NORM).all()),
-        distinct=bool(differ.all()),
+        distinct=bool((ordered[1:] != ordered[:-1]).any(axis=1).all()),
         negation_closed=not (flipped + flipped[::-1]).any(),
     )
     return vectors, report

@@ -217,6 +217,14 @@ def _with_half(row):
     return row
 
 
+def _with_wide_entry(rows):
+    """int32 rows with one entry moved by 2^20: every product stays a
+    multiple of 8, but the diagonal reaches about 2^37."""
+    rows = rows.astype(np.int32)
+    rows[0, 0] += 1 << 20
+    return rows
+
+
 @pytest.mark.parametrize(
     "call, rows, error",
     [
@@ -232,17 +240,20 @@ def _with_half(row):
         ("intersection_data", lambda conics, vectors: _with_half(conics), TypeError),
         ("intersection_data", lambda conics, vectors: conics[0], ValueError),
         ("intersection_data", lambda conics, vectors: conics[:, :20], ValueError),
+        ("intersection_data", lambda conics, vectors: _with_wide_entry(conics), ValueError),
     ],
     ids=[
         "classify-half", "classify-half-list", "classify-5-wide", "classify-2d",
         "classify_all-half", "classify_all-float", "classify_all-23-wide",
         "find_conics-float", "find_conics-23-wide",
         "intersection_data-half", "intersection_data-1d", "intersection_data-20-wide",
+        "intersection_data-wide-entry",
     ],
 )
 def test_conic_entry_points_refuse_malformed_rows(call, rows, error, conics, vectors, code):
     """Integer rows 24 wide only: a float dtype or entry is a TypeError,
-    another width or rank a ValueError."""
+    another width or rank a ValueError; intersection_data also refuses
+    an entry outside 8 bits with ValueError."""
     args = (rows(conics, vectors),) + ((code,) if call.startswith("classify") else ())
     with pytest.raises(error):
         getattr(census, call)(*args)
