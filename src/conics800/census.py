@@ -115,9 +115,14 @@ def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     Each seed row in turn keeps the rows with the wanted product: an
     int64 product over the seed row's support, on the rows that passed
     the rows before it (4600 of the 196560 pass the first). `threads` is
-    accepted and ignored: every step runs in one thread.
+    accepted and ignored: every step runs in one thread. Raises TypeError
+    unless the rows hold integers, and ValueError unless they are 24 wide
+    with every entry in [-2^59, 2^59): each seed row's weights sum to at
+    most 16 in absolute value, so every product then stays inside int64.
     """
     found = _integer_rows(vectors)
+    if int(found.min(initial=0)) < -(2**59) or int(found.max(initial=0)) >= 2**59:
+        raise ValueError("conic candidate entries must lie in [-2^59, 2^59)")
     for row, want in zip(SEED_ROWS, CONIC_RAW_DOTS):
         support = np.flatnonzero(row)
         weights = np.array(row, dtype=np.int64)[support]

@@ -17,13 +17,13 @@ Fincke-Pohst walks over an LLL-reduced basis. Both walks share one
 prologue (_prologue): the input checks, the content step, the integral
 LLL of the Gram matrix, whose leading minors and Gram-Schmidt numerators
 make every layer bound an integer comparison, and the int64 bound. Both
-visit one row of each +-x pair. short_vectors lists rows: its walk
-(_half_walk) goes depth-first over bounded blocks, each expanded a level
-at a time, and maps each block of leaves back onto its output list as
-soon as it reaches it. count_vectors builds no row: it walks a level at
-a time and merges the nodes whose subtrees must hold equally many
-leaves: those with equal partial norms whose centres agree modulo the
-shifts of the coordinates still to fill.
+visit one row of each +-x pair. short_vectors lists rows: one loop pops
+bounded blocks off a stack, depth first, expands each a level at a time,
+and maps each block of leaves back onto its output list as soon as it
+reaches it. count_vectors builds no row: it walks a level at a time and
+merges the nodes whose subtrees must hold equally many leaves: those
+with equal partial norms whose centres agree modulo the shifts of the
+coordinates still to fill.
 """
 
 from __future__ import annotations
@@ -183,11 +183,11 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
     With L G R = D (Smith form of G; only L is needed), the rows of L
     divided by the divisors generate the discriminant group: generator i
     is (row i of L)/d_i of order d_i, and q, b are evaluated through G.
-    G is degenerate exactly when a divisor is 0.
+    G is degenerate exactly when a divisor is 0. G is read through
+    exact.copy_matrix, so an entry that is not an integer (a float or a
+    Fraction, even 2.0) raises TypeError.
     """
-    g = [[int(x) for x in row] for row in gram]
-    if g != [list(row) for row in gram]:
-        raise VerificationError("Gram matrix is not integral")
+    g = exact.copy_matrix(gram)
     if not exact.is_symmetric(g):
         raise ConstructionError("Gram matrix must be symmetric")
     if any(g[i][i] % 2 for i in range(len(g))):
@@ -318,10 +318,12 @@ def _prologue(gram, norm_target):
     t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept iff A_0 = T'.
     Admitted nodes have t_i^2 <= d_i d_{i+1} T', which bounds every int64
     intermediate of the row walk before it starts (top < 2^62).
+    G is read through exact.copy_matrix, so an entry that is not an
+    integer (a float or a Fraction, even 2.0) raises TypeError.
     """
-    g = [[int(x) for x in row] for row in gram]
-    if g != [list(row) for row in gram] or not exact.is_symmetric(g):
-        raise ConstructionError("short vectors need a symmetric integer Gram matrix")
+    g = exact.copy_matrix(gram)
+    if not exact.is_symmetric(g):
+        raise ConstructionError("short vectors need a symmetric Gram matrix")
     n = len(g)
     content = math.gcd(*(x for row in g for x in row)) or 1
     goal, rest = divmod(Fraction(norm_target), content)
@@ -359,80 +361,62 @@ def _children(goal, d, i, cent, above, root=False):
     return reps, values, (d[i] * above[reps] + t * t) // d[i + 1]
 
 
-def _half_walk(gram, norm_target):
-    """Check G, reduce it, and start the row walk: returns (zero, h, leaves).
-
-    zero and h are as in _prologue (h empty when nothing is walked); and
-    leaves is a generator of the admitted leaf blocks of y, int64 arrays
-    of at most _CHUNK rows in walk order, one row of each +-y pair.
-    Every check runs before this returns, the walk only as leaves is
-    consumed.
-
-    The walk visits only rows whose last nonzero coordinate is positive
-    (one subtree per top level k, from the zero prefix with y_k >= 1).
-    It goes depth-first over blocks of at most _CHUNK frontier rows,
-    each expanded one level at a time, and a row at level i stores only
-    its n - i filled coordinates, so live memory is one block per level
-    of the current path.
-    """
-    zero, walk = _prologue(gram, norm_target)
-    if walk is None:
-        return zero, [], iter(())
-    goal, h, d, lam, _ = walk
-    n = len(h)
-    cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
-
-    def expand(partial: np.ndarray, above: np.ndarray, i: int, root=False):
-        """Fill y_i for a block whose rows hold y_{i+1}, ..., y_{n-1} and A_{i+1}."""
-        if i < 0:
-            y = partial[above == goal]
-            if len(y):
-                yield y
-            return
-        reps, values, below = _children(goal, d, i, partial @ cols[i], above, root)
-        child = np.empty((len(reps), n - i), dtype=np.int64)
-        child[:, 0] = values
-        child[:, 1:] = partial[reps]
-        for start in range(0, len(child), _CHUNK):
-            yield from expand(child[start : start + _CHUNK], below[start : start + _CHUNK], i - 1)
-
-    def leaves():
-        for k in range(n - 1, -1, -1):
-            root = np.zeros((1, n - 1 - k), np.int64)
-            yield from expand(root, np.zeros(1, np.int64), k, root=True)
-
-    return zero, h, leaves()
-
-
 def short_vectors(gram, norm_target) -> list[list[int]]:
     """All integer x with x' G x equal to norm_target.
 
     G must be a positive-definite integer Gram (NotPositiveDefiniteError
     otherwise). Output is in the walk's deterministic order, not sorted:
-    the half walk's rows (see _half_walk) mapped back in walk order, then
-    their negatives in the same order, then the zero row if T' = 0.
-    Each block of leaves is mapped back, x = y H in int64, as soon as the
-    walk reaches it and appended to the output list (its negatives to a
-    second list, joined at the end), so live memory is the output list
-    plus one block per level: no array of all leaves or of all mapped
-    rows exists. The map back is guarded in Python ints: |x_c| <= max|y|
-    * sum_j |H_jc| must stay below 2^62.
+    the walked rows mapped back in walk order, then their negatives in
+    the same order, then the zero row if T' = 0.
+
+    The walk visits only rows y whose last nonzero coordinate is positive
+    (one subtree per top level k, from the zero prefix with y_k >= 1). It
+    is one depth-first loop over a stack of blocks, each of at most
+    _CHUNK rows at one level i, holding y_{i+1}, ..., y_{n-1} and A_{i+1}:
+    a popped block is expanded by _children, and its children are pushed
+    back as blocks in reverse, so they pop in order. Every child block is
+    a view of its level's child array, so live memory is the output list
+    plus one child array per level of the current path: no array of all
+    leaves or of all mapped rows exists. A block past
+    level 0 keeps its leaves with A_0 = T', maps them back, x = y H in
+    int64, and appends them to the output (their negatives to a second
+    list, joined at the end). The map back is guarded in Python ints:
+    |x_c| <= max|y| * sum_j |H_jc| must stay below 2^62.
     """
-    zero, h, leaves = _half_walk(gram, norm_target)
-    # |x_c| <= max|y| * sum_j |H_jc|; bounded in Python ints before H enters int64.
-    h_sum = max((sum(abs(row[c]) for row in h) for c in range(len(h))), default=0)
+    zero, walk = _prologue(gram, norm_target)
+    if walk is None:
+        return [[]] if zero else []  # zero with nothing to walk means n = 0
+    goal, h, d, lam, _ = walk
+    n = len(h)
+    cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
+    h_sum = max(sum(abs(row[c]) for row in h) for c in range(n))
     h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
     found: list[list[int]] = []
     negated: list[list[int]] = []
-    for y in leaves:
-        if h_arr is None or int(np.abs(y).max()) * h_sum >= 2**62:
-            raise ConstructionError("short_vectors: entries too large for the int64 map back")
-        x = y @ h_arr
-        found.extend(x.tolist())
-        negated.extend((-x).tolist())  # -y maps to -x
+    # (level i, rows of y_{i+1..n-1}, their A_{i+1}, whether it is a root)
+    stack = [(k, np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), True) for k in range(n)]
+    while stack:
+        i, partial, above, root = stack.pop()
+        if i < 0:
+            y = partial[above == goal]
+            if not len(y):
+                continue
+            # y != 0, so max|y| >= 1: this also refuses h_sum >= 2^62 before h_arr is read.
+            if int(np.abs(y).max()) * h_sum >= 2**62:
+                raise ConstructionError("short_vectors: entries too large for the int64 map back")
+            x = y @ h_arr
+            found.extend(x.tolist())
+            negated.extend((-x).tolist())  # -y maps to -x
+            continue
+        reps, values, below = _children(goal, d, i, partial @ cols[i], above, root)
+        child = np.empty((len(reps), n - i), dtype=np.int64)
+        child[:, 0] = values
+        child[:, 1:] = partial[reps]
+        for start in reversed(range(0, len(child), _CHUNK)):
+            stack.append((i - 1, child[start : start + _CHUNK], below[start : start + _CHUNK], False))
     found += negated
     if zero:
-        found.append([0] * len(h))
+        found.append([0] * n)
     return found
 
 

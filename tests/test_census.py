@@ -225,6 +225,14 @@ def _with_wide_entry(rows):
     return rows
 
 
+def _with_wrapping_entry(conics):
+    # A P3/P4 conic (entry 0 is 2) with entry 0 moved by -2^63, to 2 - 2^63:
+    # its int64 products wrap back to the conic's own, hbar 16 and u3 0.
+    rows = conics.astype(np.int64)
+    rows[np.flatnonzero(rows[:, 0] == 2)[0], 0] = 2 - 2**63
+    return rows
+
+
 @pytest.mark.parametrize(
     "call, rows, error",
     [
@@ -237,6 +245,7 @@ def _with_wide_entry(rows):
         ("classify_all", lambda conics, vectors: conics[:, :23], ValueError),
         ("find_conics", lambda conics, vectors: vectors.astype(np.float64), TypeError),
         ("find_conics", lambda conics, vectors: vectors[:, :23], ValueError),
+        ("find_conics", lambda conics, vectors: _with_wrapping_entry(conics), ValueError),
         ("intersection_data", lambda conics, vectors: _with_half(conics), TypeError),
         ("intersection_data", lambda conics, vectors: conics[0], ValueError),
         ("intersection_data", lambda conics, vectors: conics[:, :20], ValueError),
@@ -245,7 +254,7 @@ def _with_wide_entry(rows):
     ids=[
         "classify-half", "classify-half-list", "classify-5-wide", "classify-2d",
         "classify_all-half", "classify_all-float", "classify_all-23-wide",
-        "find_conics-float", "find_conics-23-wide",
+        "find_conics-float", "find_conics-23-wide", "find_conics-wrapping-entry",
         "intersection_data-half", "intersection_data-1d", "intersection_data-20-wide",
         "intersection_data-wide-entry",
     ],
@@ -253,7 +262,8 @@ def _with_wide_entry(rows):
 def test_conic_entry_points_refuse_malformed_rows(call, rows, error, conics, vectors, code):
     """Integer rows 24 wide only: a float dtype or entry is a TypeError,
     another width or rank a ValueError; intersection_data also refuses
-    an entry outside 8 bits with ValueError."""
+    an entry outside 8 bits, and find_conics one outside [-2^59, 2^59),
+    with ValueError."""
     args = (rows(conics, vectors),) + ((code,) if call.startswith("classify") else ())
     with pytest.raises(error):
         getattr(census, call)(*args)

@@ -164,6 +164,50 @@ def _three_frame_candidates(monkeypatch, vectors):
     monkeypatch.setattr(golay, "frame_candidates", lambda code: frame_candidates(code)[:3])
 
 
+def _generator_rows(edit):
+    """A plant in the golay rows' input: normalize_frame reads the raw
+    code spanned by the generator rows after edit."""
+
+    def plant(monkeypatch, vectors):
+        build_golay = golay.build_golay
+
+        def planted():
+            basis = tuple(edit(list(build_golay().basis)))
+            return golay.GolayCode(words=golay._expand_basis(basis), basis=basis)
+
+        monkeypatch.setattr(golay, "build_golay", planted)
+
+    return plant
+
+
+def _basis_input(edit):
+    """A plant in the basis rows' input: extract_basis reads a copy of
+    the census rows after edit. Its first 24 rows are -1 + 4e_k."""
+
+    def plant(monkeypatch, vectors):
+        extract_basis = leech.extract_basis
+        monkeypatch.setattr(leech, "extract_basis", lambda rows: extract_basis(edit(rows.copy())))
+
+    return plant
+
+
+def _first_row_plus_second(rows):
+    # -1 + 4e_1 becomes -2 + 4e_1 + 4e_2, of raw norm 96: the first 24 rows
+    # still span the same sublattice, and the exchange keeps this row
+    rows[0] += rows[1]
+    return rows
+
+
+def _root_8_z24(rows):
+    # (2, 2) and (2, -2) on each pair of positions: a basis of sqrt(8) Z^24,
+    # odd and unimodular at scale 1/8, so the exchange stops at once
+    rows[:24] = 0
+    for k in range(0, 24, 2):
+        rows[k, k : k + 2] = (2, 2)
+        rows[k + 1, k : k + 2] = (2, -2)
+    return rows
+
+
 def _seed_gram_entry(monkeypatch, vectors):
     gram = [list(row) for row in census.SEED_GRAM]
     gram[0][1] = gram[1][0] = 3
@@ -317,9 +361,65 @@ UNREACHABLE = {
     "doubled-row Gram formula whatever N is",
 }
 
+_GOLAY_WEIGHTS = {"0": 1, "8": 759, "12": 2576, "16": 759, "24": 1}
+
 # One planted fault per row: (command line, plant, exit code, error type,
 # the row's expected and computed values, every row that fails).
 PLANTED = {
+    # the first 11 generator rows span a [24, 11] subcode
+    "codeword_count": (
+        "golay", _generator_rows(lambda rows: rows[:11]), 1, None, 4096, 2048,
+        {
+            "codeword_count", "weight_distribution", "complement_closed",
+            "steiner_every_quintuple_once", "frame_octad_candidates",
+        },
+    ),
+    # the last generator row repeats the first: 4096 words, each of a
+    # [24, 11] subcode twice. The Steiner row reads only the code, and a
+    # code that keeps the other golay rows is the Golay code (unique up to
+    # a permutation), which is Steiner: so it shares this plant.
+    "weight_distribution": (
+        "golay", _generator_rows(lambda rows: rows[:11] + rows[:1]), 1, None,
+        _GOLAY_WEIGHTS, {"0": 2, "8": 1012, "12": 2576, "16": 506},
+        {
+            "weight_distribution", "complement_closed", "steiner_every_quintuple_once",
+            "frame_octad_candidates",
+        },
+    ),
+    "steiner_every_quintuple_once": (
+        "golay", _generator_rows(lambda rows: rows[:11] + rows[:1]), 1, None, [1, 1], [0, 2],
+        {
+            "weight_distribution", "complement_closed", "steiner_every_quintuple_once",
+            "frame_octad_candidates",
+        },
+    ),
+    # the generator polynomial without its x^11 term has a word of weight 4
+    "min_nonzero_weight": (
+        "golay", lambda mp, v: mp.setattr(golay, "_QR23_GEN", golay._QR23_GEN ^ (1 << 11)),
+        1, None, 8, 4,
+        {
+            "weight_distribution", "min_nonzero_weight", "complement_closed",
+            "steiner_every_quintuple_once", "frame_octad_candidates",
+        },
+    ),
+    "complement_closed": (
+        "golay", lambda mp, v: mp.setattr(golay, "FULL_MASK", (1 << 23) - 1), 1, None, True, False,
+        {"complement_closed"},
+    ),
+    "basis_from_minimal_vectors": (
+        "leech", _basis_input(_first_row_plus_second), 1, None, True, False,
+        {"basis_from_minimal_vectors"},
+    ),
+    # the exchange stops at the first 24 rows' own determinant, 20480 * 8^12:
+    # they span a sublattice of index 20480
+    "basis_gram_determinant": (
+        "leech", lambda mp, v: mp.setattr(leech, "RAW_BASIS_DET", 20480 * 8**12), 1, None,
+        1, 20480**2, {"basis_gram_determinant"},
+    ),
+    "basis_gram_even_diagonal": (
+        "leech", _basis_input(_root_8_z24), 1, None, True, False,
+        {"basis_from_minimal_vectors", "basis_gram_even_diagonal"},
+    ),
     "frame_octad_candidates": (
         "golay", _three_frame_candidates, 1, None, 4, 3, {"frame_octad_candidates"},
     ),

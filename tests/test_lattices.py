@@ -1,5 +1,6 @@
 """Tests for lattices, discriminant forms, and short-vector search."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -162,6 +163,18 @@ def test_short_vectors_e8_theta_counts():
     assert [count_vectors(cubed, t) for t in (2, 4)] == [720, 179280]
 
 
+def test_short_vectors_e8_output_pinned():
+    """The E8 rows at norms 2, 4, 6 and 8 in walk order, pinned byte for byte."""
+    digests = [hashlib.sha256(np.array(rows, dtype=np.int64).tobytes()).hexdigest()
+               for rows in _e8_outputs()]
+    assert digests == [
+        "7f20d1f32ec4908e6025b94ed9cfdcfa42753a3e12c524a08b166601256d2b3e",
+        "a7609d3c337a006e2b338149cf8670d7d114f6b8a8bb1a482f80d7379527b80a",
+        "2a63b2151074dda0966e31ac848646150f4df9da9ee00743aa586ac9f35a8e24",
+        "ab1427693df6b7f6b8a34b83750d16595d002fa3e78dcc525a834c1214f46679",
+    ]
+
+
 def test_short_vectors_rows_then_negatives():
     """The half-walk rows in walk order, then their negatives in the same order."""
     rows = short_vectors(E8_CARTAN, 2)
@@ -208,7 +221,7 @@ def test_short_vectors_rejects_indefinite():
     for walk in (short_vectors, count_vectors):
         with pytest.raises(NotPositiveDefiniteError):
             walk([[1, 0], [0, -1]], 2)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(TypeError):
             walk([[Fraction(1, 2), 0], [0, 1]], 2)
         with pytest.raises(ConstructionError):
             walk([[2, 1], [0, 2]], 2)  # not symmetric
@@ -366,5 +379,34 @@ def test_discriminant_form_preconditions():
         discriminant_form([[2, 2], [2, 2]])  # singular
     with pytest.raises(ConstructionError):
         discriminant_form([[2, 1], [0, 2]])  # asymmetric
-    with pytest.raises(VerificationError):
+    with pytest.raises(TypeError):
         discriminant_form([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])  # non-integral
+
+
+# Grams whose entries are not integers, even where their values are.
+NON_INTEGER_GRAMS = {
+    "float": [[2.0, 1], [1, 2]],
+    "float64": np.array([[2, 1], [1, 2]], dtype=np.float64),
+    "fraction": [[Fraction(2), 1], [1, 2]],
+    "half": [[2.5, 1], [1, 2]],
+}
+
+
+@pytest.mark.parametrize("gram", list(NON_INTEGER_GRAMS))
+@pytest.mark.parametrize(
+    "reader",
+    [lambda g: short_vectors(g, 2), lambda g: count_vectors(g, 2), discriminant_form,
+     exact.det_bareiss],
+    ids=["short_vectors", "count_vectors", "discriminant_form", "det_bareiss"],
+)
+def test_gram_readers_refuse_non_integer_entries(reader, gram):
+    """Every Gram reader reads through exact.copy_matrix: an entry that is
+    not an integer is a TypeError, not a value cast to one."""
+    with pytest.raises(TypeError):
+        reader(NON_INTEGER_GRAMS[gram])
+
+
+def test_gram_readers_take_numpy_integers():
+    gram = np.array([[2, 1], [1, 2]], dtype=np.int64)
+    assert len(short_vectors(gram, 2)) == count_vectors(gram, 2) == 6
+    assert discriminant_form(gram).group_order == exact.det_bareiss(gram) == 3

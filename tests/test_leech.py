@@ -1,5 +1,6 @@
 """Tests for minimal-vector enumeration and basis extraction."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,14 @@ def test_norm4_enumeration_memory_follows_its_output(norm4_walk):
     assert peak <= 1.25 * held
     half = len(rows) // 2
     assert all(rows[k + half] == [-x for x in rows[k]] for k in range(half))
+
+
+@pytest.mark.heavy
+def test_norm4_walk_output_pinned(norm4_walk):
+    """The 196560 norm-4 rows in walk order, pinned byte for byte."""
+    _, rows, _, _ = norm4_walk
+    digest = hashlib.sha256(np.array(rows, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == "ed71d11765f1a1ad28b274bf37fe087f385be1b20a7a8d068f62eb68eb74c8e9"
 
 
 @pytest.mark.heavy
