@@ -20,10 +20,13 @@ make every layer bound an integer comparison, and the int64 bound. Both
 visit one row of each +-x pair. short_vectors lists rows: one loop pops
 bounded blocks off a stack, depth first, expands each a level at a time,
 and maps each block of leaves back onto its output list as soon as it
-reaches it. count_vectors builds no row: it walks a level at a time and
-merges the nodes whose subtrees must hold equally many leaves: those
-with equal partial norms whose centres agree modulo the shifts of the
-coordinates still to fill.
+reaches it. The counting walk (_norm_walk) builds no row: it walks a
+level at a time and merges the nodes whose subtrees must hold equally
+many leaves of each norm: those with equal partial norms whose centres
+agree modulo the shifts of the coordinates still to fill. A walk at T
+admits every vector of norm at most T, so it counts its leaves by norm:
+norm_counts returns the count of every norm from 0 to T, and
+count_vectors reads one of them.
 """
 
 from __future__ import annotations
@@ -299,6 +302,11 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
+def _content(g) -> int:
+    """The gcd of the entries of G, or 1 for the zero or empty Gram."""
+    return math.gcd(*(x for row in g for x in row)) or 1
+
+
 def _prologue(gram, norm_target):
     """Check G and reduce it, for both walks: returns (zero, walk).
 
@@ -325,7 +333,7 @@ def _prologue(gram, norm_target):
     if not exact.is_symmetric(g):
         raise ConstructionError("short vectors need a symmetric Gram matrix")
     n = len(g)
-    content = math.gcd(*(x for row in g for x in row)) or 1
+    content = _content(g)
     goal, rest = divmod(Fraction(norm_target), content)
     if goal < 0 or rest or n == 0:
         return goal == 0 and not rest, None
@@ -446,22 +454,54 @@ def count_vectors(gram, norm_target) -> int:
     """The number of integer x with x' G x equal to norm_target, which is
     len(short_vectors(gram, norm_target)), with the same checks and raises.
 
-    H is unimodular, so x = y H is a bijection and the count is that of
-    the y. It comes from its own walk over the same tree, one level at a
-    time, which merges the nodes whose subtrees must hold equally many
-    leaves. A node at level i (y_{>i} filled) is a state: its partial
-    centres e_0..e_i (the sums over the filled coordinates) and A_{i+1}.
-    Shifting y_0..y_i by an integer vector z is a bijection on the
-    node's subtree that adds sum_l z_l r_l to the centres, where
-    r_l[j] = lam[l][j] for j < l and r_l[l] = d_{l+1}. So the subtree's
-    leaf count depends only on the state with its centres reduced modulo
-    the rows r_l, which is done top-down so that 0 <= e_j < d_{j+1}.
-    Each state carries an int64 weight, the number of y-prefixes that
-    reach it: children get their parent's weight, and states equal after
-    reduction merge, their weights adding. The roots are the zero
-    prefixes of each top level k with y_k >= 1, as in the row walk, so
-    the count is 2 (total weight of the leaves with A_0 = T') plus 1
-    when T' = 0. Live memory is one level's states and their children.
+    It reads one entry of the merged walk's counts (_norm_walk) at
+    T' = norm_target / c, after _prologue's checks.
+    """
+    zero, walk = _prologue(gram, norm_target)
+    if walk is None:
+        return int(zero)
+    return _norm_walk(walk).get(walk[0], 0)
+
+
+def norm_counts(gram, top) -> list[int]:
+    """counts[t], the number of integer x with x' G x = t, for every t from
+    0 to top: one merged walk at the largest multiple of G's content c
+    that is at most top, whose leaves are counted by norm. top is read
+    with operator.index, so a non-integer raises TypeError; the other
+    checks and raises are count_vectors'."""
+    top = operator.index(top)
+    g = exact.copy_matrix(gram)
+    content = _content(g)
+    zero, walk = _prologue(g, top - top % content)
+    if walk is None:  # top < 0, or n = 0, where only the empty x exists
+        return [int(t == 0) for t in range(top + 1)]
+    per = _norm_walk(walk)
+    return [0 if t % content else per.get(t // content, 0) for t in range(top + 1)]
+
+
+def _norm_walk(walk) -> dict[int, int]:
+    """counts[a], the number of y with y' G' y = a, for each a from 0 to T'
+    that has one.
+
+    H is unimodular, so x = y H is a bijection and these are the counts
+    of the x. The walk at T' admits every node whose partial norm is at
+    most T', so its leaves are the y with y' G' y <= T', one of each +-y
+    pair, each with its norm A_0. It walks one level at a time and merges
+    the nodes whose subtrees must hold equally many leaves of each norm.
+    A node at level i (y_{>i} filled) is a state: its partial centres
+    e_0..e_i (the sums over the filled coordinates) and A_{i+1}. Shifting
+    y_0..y_i by an integer vector z is a bijection on the node's subtree
+    that keeps each leaf's norm and adds sum_l z_l r_l to the centres,
+    where r_l[j] = lam[l][j] for j < l and r_l[l] = d_{l+1}. So the
+    subtree's leaf counts depend only on the state with its centres
+    reduced modulo the rows r_l, which is done top-down so that
+    0 <= e_j < d_{j+1}. Each state carries an int64 weight, the number of
+    y-prefixes that reach it: children get their parent's weight, and
+    states equal after reduction merge, their weights adding. The roots
+    are the zero prefixes of each top level k with y_k >= 1, as in the row
+    walk, so counts[a] is 2 (total weight of the leaves with A_0 = a) for
+    a > 0, and counts[0] = 1, the zero row. Live memory is one level's
+    states and their children.
 
     Exactness: the reduction's int64 intermediates are bounded in Python
     ints before the walk (_reduction_bound, below 2^18 on the Leech Gram
@@ -469,12 +509,9 @@ def count_vectors(gram, norm_target) -> int:
     refused (ConstructionError) unless each level's path total, the
     weight its children carry, is below 2^63: that total is an exact
     Python-int sum over the level's parents, and every weight and every
-    sum of merged weights is at most it, so none wraps. The leaves'
-    total is the answer, summed in Python ints.
+    sum of merged weights is at most it, so none wraps. The leaves are
+    summed by norm in Python ints.
     """
-    zero, walk = _prologue(gram, norm_target)
-    if walk is None:
-        return int(zero)
     goal, _, d, lam, t_max = walk
     n = len(d) - 1
     if _reduction_bound(d, lam, t_max) >= 2**62:
@@ -487,12 +524,10 @@ def count_vectors(gram, norm_target) -> int:
         cent = np.concatenate([cent, np.zeros((i + 1, 1), np.int64)], axis=1)
         above, weight = np.append(above, 0), np.append(weight, 1)
         reps, values, below = _children(goal, d, i, cent[i], above, root=True)
-        kept = reps if i else reps[below == goal]
-        counts = np.bincount(kept, minlength=len(weight))
-        paths = sum(map(operator.mul, weight.tolist(), counts.tolist()))
         if i == 0:
             break
-        if paths >= 2**63:
+        counts = np.bincount(reps, minlength=len(weight))
+        if sum(map(operator.mul, weight.tolist(), counts.tolist())) >= 2**63:
             raise ConstructionError("count_vectors: path count too large for int64 weights")
         child = np.take(cent[:i], reps, axis=1) + rows[i][:i, None] * values
         for l in range(i - 1, -1, -1):
@@ -506,4 +541,9 @@ def count_vectors(gram, norm_target) -> int:
         first = np.flatnonzero(new)
         cent, above = keys[:i, first], keys[i, first]
         weight = np.add.reduceat(weight[reps[order]], first)
-    return 2 * paths + zero
+    weights = weight.tolist()
+    counts = {0: 1}
+    for a in np.unique(below).tolist():
+        leaves = np.bincount(reps[below == a], minlength=len(weights))
+        counts[a] = 2 * sum(map(operator.mul, weights, leaves.tolist()))
+    return counts

@@ -17,9 +17,9 @@ over the seven smallest positions, last sign forced by parity), shape40
 by (position pair lexicographic, signs (+,+), (+,-), (-,+), (-,-)).
 
 Every decision here is exact integer arithmetic: the census checks sort
-and compare the int8 rows, and the basis exchange tracks an integer
-adjugate with int64 scans under an overflow guard. No float and no
-BLAS/LAPACK call is involved.
+the int8 rows by a hashed key and compare their bytes, and the basis
+exchange tracks an integer adjugate with int64 scans under an overflow
+guard. No float and no BLAS/LAPACK call is involved.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ RAW_BASIS_DET = 8**12
 
 # Rows per int64 block of the extract_basis scan.
 _CHUNK = 512
+
+# Odd multipliers of the census row key, and the rows per census part.
+_KEY_MULTIPLIERS = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], dtype=np.uint64
+)
+_PART = 1 << 14
 
 
 def all_minimal_vectors(code: GolayCode) -> np.ndarray:
@@ -97,39 +103,102 @@ class MinimalVectorCensus:
 def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     """Enumerate all minimal vectors and check the census invariants.
 
-    Shapes are counted off the vectors by their largest entry: 3 for
-    shape31, 2 for shape20, 4 for shape40. Both the largest |entry| and
-    the norm (an int32 sum of squares) are taken over the 24 columns of
-    one transposed copy.
+    Shapes are counted off the vectors by their largest |entry|: 3 for
+    shape31, 2 for shape20, 4 for shape40. It is the larger of a column's
+    maximum and its negated minimum, widened to int16 first, so an entry
+    -128 reads 128 and matches no shape. The largest |entry| and the
+    norm (an int32 sum of squares) are taken over the 24 columns of a
+    transposed copy of each part of _PART rows.
 
-    One sort decides both set checks. Flipping each byte's top bit maps
-    an entry x to x + 128, so the rows' three big-endian 8-byte words
-    sort them lexicographically by entry; and for entries in [-127, 127]
-    negation maps x + 128 to 256 - (x + 128), strictly decreasing, so it
-    reverses that order. Hence the rows are distinct exactly when every
-    two adjacent sorted rows differ in one of their three words, and the
-    rows are closed under negation (as a multiset) exactly when the
-    sorted flipped bytes b equal 256 - b read backwards: when b plus b
-    read backwards is 0 in uint8 (an entry -128, flipped to 0, is its own
-    negation in int8 too).
+    The set checks sort the rows once each way, by (key, words): the
+    uint64 key _row_key mixes a row's three 8-byte words, and the words
+    order the rows that share a key (_value_order). That is a total
+    order on row values, so equal rows are adjacent, and since equal rows
+    have equal keys, the rows are distinct exactly when no two adjacent
+    rows that share a key have equal words. The rows are closed under
+    negation (as a multiset) exactly when the rows in this order equal
+    the negated rows in theirs. An entry -128 has no int8 negation, so
+    a row that holds one makes negation_closed False. Every reading is
+    exact whatever the keys are: a shared key costs time, not a result.
     """
     vectors = all_minimal_vectors(code)
-    columns = np.abs(np.ascontiguousarray(vectors.T))
-    by_largest = np.bincount(columns.max(axis=0), minlength=5)
-    # int8 entries: each sum is at most 24 * 128^2 = 393216, inside int32.
-    norms = np.einsum("ij,ij->j", columns, columns, dtype=np.int32)
-    del columns  # freed before the sort's copies
-    words = (vectors.view(np.uint8) ^ 0x80).view(">u8")
-    ordered = words[np.lexsort(words.T[::-1])]
-    flipped = ordered.view(np.uint8)
+    by_largest = np.zeros(129, dtype=np.int64)
+    all_norm_32 = True
+    for s in range(0, len(vectors), _PART):
+        columns = np.ascontiguousarray(vectors[s : s + _PART].T)
+        low = columns.min(axis=0).astype(np.int16)
+        by_largest += np.bincount(np.maximum(columns.max(axis=0), -low), minlength=129)
+        # int8 entries: each sum is at most 24 * 128^2 = 393216, inside int32.
+        norms = np.einsum("ij,ij->j", columns, columns, dtype=np.int32)
+        all_norm_32 = all_norm_32 and bool((norms == RAW_NORM).all())
+    order, keys, tied = _value_order(vectors, 1)
+    pairs = _words(vectors, 1, order[tied]) == _words(vectors, 1, order[tied + 1])
+    closed = not by_largest[128]
+    if closed:
+        neg_order, neg_keys, _ = _value_order(vectors, -1)
+        # Row order[p] must equal minus row neg_order[p]. partner maps
+        # neg_order[p] to order[p], so the negated rows are compared with
+        # their partners in place, a part at a time.
+        partner = np.empty_like(order)
+        partner[neg_order] = order
+        words = _words(vectors, 1, slice(None))
+        closed = np.array_equal(keys, neg_keys) and all(
+            np.array_equal(
+                np.take(words, partner[s : s + _PART], axis=0),
+                _words(vectors, -1, slice(s, s + _PART)),
+            )
+            for s in range(0, len(vectors), _PART)
+        )
     report = MinimalVectorCensus(
         total=len(vectors),
         shape_counts=tuple(int(by_largest[m]) for m in (3, 2, 4)),
-        all_norm_32=bool((norms == RAW_NORM).all()),
-        distinct=bool((ordered[1:] != ordered[:-1]).any(axis=1).all()),
-        negation_closed=not (flipped + flipped[::-1]).any(),
+        all_norm_32=all_norm_32,
+        distinct=not pairs.all(axis=1).any(),
+        negation_closed=closed,
     )
     return vectors, report
+
+
+def _row_key(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of three 8-byte words: the words folded in
+    by odd multipliers and xor-shifts. uint64 array arithmetic wraps
+    modulo 2^64 without a warning (a numpy scalar product would warn)."""
+    key = words[:, 0] * _KEY_MULTIPLIERS[0]
+    for j in (1, 2):
+        key ^= key >> np.uint64(29)
+        key += words[:, j]
+        key *= _KEY_MULTIPLIERS[j]
+    key ^= key >> np.uint64(32)
+    return key
+
+
+def _words(vectors: np.ndarray, sign: int, idx) -> np.ndarray:
+    """The native 8-byte words of the rows sign * vectors[idx]."""
+    rows = -vectors[idx] if sign < 0 else vectors[idx]
+    return np.ascontiguousarray(rows).view(np.uint64)
+
+
+def _value_order(vectors: np.ndarray, sign: int):
+    """(order, keys, tied) for the rows sign * vectors: order sorts them by
+    (key, words), keys are their keys in that order, and tied holds each
+    position i whose row shares its key with row i + 1.
+
+    One argsort orders the keys, and only the rows in runs of a shared key
+    are then re-sorted, by (key, words), in the positions the runs take.
+    The keys are computed in parts of _PART rows, so a negated copy of
+    all rows never exists.
+    """
+    keys = np.empty(len(vectors), dtype=np.uint64)
+    for s in range(0, len(vectors), _PART):
+        keys[s : s + _PART] = _row_key(_words(vectors, sign, slice(s, s + _PART)))
+    order = np.argsort(keys)
+    keys = keys[order]
+    tied = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(tied):
+        at = np.union1d(tied, tied + 1)
+        words = _words(vectors, sign, order[at])
+        order[at] = order[at][np.lexsort((words[:, 2], words[:, 1], words[:, 0], keys[at]))]
+    return order, keys, tied
 
 
 def extract_basis(vectors: np.ndarray) -> list[list[int]]:

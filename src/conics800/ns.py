@@ -157,28 +157,71 @@ def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
     The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0].
     Hard-errors when the extension cannot be built exactly (see _glue);
     h's doubled row [0 | 2] is one of the rows whose HNF is N's basis,
-    so h always lies in N. h and every class are solved over that basis
-    by _glue's solver. A conic class outside N is left out of classes,
-    so the report's class rows fail. N's rank, determinant, signature
-    and class products are returned for the report to judge.
+    so h always lies in N. h is solved over that basis by _glue's solver,
+    and every class at once by _place. A conic class outside N is left
+    out of classes, so the report's class rows fail. N's rank,
+    determinant, signature and class products are returned for the
+    report to judge.
     """
     w = hbar_perp(s)
     solver, gram = _glue(w, conics[0])
     h_coords = solver.solve([0] * len(HBAR) + [2])
-
-    classes = []
-    for conic in conics.tolist():
-        xi = solver.solve(_doubled(conic))
-        if xi is not None:
-            classes.append(xi)
+    classes = _place(solver.h, conics)
 
     return PolarizedLattice(
         gram=np.array(gram, dtype=np.int64),
         h=np.array(h_coords, dtype=np.int64),
-        classes=np.array(classes, dtype=np.int64),
+        classes=classes,
         hnf2=np.array(solver.h, dtype=np.int64),
         w=w,
     )
+
+
+def _placement_bound(hnf, entry_max: int) -> int:
+    """A bound, in Python ints, on every int64 value _place forms from rows
+    whose entries are at most entry_max in size. Pivot row i, with pivot
+    p_i, takes q = floor(w_c / p_i), so |q| <= b // |p_i| + 1 while every
+    entry is at most b, and then each entry grows by at most |q| times
+    the row's largest entry."""
+    bound = entry_max
+    for row in hnf:
+        pivot = next(x for x in row if x)
+        bound += (bound // abs(pivot) + 1) * max(map(abs, row))
+    return bound
+
+
+def _place(hnf, conics: np.ndarray) -> np.ndarray:
+    """The coordinates over hnf of the class of each conic whose doubled
+    row [2l - hbar | 1] lies in the integer row span of hnf, in conic
+    order: LeftSolver.solve over that HNF, for every row at once.
+
+    The doubled rows are held by coordinate, one int64 array over the
+    conics per column. One pass takes the pivot rows in order: q is the
+    floor quotient at the pivot, and each nonzero entry of the pivot row
+    takes q times itself off its own column. A row with a nonzero
+    remainder at some pivot, or a nonzero entry left at the end, is not
+    in the span and is left out, as solve returns None for it; on the
+    other rows each step is solve's. Before the rows are formed,
+    _placement_bound bounds every value from the rows' largest entry and
+    must stay below 2^62 (ConstructionError otherwise), so none wraps.
+    """
+    entry_max = 2 * _abs_max(conics) + max(map(abs, HBAR))  # hbar != 0, so it is >= 1
+    if _placement_bound(hnf, entry_max) >= 2**62:
+        raise ConstructionError("entries too large for the int64 class placement")
+    rest = np.ones((len(HBAR) + 1, len(conics)), dtype=np.int64)
+    rest[:-1] = conics.T
+    rest[:-1] *= 2
+    rest[:-1] -= np.array(HBAR, dtype=np.int64)[:, None]
+    coords = np.zeros((len(conics), len(hnf)), dtype=np.int64)
+    kept = np.ones(len(conics), dtype=bool)
+    for i, row in enumerate(hnf):
+        c = next(j for j, x in enumerate(row) if x)
+        coords[:, i], remainder = np.divmod(rest[c], row[c])
+        kept &= remainder == 0
+        for j in range(c, len(row)):
+            if row[j]:
+                rest[j] -= row[j] * coords[:, i]
+    return coords[kept & ~rest.any(axis=0)]
 
 
 def check_glue_independence(n: PolarizedLattice, conics: np.ndarray) -> bool:

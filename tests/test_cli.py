@@ -375,22 +375,22 @@ PLANTED = {
         },
     ),
     # the last generator row repeats the first: 4096 words, each of a
-    # [24, 11] subcode twice. The Steiner row reads only the code, and a
+    # [24, 11] subcode twice, so 2048 distinct words. The Steiner row reads only the code, and a
     # code that keeps the other golay rows is the Golay code (unique up to
     # a permutation), which is Steiner: so it shares this plant.
     "weight_distribution": (
         "golay", _generator_rows(lambda rows: rows[:11] + rows[:1]), 1, None,
         _GOLAY_WEIGHTS, {"0": 2, "8": 1012, "12": 2576, "16": 506},
         {
-            "weight_distribution", "complement_closed", "steiner_every_quintuple_once",
-            "frame_octad_candidates",
+            "codeword_count", "weight_distribution", "complement_closed",
+            "steiner_every_quintuple_once", "frame_octad_candidates",
         },
     ),
     "steiner_every_quintuple_once": (
         "golay", _generator_rows(lambda rows: rows[:11] + rows[:1]), 1, None, [1, 1], [0, 2],
         {
-            "weight_distribution", "complement_closed", "steiner_every_quintuple_once",
-            "frame_octad_candidates",
+            "codeword_count", "weight_distribution", "complement_closed",
+            "steiner_every_quintuple_once", "frame_octad_candidates",
         },
     ),
     # the generator polynomial without its x^11 term has a word of weight 4

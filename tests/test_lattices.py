@@ -17,6 +17,7 @@ from conics800.lattices import (
     count_vectors,
     discriminant_form,
     fqf_isomorphic,
+    norm_counts,
     orthogonal_complement,
     short_vectors,
     verify_fqf_witness,
@@ -135,11 +136,27 @@ def test_count_vectors_reduction_guard(monkeypatch, bound, refused):
 
 
 def test_count_vectors_matches_short_vectors_on_random_grams():
+    """count_vectors(g, t) == norm_counts(g, 12)[t]: one walk at 12 gives
+    every count from 0 to 12."""
     rng = random.Random(61)
     for _ in range(30):
         gram = _random_posdef(rng, rng.randint(4, 8))
+        counts = norm_counts(gram, 12)
         for target in range(13):
-            assert count_vectors(gram, target) == len(short_vectors(gram, target))
+            assert count_vectors(gram, target) == counts[target] == len(short_vectors(gram, target))
+
+
+def test_norm_counts_contract():
+    """Norms that are not multiples of the content count 0, the empty Gram
+    has only the empty vector, a negative top lists nothing, and top must
+    be an integer, as a list index would."""
+    assert norm_counts([[2, 0], [0, 2]], 5) == [1, 0, 4, 0, 4, 0]
+    assert norm_counts([[4]], 3) == [1, 0, 0, 0]
+    assert norm_counts([], 2) == [1, 0, 0]
+    assert norm_counts([[1]], -1) == []
+    for top in (Fraction(4), 4.0):
+        with pytest.raises(TypeError):
+            norm_counts([[1]], top)
 
 
 # Cartan matrix of E8 (Bourbaki labels: chain 1-3-4-5-6-7-8, node 2 on 4).

@@ -1,6 +1,7 @@
 """Tests for minimal-vector enumeration and basis extraction."""
 
 import hashlib
+import random
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,85 @@ def test_census_catches_a_missing_negative(monkeypatch, code, vectors):
     assert cen.all_norm_32
     assert cen.distinct is True
     assert cen.negation_closed is False
+
+
+def _rows(*heads):
+    """int8 rows of 24 entries, each head padded with zeros."""
+    return np.array([list(head) + [0] * (24 - len(head)) for head in heads], dtype=np.int8)
+
+
+def test_census_row_with_minus_128_is_not_negation_closed(monkeypatch, code):
+    """-128 has no int8 negation: the integer negation of (-128, 1, 0, ...)
+    holds 128, which no row can hold, so these two rows are not closed."""
+    cen = _census_of(monkeypatch, code, _rows((-128, 1), (-128, -1)))
+    assert cen.distinct is True
+    assert cen.negation_closed is False
+
+
+def test_census_negation_reading_ignores_a_closed_pair(monkeypatch, code):
+    """Adding the pair +-5e_1, closed under negation, leaves the reading of
+    the -128 rows as it was."""
+    pair = _rows((-128, 1), (-128, -1))
+    before = _census_of(monkeypatch, code, pair).negation_closed
+    more = np.concatenate([pair, _rows((5,), (-5,))])
+    after = _census_of(monkeypatch, code, more).negation_closed
+    assert before is after is False
+
+
+def test_census_largest_entry_reads_minus_128_as_128(monkeypatch, code, vectors):
+    """(-128, 3, 0, ...) has largest |entry| 128, so it is of no shape: with
+    it in place of the first shape31 row, that shape counts one less."""
+    planted = vectors.copy()
+    planted[0] = _rows((-128, 3))[0]
+    assert _census_of(monkeypatch, code, planted).shape_counts == (98303, 97152, 1104)
+    assert _census_of(monkeypatch, code, _rows((-128, 3))).shape_counts == (0, 0, 0)
+
+
+def _planted_rows(vectors, plant):
+    rows = vectors.copy()
+    if plant == "duplicate":
+        rows[5] = rows[6]
+    elif plant == "missing-negative":
+        rows[0] = [5, 1, 1, 1, 1, 1, 1, 1] + [0] * 16
+    elif plant == "swapped":
+        rows[[3, 4]] = rows[[4, 3]]
+    elif plant == "minus-128":
+        rows[:2] = _rows((-128, 1), (-128, -1))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "plant, distinct, closed",
+    [
+        ("none", True, True),
+        ("duplicate", False, False),
+        ("missing-negative", True, False),
+        ("swapped", True, True),
+        ("minus-128", True, False),
+    ],
+)
+def test_census_is_exact_when_every_key_ties(monkeypatch, code, vectors, plant, distinct, closed):
+    """The row key only sets the speed: with a constant key every row
+    ties, the whole census is ordered by its bytes, and every reading is
+    the one the real key gives."""
+    rows = _planted_rows(vectors, plant)
+    real = _census_of(monkeypatch, code, rows)
+    monkeypatch.setattr(leech, "_row_key", lambda words: np.zeros(len(words), dtype=np.uint64))
+    tied = _census_of(monkeypatch, code, rows)
+    assert tied == real
+    assert (real.distinct, real.negation_closed) == (distinct, closed)
+
+
+def test_census_peak_memory_within_four_times_its_rows(code):
+    """No full-size sorted or negated copy of the rows is made: the census's
+    traced peak, its rows included, stays within 4x the rows."""
+    tracemalloc.start()
+    try:
+        vectors, _ = leech.census(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * vectors.nbytes
 
 
 def test_shape31_structure(code, vectors):
@@ -233,6 +313,50 @@ def test_count_vectors_leech_norm_6(basis):
     SPLAG, ch. 4): the merged count reaches it without the 16773120 rows."""
     gram = _leech_gram(basis)
     assert [count_vectors(gram, t) for t in (2, 4, 6)] == [0, 196560, 16773120]
+
+
+def _leech_theta(top):
+    """The number of Leech vectors of norm 2m for m = 0..top, from
+    Theta = E_12 - (65520/691) Delta (Serre, A Course in Arithmetic,
+    ch. VII): (65520/691)(sigma_11(m) - tau(m)) for m >= 1, with tau(m)
+    the coefficients of Delta = q prod (1 - q^n)^24, all in Python ints."""
+    delta = [0, 1] + [0] * (top - 1)
+    for n in range(1, top + 1):
+        for _ in range(24):
+            for k in range(top, n - 1, -1):
+                delta[k] -= delta[k - n]
+    out = [1]
+    for m in range(1, top + 1):
+        sigma = sum(d**11 for d in range(1, m + 1) if m % d == 0)
+        count, rest = divmod(65520 * (sigma - delta[m]), 691)
+        assert rest == 0
+        out.append(count)
+    return out
+
+
+def test_norm_counts_leech_theta_series(basis):
+    """One walk at norm 8 gives every coefficient of the theta series up
+    to q^4: 0, 196560, 16773120 and 398034000 at norms 2, 4, 6 and 8."""
+    theta = _leech_theta(4)
+    assert theta[1:] == [0, 196560, 16773120, 398034000]
+    counts = lattices.norm_counts(_leech_gram(basis), 8)
+    assert counts == [0 if t % 2 else theta[t // 2] for t in range(9)]
+
+
+def test_norm_counts_under_a_dense_unimodular_skew(basis):
+    """U G U' for a fixed dense unimodular U (120 seeded row operations
+    row_i += +-row_j on I) counts the same vectors at norms 2, 4 and 6 as
+    G: LLL has to undo the skew before the walk."""
+    gram = _leech_gram(basis)
+    rng = random.Random(32)
+    u = exact.identity(24)
+    for _ in range(120):
+        i, j = rng.sample(range(24), 2)
+        sign = rng.choice((-1, 1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    skewed = exact.mat_mul(exact.mat_mul(u, gram), exact.transpose(u))
+    assert sum(x == 0 for row in skewed for x in row) < 24
+    assert lattices.norm_counts(skewed, 6) == [1, 0, 0, 0, 196560, 0, 16773120]
 
 
 def test_count_reduction_bound_on_the_leech_gram(basis):

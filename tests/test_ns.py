@@ -8,9 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conics800 import census, exact, golay, ns
+from conics800 import census, exact, golay, leech, ns
 from conics800.errors import ConstructionError, NotPositiveDefiniteError
-from conics800.lattices import IntegralLattice, orthogonal_complement, short_vectors
+from conics800.lattices import IntegralLattice, norm_counts, orthogonal_complement, short_vectors
 
 
 def test_S_shape_and_membership(s_lattice, lam, conics):
@@ -134,6 +134,68 @@ def test_build_N_rejects_a_foreign_glue(s_lattice, conics, vectors):
     bad[0] = vectors[0]
     with pytest.raises(ConstructionError):
         ns.build_N(s_lattice, bad)
+
+
+def _solved_one_by_one(s_lattice, conics):
+    """The per-conic oracle: LeftSolver.solve of each doubled row over N's
+    HNF, the rows outside N dropped."""
+    solver, _ = ns._glue(ns.hbar_perp(s_lattice), conics[0])
+    solved = (solver.solve(ns._doubled(conic)) for conic in conics.tolist())
+    return solver, [x for x in solved if x is not None]
+
+
+def test_place_matches_the_per_conic_solve(s_lattice, conics):
+    """The batched placement is LeftSolver.solve on every conic, in the lex
+    frame and in frame 2 (built from its own code)."""
+    code2 = golay.normalize_frame(golay.build_golay(), 2)[0]
+    vectors2 = leech.all_minimal_vectors(code2)
+    s2 = ns.build_S(IntegralLattice(leech.extract_basis(vectors2), ambient_scale=8))
+    for s, frame_conics in ((s_lattice, conics), (s2, census.find_conics(vectors2))):
+        solver, expected = _solved_one_by_one(s, frame_conics)
+        assert len(expected) == 800
+        assert ns._place(solver.h, frame_conics).tolist() == expected
+        assert ns.build_N(s, frame_conics).classes.tolist() == expected
+
+
+def test_place_leaves_out_a_conic_outside_N(s_lattice, conics, vectors, n_lattice):
+    """Conic 799 replaced by census row 0, whose doubled row is not in N:
+    its class is left out, as solve leaves it out, and the rest stay."""
+    planted = conics.copy()
+    planted[799] = vectors[0]
+    solver, expected = _solved_one_by_one(s_lattice, planted)
+    assert solver.solve(ns._doubled(vectors[0].tolist())) is None
+    classes = ns.build_N(s_lattice, planted).classes
+    assert classes.tolist() == expected
+    assert np.array_equal(classes, n_lattice.classes[:799])
+
+
+@pytest.mark.parametrize("bound, refused", [(2**62 - 1, False), (2**62, True)])
+def test_place_bound_guard(monkeypatch, s_lattice, conics, n_lattice, bound, refused):
+    """The placement runs only while its int64 bound is below 2^62. On N's
+    HNF, with conic entries up to 3 and hbar's up to 4, it is about 2^27."""
+    solver, _ = ns._glue(ns.hbar_perp(s_lattice), conics[0])
+    assert 2**26 < ns._placement_bound(solver.h, 2 * 3 + 4) < 2**27
+    monkeypatch.setattr(ns, "_placement_bound", lambda hnf, entry_max: bound)
+    if refused:
+        with pytest.raises(ConstructionError):
+            ns.build_N(s_lattice, conics)
+    else:
+        assert np.array_equal(ns.build_N(s_lattice, conics).classes, n_lattice.classes)
+
+
+def test_N_conic_classes_counted_by_the_merged_walk(n_lattice):
+    """The 800 classes through norm_counts, which shares no code with
+    short_vectors' row walk past _prologue. On Q(e) = (e.h)^2 - 2 e.e,
+    Q = 8 holds +-each conic class (e.e = -2, e.h = +-2), +-h, and the
+    e.h = 0 vectors, which are W's norm-4 vectors (h.N lies in 2Z, and
+    Q >= (e.h)^2 / 2 with equality only on the multiples of h)."""
+    n = n_lattice
+    gram, h = n.gram.tolist(), n.h.tolist()
+    g = exact.mat_vec_mul(gram, h)
+    q = [[a * b - 2 * x for b, x in zip(g, row)] for a, row in zip(g, gram)]
+    at8, w4 = norm_counts(q, 8)[8], norm_counts(n.w.gram_int(), 4)[4]
+    assert (at8, w4) == (11082, 9480)
+    assert (at8 - w4 - 2) // 2 == 800
 
 
 def test_glue_independence(conics, n_lattice):
