@@ -130,13 +130,6 @@ def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     return found[np.lexsort(found.T[::-1])]
 
 
-def classify(l, code: GolayCode) -> ConicRecord | None:
-    """The record of one conic, or None when it matches no pattern: the
-    one-row case of classify_all."""
-    records = classify_all([l], code)
-    return records[0] if records else None
-
-
 def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
     """Pattern tag, movable pair and inducing codeword of each conic that
     classifies, in row order; the others are dropped.

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heavy",
         action="store_true",
         help="also cross-check the count by independent short-vector "
-        "enumeration (about half a second)",
+        "enumeration (the stage takes about 0.04 s on a 2-vCPU VM)",
     )
 
     c = sub.add_parser("conics", help="filter and classify the 800 conic vectors")
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["first", "all"],
         default="first",
         help="report the first 16-clique of disjoint conics, or also "
-        "count all of them (exhaustive, about 0.3 s more on a 2-vCPU VM; "
+        "count all of them (exhaustive, about 0.2 s more on a 2-vCPU VM; "
         "a 60 s budget is kept as a safety stop)",
     )
 

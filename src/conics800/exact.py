@@ -15,7 +15,8 @@ goes through numpy.
 
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched, reading them through copy_matrix,
-whose ``operator.index`` refuses a float or a Fraction rather than truncate it.
+whose ``operator.index`` refuses a float or a Fraction rather than truncate it,
+and which refuses a ragged matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ IntMatrix = list[list[int]]
 
 
 def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Copy to plain Python ints (numpy scalars would wrap silently)."""
-    return [[index(x) for x in row] for row in m]
+    """Copy to plain Python ints (numpy scalars would wrap silently).
+    Raises ValueError if the rows differ in length."""
+    out = [[index(x) for x in row] for row in m]
+    if any(len(row) != len(out[0]) for row in out):
+        raise ValueError("matrix rows differ in length")
+    return out
 
 
 def identity(n: int) -> IntMatrix:

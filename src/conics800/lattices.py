@@ -17,7 +17,8 @@ Fincke-Pohst walks over an LLL-reduced basis. Both walks share one
 prologue (_prologue): the input checks, the content step, the integral
 LLL of the Gram matrix, whose leading minors and Gram-Schmidt numerators
 make every layer bound an integer comparison, and the int64 bound. Both
-visit one row of each +-x pair. short_vectors lists rows: one loop pops
+visit one row of each +-x pair, and both read their target with
+operator.index. short_vectors lists rows: one loop pops
 bounded blocks off a stack, depth first, expands each a level at a time,
 and maps each block of leaves back onto its output list as soon as it
 reaches it. The counting walk (_norm_walk) builds no row: it walks a
@@ -25,8 +26,7 @@ level at a time and merges the nodes whose subtrees must hold equally
 many leaves of each norm: those with equal partial norms whose centres
 agree modulo the shifts of the coordinates still to fill. A walk at T
 admits every vector of norm at most T, so it counts its leaves by norm:
-norm_counts returns the count of every norm from 0 to T, and
-count_vectors reads one of them.
+norm_counts returns the count of every norm from 0 to T.
 """
 
 from __future__ import annotations
@@ -75,7 +75,10 @@ class IntegralLattice:
 
 
 def orthogonal_complement(sub: IntegralLattice, ambient: IntegralLattice) -> IntegralLattice:
-    """The saturated sublattice {x in ambient : x.s = 0 for all s in sub}."""
+    """The saturated sublattice {x in ambient : x.s = 0 for all s in sub}.
+    Raises ValueError unless both lie in the same Z^n."""
+    if len({len(row) for row in sub.basis + ambient.basis}) > 1:
+        raise ValueError("the lattices lie in different Z^n")
     dots = exact.mat_mul(ambient.basis, exact.transpose(sub.basis))
     kernel = exact.kernel_left(dots)
     basis = exact.mat_mul(kernel, ambient.basis)
@@ -302,41 +305,38 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
-def _content(g) -> int:
-    """The gcd of the entries of G, or 1 for the zero or empty Gram."""
-    return math.gcd(*(x for row in g for x in row)) or 1
+def _prologue(gram, target: int):
+    """Check G and reduce it, for both walks: returns (c, walk), where c
+    is the content of G, the gcd of its entries (1 for the zero or empty
+    Gram). Both walks run on G' at T' = floor(target / c), so they admit
+    every x with x' G x <= target.
 
+    walk is None when there is nothing to walk (T' < 0, or n = 0), and
+    otherwise (goal, h, d, lam, t_max): the target T', the unimodular LLL
+    transform H, the leading minors and Gram-Schmidt numerators of G',
+    and the bounds t_max[i] >= |t_i| on admitted nodes.
 
-def _prologue(gram, norm_target):
-    """Check G and reduce it, for both walks: returns (zero, walk).
-
-    zero says whether T' = 0, so that the zero row is a solution. walk is
-    None when there is nothing to walk (T' is negative or not an integer,
-    or n = 0), and otherwise (goal, h, d, lam, t_max): the target T', the
-    unimodular LLL transform H, the leading minors and Gram-Schmidt
-    numerators of G', and the bounds t_max[i] >= |t_i| on admitted nodes.
-
-    ``exact.lll_gram`` of G/c (c the gcd of G's entries) gives H,
-    G' = H (G/c) H', its leading minors d_i and Gram-Schmidt numerators
-    lam. The solutions are x = y H with y' G' y = T' = T / c, so there is
-    none unless T' is an integer. With t_i = d_{i+1} y_i + e_i and the
+    ``exact.lll_gram`` of G/c gives H, G' = H (G/c) H', its leading
+    minors d_i and Gram-Schmidt numerators lam. The x with x' G x = c a
+    are x = y H with y' G' y = a. With t_i = d_{i+1} y_i + e_i and the
     centre e_i = sum_{j>i} lam[j][i] y_j, the integers A_n = 0,
     A_i = (d_i A_{i+1} + t_i^2) / d_{i+1} are d_i times the partial norm
     of levels >= i (a Schur-complement form), so y_i is admitted iff
-    t_i^2 <= d_i (d_{i+1} T' - A_{i+1}) and a leaf is kept iff A_0 = T'.
+    t_i^2 <= d_i (d_{i+1} T' - A_{i+1}), and a leaf's norm is A_0.
     Admitted nodes have t_i^2 <= d_i d_{i+1} T', which bounds every int64
     intermediate of the row walk before it starts (top < 2^62).
-    G is read through exact.copy_matrix, so an entry that is not an
-    integer (a float or a Fraction, even 2.0) raises TypeError.
+    G is copied once, through exact.copy_matrix, so an entry that is not
+    an integer (a float or a Fraction, even 2.0) raises TypeError. target
+    is an int: each walk reads it with operator.index first.
     """
     g = exact.copy_matrix(gram)
     if not exact.is_symmetric(g):
         raise ConstructionError("short vectors need a symmetric Gram matrix")
     n = len(g)
-    content = _content(g)
-    goal, rest = divmod(Fraction(norm_target), content)
-    if goal < 0 or rest or n == 0:
-        return goal == 0 and not rest, None
+    content = math.gcd(*(x for row in g for x in row)) or 1
+    goal = target // content
+    if goal < 0 or n == 0:
+        return content, None
     h, d, lam = exact.lll_gram([[x // content for x in row] for row in g])
     # |t_i| <= isqrt(d_i d_{i+1} T') bounds |e_i|, hence |y_i|, level by level.
     y_max, t_max, top = [0] * n, [0] * n, 0
@@ -347,7 +347,7 @@ def _prologue(gram, norm_target):
         top = max(top, 2 * (t_max[i] + 1) ** 2, t_max[i] + e_max, d[i + 1])
     if top >= 2**62:
         raise ConstructionError("entries too large for the int64 walk")
-    return goal == 0, (int(goal), h, d, lam, t_max)
+    return content, (goal, h, d, lam, t_max)
 
 
 def _children(goal, d, i, cent, above, root=False):
@@ -373,9 +373,12 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     """All integer x with x' G x equal to norm_target.
 
     G must be a positive-definite integer Gram (NotPositiveDefiniteError
-    otherwise). Output is in the walk's deterministic order, not sorted:
-    the walked rows mapped back in walk order, then their negatives in
-    the same order, then the zero row if T' = 0.
+    otherwise), read by _prologue. norm_target is read with
+    operator.index, so a target that is not an integer (a float or a
+    Fraction, even 2.0) raises TypeError. Output is in the walk's
+    deterministic order, not sorted: the walked rows mapped back in walk
+    order, then their negatives in the same order, then the zero row if
+    norm_target = 0.
 
     The walk visits only rows y whose last nonzero coordinate is positive
     (one subtree per top level k, from the zero prefix with y_k >= 1). It
@@ -391,9 +394,12 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     list, joined at the end). The map back is guarded in Python ints:
     |x_c| <= max|y| * sum_j |H_jc| must stay below 2^62.
     """
-    zero, walk = _prologue(gram, norm_target)
-    if walk is None:
-        return [[]] if zero else []  # zero with nothing to walk means n = 0
+    target = operator.index(norm_target)
+    content, walk = _prologue(gram, target)
+    if target % content:
+        return []
+    if walk is None:  # target < 0, or n = 0, where only the empty x exists
+        return [[]] if target == 0 else []
     goal, h, d, lam, _ = walk
     n = len(h)
     cols = [np.array([lam[j][i] for j in range(i + 1, n)], np.int64) for i in range(n)]
@@ -423,13 +429,13 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
         for start in reversed(range(0, len(child), _CHUNK)):
             stack.append((i - 1, child[start : start + _CHUNK], below[start : start + _CHUNK], False))
     found += negated
-    if zero:
+    if target == 0:
         found.append([0] * n)
     return found
 
 
 def _reduction_bound(d, lam, t_max) -> int:
-    """A bound, in Python ints, on every int64 value count_vectors'
+    """A bound, in Python ints, on every int64 value _norm_walk's
     reduction forms: the children's centres, the quotients times the
     rows r_l, and the differences.
 
@@ -450,29 +456,21 @@ def _reduction_bound(d, lam, t_max) -> int:
     return bound
 
 
-def count_vectors(gram, norm_target) -> int:
-    """The number of integer x with x' G x equal to norm_target, which is
-    len(short_vectors(gram, norm_target)), with the same checks and raises.
-
-    It reads one entry of the merged walk's counts (_norm_walk) at
-    T' = norm_target / c, after _prologue's checks.
-    """
-    zero, walk = _prologue(gram, norm_target)
-    if walk is None:
-        return int(zero)
-    return _norm_walk(walk).get(walk[0], 0)
-
-
 def norm_counts(gram, top) -> list[int]:
     """counts[t], the number of integer x with x' G x = t, for every t from
-    0 to top: one merged walk at the largest multiple of G's content c
-    that is at most top, whose leaves are counted by norm. top is read
-    with operator.index, so a non-integer raises TypeError; the other
-    checks and raises are count_vectors'."""
+    0 to top: one merged walk at T' = floor(top / c), c the content of G,
+    whose leaves are counted by norm; a norm that is not a multiple of c
+    counts 0. top is read with operator.index, as short_vectors reads its
+    target, so a non-integer raises TypeError; the Gram's checks and
+    raises are short_vectors'.
+
+    The walk at top builds every node of partial norm at most top, so a
+    count at one large norm costs as much as counting every smaller one:
+    on Z^2 at top = 10^10 its last level alone has about pi 10^10 / 2
+    children, and it does not return within minutes.
+    """
     top = operator.index(top)
-    g = exact.copy_matrix(gram)
-    content = _content(g)
-    zero, walk = _prologue(g, top - top % content)
+    content, walk = _prologue(gram, top)
     if walk is None:  # top < 0, or n = 0, where only the empty x exists
         return [int(t == 0) for t in range(top + 1)]
     per = _norm_walk(walk)
@@ -515,7 +513,7 @@ def _norm_walk(walk) -> dict[int, int]:
     goal, _, d, lam, t_max = walk
     n = len(d) - 1
     if _reduction_bound(d, lam, t_max) >= 2**62:
-        raise ConstructionError("count_vectors: entries too large for the int64 reduction")
+        raise ConstructionError("norm_counts: entries too large for the int64 reduction")
     # rows[l] = r_l, the change in e_0..e_l when y_l grows by one
     rows = [np.array(lam[l][:l] + [d[l + 1]], np.int64) for l in range(n)]
     cent = np.zeros((n, 0), np.int64)  # one column per state, e_0..e_i
@@ -528,7 +526,7 @@ def _norm_walk(walk) -> dict[int, int]:
             break
         counts = np.bincount(reps, minlength=len(weight))
         if sum(map(operator.mul, weight.tolist(), counts.tolist())) >= 2**63:
-            raise ConstructionError("count_vectors: path count too large for int64 weights")
+            raise ConstructionError("norm_counts: path count too large for int64 weights")
         child = np.take(cent[:i], reps, axis=1) + rows[i][:i, None] * values
         for l in range(i - 1, -1, -1):
             child[: l + 1] -= rows[l][:, None] * (child[l] // d[l + 1])

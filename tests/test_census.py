@@ -83,12 +83,12 @@ def test_classification_consistency(records, code):
 
 def test_classify_rejects_unknown_profile(code):
     bogus = [1] * 24
-    assert census.classify(bogus, code) is None
+    assert census.classify_all([bogus], code) == []
     bogus2 = [3, 1, 1, -1, 1] + [1] * 19  # no movable -1 entries
-    assert census.classify(bogus2, code) is None
+    assert census.classify_all([bogus2], code) == []
     # P2's profile, but the +1 entries have weight 20, so no codeword
     bogus3 = [3, 1, 1, -1, 1, 1, 1, -1, -1] + [1] * 15
-    assert census.classify(bogus3, code) is None
+    assert census.classify_all([bogus3], code) == []
 
 
 def _classify_oracle(l, code):
@@ -166,14 +166,15 @@ def _p3_window_moved(monkeypatch):
 )
 def test_classify_all_matches_the_per_row_oracle(rows, patch, monkeypatch):
     """classify_all's records equal the per-row oracle's, in row order,
-    and classify gives the same record row by row. PROFILES and
+    and each row classified alone gives the same record. PROFILES and
     WINDOW_CONDITIONS are patched before the rows are classified."""
     code, rows = rows()
     if patch is not None:
         patch(monkeypatch)
     oracle = [_classify_oracle(row, code) for row in rows.tolist()]
     assert census.classify_all(rows, code) == [r for r in oracle if r is not None]
-    assert [census.classify(row, code) for row in rows[::50]] == oracle[::50]
+    alone = [census.classify_all([row], code) for row in rows[::50]]
+    assert alone == [[r] if r is not None else [] for r in oracle[::50]]
 
 
 @pytest.mark.parametrize(
@@ -236,10 +237,12 @@ def _with_wrapping_entry(conics):
 @pytest.mark.parametrize(
     "call, rows, error",
     [
-        ("classify", lambda conics, vectors: _with_half(conics[0]), TypeError),
-        ("classify", lambda conics, vectors: _with_half(conics[0]).tolist(), TypeError),
-        ("classify", lambda conics, vectors: [2, 2, 0, 0, 0], ValueError),
-        ("classify", lambda conics, vectors: conics[:2], ValueError),
+        # The classify-* cases pass one row, as a caller classifying a
+        # single conic does.
+        ("classify_all", lambda conics, vectors: [_with_half(conics[0])], TypeError),
+        ("classify_all", lambda conics, vectors: [_with_half(conics[0]).tolist()], TypeError),
+        ("classify_all", lambda conics, vectors: [[2, 2, 0, 0, 0]], ValueError),
+        ("classify_all", lambda conics, vectors: [conics[:2]], ValueError),
         ("classify_all", lambda conics, vectors: _with_half(conics), TypeError),
         ("classify_all", lambda conics, vectors: conics.astype(np.float64), TypeError),
         ("classify_all", lambda conics, vectors: conics[:, :23], ValueError),

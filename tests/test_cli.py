@@ -236,6 +236,23 @@ def _e8_cubed_gram(monkeypatch, vectors):
     monkeypatch.setattr(report, "stage_leech", planted)
 
 
+def _root_in_s_gram(monkeypatch, vectors):
+    """S_root_free reads S's Gram with its first basis row made a root
+    orthogonal to the others: [[2]] plus the Gram of the other 19 rows.
+    Those span a sublattice of root-free S, so +-e_0 are its only roots.
+    Every other row reads S's basis, which is unchanged."""
+    build_s = ns.build_S
+
+    def planted(lam):
+        s = build_s(lam)
+        gram = s.gram_int()
+        rooted = [[2] + [0] * (len(gram) - 1)] + [[0] + row[1:] for row in gram[1:]]
+        s.gram_int = lambda: rooted
+        return s
+
+    monkeypatch.setattr(ns, "build_S", planted)
+
+
 def _clique_graph(edit):
     """A plant in the clique rows' graph input: disjointness_masks reads
     a copy of the true products after edit. The lexicographically least
@@ -526,6 +543,7 @@ PLANTED = {
             "discriminant_neg_N_vs_T", "discriminant_complement_identity",
         },
     ),
+    "S_root_free": ("ns", _root_in_s_gram, 1, None, 0, 2, {"S_root_free"}),
     "S_contains_hbar": (
         "ns", lambda mp, v: mp.setattr(ns, "HBAR", (2, 2) + (0,) * 22),
         3, "ConstructionError", True, False,

@@ -1,6 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and README's library example run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +12,31 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=600
+    )
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=600
-    )
+    proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_example_runs():
+    """README's one python block runs as written, warnings as errors, so
+    a README that names a deleted or renamed entry point fails here."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = _run(["-W", "error", "-c", blocks[0]])
+    assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,6 @@ from conics800.errors import ConstructionError, NotPositiveDefiniteError, Verifi
 from conics800.lattices import (
     FiniteQuadraticForm,
     IntegralLattice,
-    count_vectors,
     discriminant_form,
     fqf_isomorphic,
     norm_counts,
@@ -58,20 +57,24 @@ def test_short_vectors_against_box_oracle():
         for target in (0, 1, 2, 3, 4):
             got = sorted(list(v) for v in short_vectors(gram, target))
             assert got == box[target]
-            assert count_vectors(gram, target) == len(got)
-        assert count_vectors(gram, Fraction(1, 2)) == len(short_vectors(gram, Fraction(1, 2)))
+            assert norm_counts(gram, target)[target] == len(got)
+        for walk in (short_vectors, norm_counts):
+            with pytest.raises(TypeError):
+                walk(gram, Fraction(1, 2))
 
 
 def test_short_vectors_identity_contract():
     got = short_vectors([[1, 0], [0, 1]], 1)
     assert sorted(map(list, got)) == [[-1, 0], [0, -1], [0, 1], [1, 0]]
     assert short_vectors([[1, 0], [0, 1]], 3) == []
-    assert short_vectors([[1, 0], [0, 1]], Fraction(1, 2)) == []
+    for walk in (short_vectors, norm_counts):
+        with pytest.raises(TypeError):
+            walk([[1, 0], [0, 1]], Fraction(1, 2))
     # Rank 0: only the empty vector, of norm 0.
     assert short_vectors([], 0) == [[]]
     assert short_vectors([], 1) == []
-    assert count_vectors([], 0) == 1
-    assert count_vectors([], 1) == 0
+    assert norm_counts([], 0)[0] == 1
+    assert norm_counts([], 1)[1] == 0
 
 
 def test_short_vectors_map_back_guard_is_exact():
@@ -91,8 +94,8 @@ def test_walk_int64_bound_on_both_sides():
     lies between P = 2305843006213062000 and P + 1."""
     p = 2305843006213062000
     assert sorted(short_vectors([[1, 0], [0, p]], 1)) == [[-1, 0], [1, 0]]
-    assert count_vectors([[1, 0], [0, p]], 1) == 2
-    for walk in (short_vectors, count_vectors):
+    assert norm_counts([[1, 0], [0, p]], 1)[1] == 2
+    for walk in (short_vectors, norm_counts):
         with pytest.raises(ConstructionError):
             walk([[1, 0], [0, p + 1]], 1)
 
@@ -109,41 +112,43 @@ def _theta_power(k, top):
     return out
 
 
-def test_count_vectors_identity_theta_series():
-    """count_vectors on Z^k is the q^T coefficient of theta^k. On Z^24 the
-    counts at T = 75 and 76 pass 2^63 and still come out exact, as the
+def test_norm_counts_identity_theta_series():
+    """norm_counts on Z^k at T reads the q^T coefficient of theta^k. On
+    Z^24 the counts at T = 75 and 76 pass 2^63 and still come out exact, as the
     leaves are summed in Python ints; at T = 77 a level's path total
     passes 2^63 and the count is refused."""
     for k, targets in ((4, range(41)), (8, range(41)), (24, [*range(13), 50, 67, 75, 76])):
         series = _theta_power(k, max(targets))
-        assert [count_vectors(exact.identity(k), t) for t in targets] == [series[t] for t in targets]
+        counts = [norm_counts(exact.identity(k), t)[t] for t in targets]
+        assert counts == [series[t] for t in targets]
     assert _theta_power(24, 76)[76] >= 2**63
     with pytest.raises(ConstructionError):
-        count_vectors(exact.identity(24), 77)
+        norm_counts(exact.identity(24), 77)
 
 
 @pytest.mark.parametrize("bound, refused", [(2**62 - 1, False), (2**62, True)])
-def test_count_vectors_reduction_guard(monkeypatch, bound, refused):
+def test_norm_counts_reduction_guard(monkeypatch, bound, refused):
     """The reduction's int64 bound is refused from 2^62 on. No Gram found
     brings it near: on 300 random Grams of rank 2 to 14 it stayed below
     1e-4 of the walk bound that _prologue refuses first."""
     monkeypatch.setattr(lattices, "_reduction_bound", lambda d, lam, t_max: bound)
     if refused:
         with pytest.raises(ConstructionError):
-            count_vectors(E8_CARTAN, 2)
+            norm_counts(E8_CARTAN, 2)
     else:
-        assert count_vectors(E8_CARTAN, 2) == 240
+        assert norm_counts(E8_CARTAN, 2)[2] == 240
 
 
-def test_count_vectors_matches_short_vectors_on_random_grams():
-    """count_vectors(g, t) == norm_counts(g, 12)[t]: one walk at 12 gives
-    every count from 0 to 12."""
+def test_norm_counts_matches_short_vectors_on_random_grams():
+    """norm_counts(g, t)[t] == norm_counts(g, 12)[t]: one walk at 12 gives
+    every count from 0 to 12, and each is the number of short_vectors rows."""
     rng = random.Random(61)
     for _ in range(30):
         gram = _random_posdef(rng, rng.randint(4, 8))
         counts = norm_counts(gram, 12)
         for target in range(13):
-            assert count_vectors(gram, target) == counts[target] == len(short_vectors(gram, target))
+            alone = norm_counts(gram, target)[target]
+            assert alone == counts[target] == len(short_vectors(gram, target))
 
 
 def test_norm_counts_contract():
@@ -173,11 +178,11 @@ def _e8_outputs():
 
 def test_short_vectors_e8_theta_counts():
     assert [len(rows) for rows in _e8_outputs()] == [240, 2160, 6720, 17520]
-    assert [count_vectors(E8_CARTAN, t) for t in (2, 4, 6, 8)] == [240, 2160, 6720, 17520]
+    assert [norm_counts(E8_CARTAN, t)[t] for t in (2, 4, 6, 8)] == [240, 2160, 6720, 17520]
     # E8+E8+E8 at rank 24: 3 * 240 roots, and 3 * 2160 + 3 * 240^2 norm-4 vectors.
     cubed = [[E8_CARTAN[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
              for i in range(24)]
-    assert [count_vectors(cubed, t) for t in (2, 4)] == [720, 179280]
+    assert [norm_counts(cubed, t)[t] for t in (2, 4)] == [720, 179280]
 
 
 def test_short_vectors_e8_output_pinned():
@@ -215,7 +220,7 @@ def test_short_vectors_unimodular_invariance(seed):
     for target in (2, 4):
         mapped = sorted(exact.mat_mul([x], u)[0] for x in short_vectors(skewed, target))
         assert mapped == sorted(short_vectors(E8_CARTAN, target))
-        assert count_vectors(skewed, target) == len(mapped)
+        assert norm_counts(skewed, target)[target] == len(mapped)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -235,7 +240,7 @@ def test_isqrt_exact_up_to_the_walk_bound():
 
 def test_short_vectors_rejects_indefinite():
     p = 2**27 + 1
-    for walk in (short_vectors, count_vectors):
+    for walk in (short_vectors, norm_counts):
         with pytest.raises(NotPositiveDefiniteError):
             walk([[1, 0], [0, -1]], 2)
         with pytest.raises(TypeError):
@@ -400,30 +405,62 @@ def test_discriminant_form_preconditions():
         discriminant_form([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])  # non-integral
 
 
-# Grams whose entries are not integers, even where their values are.
-NON_INTEGER_GRAMS = {
-    "float": [[2.0, 1], [1, 2]],
-    "float64": np.array([[2, 1], [1, 2]], dtype=np.float64),
-    "fraction": [[Fraction(2), 1], [1, 2]],
-    "half": [[2.5, 1], [1, 2]],
+A2 = [[2, 1], [1, 2]]
+
+# Matrices no reader takes, and the error each raises: entries that are
+# not integers, even where their values are, and a ragged row.
+BAD_MATRICES = {
+    "float": ([[2.0, 1], [1, 2]], TypeError),
+    "float64": (np.array(A2, dtype=np.float64), TypeError),
+    "fraction": ([[Fraction(2), 1], [1, 2]], TypeError),
+    "half": ([[2.5, 1], [1, 2]], TypeError),
+    "ragged": ([[2, 1], [1]], ValueError),
+}
+
+# Every reader of a Gram or a basis. orthogonal_complement reads the first
+# row as the sublattice's basis and the rest as the ambient's, so the
+# ragged matrix gives it two lattices in different Z^n.
+MATRIX_READERS = {
+    "short_vectors": lambda m: short_vectors(m, 2),
+    "norm_counts": lambda m: norm_counts(m, 2),
+    "discriminant_form": discriminant_form,
+    "det_bareiss": exact.det_bareiss,
+    "IntegralLattice": IntegralLattice,
+    "orthogonal_complement": lambda m: orthogonal_complement(
+        IntegralLattice(m[:1]), IntegralLattice(m[1:])
+    ),
+}
+
+# Walk targets that are not integers, even where their values are.
+BAD_TARGETS = {"target_fraction": Fraction(2), "target_float": 2.0, "target_half": Fraction(1, 2)}
+
+# case id -> (reader, its arguments, the error it raises)
+READ_CASES = {
+    **{
+        f"{name}-{kind}": (reader, (matrix,), error)
+        for name, reader in MATRIX_READERS.items()
+        for kind, (matrix, error) in BAD_MATRICES.items()
+    },
+    **{
+        f"{walk.__name__}-{kind}": (walk, (A2, target), TypeError)
+        for walk in (short_vectors, norm_counts)
+        for kind, target in BAD_TARGETS.items()
+    },
 }
 
 
-@pytest.mark.parametrize("gram", list(NON_INTEGER_GRAMS))
-@pytest.mark.parametrize(
-    "reader",
-    [lambda g: short_vectors(g, 2), lambda g: count_vectors(g, 2), discriminant_form,
-     exact.det_bareiss],
-    ids=["short_vectors", "count_vectors", "discriminant_form", "det_bareiss"],
-)
-def test_gram_readers_refuse_non_integer_entries(reader, gram):
-    """Every Gram reader reads through exact.copy_matrix: an entry that is
-    not an integer is a TypeError, not a value cast to one."""
-    with pytest.raises(TypeError):
-        reader(NON_INTEGER_GRAMS[gram])
+@pytest.mark.parametrize("case", list(READ_CASES))
+def test_gram_readers_refuse_non_integer_entries(case):
+    """Every Gram or basis reader reads through exact.copy_matrix: an entry
+    that is not an integer is a TypeError, not a value cast to one, and a
+    ragged matrix is a ValueError. Both walks read their target with
+    operator.index, so a target that is not an integer is a TypeError."""
+    reader, args, error = READ_CASES[case]
+    with pytest.raises(error):
+        reader(*args)
 
 
 def test_gram_readers_take_numpy_integers():
     gram = np.array([[2, 1], [1, 2]], dtype=np.int64)
-    assert len(short_vectors(gram, 2)) == count_vectors(gram, 2) == 6
+    assert len(short_vectors(gram, 2)) == norm_counts(gram, 2)[2] == 6
     assert discriminant_form(gram).group_order == exact.det_bareiss(gram) == 3

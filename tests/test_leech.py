@@ -9,7 +9,7 @@ import pytest
 
 from conics800 import exact, golay, lattices, leech
 from conics800.errors import ConstructionError
-from conics800.lattices import count_vectors, short_vectors
+from conics800.lattices import norm_counts, short_vectors
 
 
 def test_census_counts_and_invariants(code):
@@ -295,12 +295,12 @@ def test_norm4_walk_output_pinned(norm4_walk):
 
 @pytest.mark.heavy
 def test_norm4_count_lists_no_rows(norm4_walk):
-    """count_vectors walks the norm-4 tree without building its rows: its
+    """norm_counts walks the norm-4 tree without building its rows: its
     traced peak is at most half of what short_vectors' list holds."""
     gram, rows, held, _ = norm4_walk
     tracemalloc.start()
     try:
-        count = count_vectors(gram, 4)
+        count = norm_counts(gram, 4)[4]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -308,11 +308,11 @@ def test_norm4_count_lists_no_rows(norm4_walk):
     assert peak <= held / 2
 
 
-def test_count_vectors_leech_norm_6(basis):
+def test_norm_counts_leech_norm_6(basis):
     """The q^3 coefficient of the Leech theta series (Conway & Sloane,
     SPLAG, ch. 4): the merged count reaches it without the 16773120 rows."""
     gram = _leech_gram(basis)
-    assert [count_vectors(gram, t) for t in (2, 4, 6)] == [0, 196560, 16773120]
+    assert [norm_counts(gram, t)[t] for t in (2, 4, 6)] == [0, 196560, 16773120]
 
 
 def _leech_theta(top):
@@ -360,6 +360,6 @@ def test_norm_counts_under_a_dense_unimodular_skew(basis):
 
 
 def test_count_reduction_bound_on_the_leech_gram(basis):
-    """The bound on count_vectors' int64 reduction is about 2^17.6 here."""
+    """The bound on norm_counts' int64 reduction is about 2^17.6 here."""
     _, (_, _, d, lam, t_max) = lattices._prologue(_leech_gram(basis), 4)
     assert 2**17 < lattices._reduction_bound(d, lam, t_max) < 2**18
