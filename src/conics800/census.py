@@ -321,33 +321,30 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
     A colouring-bound search on bitsets, in the style of Tomita's MCQ
     (Tomita & Seki, DMTCS 2003; Tomita et al., TCS 2006). At each node
     the candidates are greedily split into colour classes (independent
-    sets); a clique of `need` more vertices uses `need` distinct
-    colours, so only vertices of colour number >= need are branched on,
-    in reverse colour order, each cleared from the candidates after its
-    branch. Every clique is counted once, at its first branched vertex.
+    sets); a clique of `need` more vertices uses `need` distinct colours,
+    so only vertices of colour >= need are branched on, in reverse colour
+    order, each cleared from the candidates after its branch. Every
+    clique is counted once, at its first branched vertex.
 
     Each top-level branch v is its own small problem: its candidates
-    (the neighbours of v not yet cleared) are ordered by degree within
-    that set, descending and stable, and renumbered 0..k-1, so every
-    deeper bitset is k bits wide (115 of 800 on average on the conic graph)
-    and every greedy colouring follows MCQ's degree order. Renumbering
-    is a bijection, so the count does not change. All sub-problems share
-    one uint64 table (_subproblem_table).
+    (the neighbours of v not yet cleared), by degree within that set,
+    descending and stable, are renumbered 0..k-1 in one shared uint64
+    table (_subproblem_table), so every deeper bitset is k bits wide (115
+    on average on the conic graph) and follows MCQ's degree order.
 
     Below the root the search is level-synchronous and bit-parallel, in
     the style of San Segundo, Rodriguez-Losada & Jimenez (Computers & OR
-    38(2), 2011). Nodes wait in one pool per need. _branch advances a
-    block of at most _CHUNK nodes of one need by one level, with numpy
-    operations that serve every node at once, and the children join the
-    pool of the next need; at need 1 their candidates are counted. The
-    walk branches the deepest pool that holds _CHUNK nodes, else the
-    shallowest pool that holds any: every pool above it is empty, so no
-    more nodes can arrive there. Every block is therefore full except the
-    last of each need. A pool receives children only while it holds fewer
-    than _CHUNK nodes, so beyond the roots it never holds more than
-    _CHUNK - 1 nodes plus one block's children. Colours, branches and
-    nodes are those of a per-node search. The deadline is checked once
-    per block, and `exhausted` is False when it cut the search short.
+    38(2), 2011), in integer numpy operations. Nodes wait in one pool per
+    need. _branch advances a block of at most _CHUNK = 8192 nodes of one
+    need by one level, and the children join the next need's pool; at
+    need 1 their candidates are counted. The walk branches the deepest
+    pool holding _CHUNK nodes, else the shallowest holding any (every
+    pool above it is empty, so none can arrive there): every block is
+    full but the last of each need. A pool takes children only while it
+    holds fewer than _CHUNK nodes, so beyond the roots it never holds
+    more than _CHUNK - 1 nodes plus one block's children. Colours,
+    branches and nodes are those of a per-node search. The deadline is
+    checked once per block; `exhausted` is False when it cut the search.
 
     `masks` must be a loop-free symmetric adjacency on n = len(masks)
     bits, and `size` non-negative (ValueError otherwise).
@@ -359,8 +356,7 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
         return (n if size else 1), True
     # The root colouring on n-bit ints: the vertices of colour >= size.
     non = [~(m | 1 << v) for v, m in enumerate(masks)]
-    branch = []
-    uncol, colour = (1 << n) - 1, 0
+    branch, uncol, colour = [], (1 << n) - 1, 0
     while uncol:
         colour += 1
         q = uncol
@@ -371,16 +367,15 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
             uncol ^= low
             if colour >= size:
                 branch.append(v)
-    alive = np.ones(n, dtype=bool)
-    subs = []
+    alive, subs = np.ones(n, dtype=bool), []
     for v in reversed(branch):
         sub = np.flatnonzero(adj[v] & alive)
         alive[v] = False
-        degree = adj.take(sub, 0).take(sub, 1).sum(axis=1)
+        degree = adj.take(sub, 0).take(sub, 1).sum(axis=1, dtype=np.int64)
         subs.append(sub[np.argsort(-degree, kind="stable")])
     tab, base = _subproblem_table(adj, subs)
     widths = np.array([len(sub) for sub in subs], dtype=np.int64)
-    full = np.arange(64 * len(tab)) < widths[:, None]
+    full = np.arange(64 * len(tab), dtype=np.int64) < widths[:, None]
     roots = np.packbits(full, axis=1, bitorder="little").view("<u8").T.copy()
     # pools[need]: the nodes of that need not yet branched, one (base, cand)
     count, pools = 0, [(base[:0], roots[:, :0])] * size
@@ -405,11 +400,11 @@ def count_disjoint_16(masks: list[int], size: int = 16, budget_seconds: float = 
         need -= 1
 
 
-# Nodes per block of the clique search.
-_CHUNK = 4096
+# Nodes per clique-search block: 18 counts took 256/201/193/193/193 ms (medians) at 2^11..2^15.
+_CHUNK = 8192
 
-# Set bits of each byte value.
-_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+_DEBRUIJN = np.uint64(0x03F79D71B4CB0A89)
+_DEBRUIJN_BIT = np.argsort([(int(_DEBRUIJN) << k) % 2**64 >> 58 for k in range(64)]).astype(np.int64)
 
 
 def _adjacency(masks: list[int], size: int = 0) -> np.ndarray:
@@ -432,11 +427,10 @@ def _adjacency(masks: list[int], size: int = 0) -> np.ndarray:
 def _subproblem_table(adj: np.ndarray, subs: list[np.ndarray]):
     """(tab, base): every sub-problem's closed neighbourhoods in one table.
 
-    Sub-problem s owns columns base[s] + i, i < len(subs[s]), of the
-    uint64 table tab of W rows, W = ceil(K / 64) for the widest K.
-    Column base[s] + i has bit j (word j // 64, bit j % 64) set iff j = i
-    or subs[s][i] ~ subs[s][j]. The table is word-major, so that one
-    word of many nodes is one contiguous read.
+    Sub-problem s owns columns base[s] + i, i < len(subs[s]), of tab: W =
+    ceil(K / 64) uint64 rows for the widest K, word-major so that one word
+    of many nodes is one contiguous read. Column base[s] + i has bit j
+    (word j // 64, bit j % 64) set iff j = i or subs[s][i] ~ subs[s][j].
     """
     widths = [len(sub) for sub in subs]
     base = np.cumsum([0] + widths[:-1], dtype=np.int64)
@@ -451,9 +445,13 @@ def _subproblem_table(adj: np.ndarray, subs: list[np.ndarray]):
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each column of a W x m uint64 array, as int64."""
-    counts = _POP8[words.view(np.uint8)].reshape(len(words), -1, 8)
-    return counts.sum(axis=(0, 2), dtype=np.int64)
+    """Set bits of each column of a W x m uint64 array, as int64: each word
+    sums its bit pairs, nibbles and bytes (Warren, Hacker's Delight, 5-1)."""
+    x = words - (words >> np.uint64(1) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + (x >> np.uint64(2) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x *= np.uint64(0x0101010101010101)
+    return (x >> np.uint64(56)).sum(axis=0, dtype=np.int64)
 
 
 def _branch(tab: np.ndarray, base: np.ndarray, cand: np.ndarray, need: int):
@@ -461,63 +459,65 @@ def _branch(tab: np.ndarray, base: np.ndarray, cand: np.ndarray, need: int):
 
     Node r searches the sub-problem at column base[r] of tab with the
     candidates in column r of cand (W x m, word-major). Each step colours
-    one vertex of every node still colouring, as its greedy colouring
-    would: when the current class q is empty a new class starts with
-    q = the uncoloured vertices; then the lowest vertex v of q takes the
-    colour and q &= ~tab[v] (v's closed neighbourhood). Colours never
-    decrease, so once a node's colour reaches need every later vertex is
-    branched on. The child of v keeps v's neighbours among the vertices
-    coloured before it, as those after it were branched on and cleared
-    first. Children come node by node, each node's in reverse colour order.
+    one vertex of every node still colouring, greedily: an empty class q
+    restarts as the uncoloured vertices, its lowest vertex v (_lowest_bit)
+    takes the colour, and q &= ~tab[v], v's closed neighbourhood. From
+    colour need on, every vertex is branched on: v's child keeps its
+    neighbours coloured before it (those after it were branched on and
+    cleared first). Children come node by node, in reverse colour order.
 
-    A node takes one step per candidate. With the nodes sorted by
-    candidate count, descending, those still colouring are a prefix, and
-    a node with fewer than need candidates has no branch and is dropped.
-
-    The one float step reads v's bit index from its word, and it is
-    exact. That word of q is nonzero, so its lowest set bit
-    `low = bits & (~bits + 1)` (uint64 two's complement, in integers) is
-    2^k for one k, 0 <= k <= 63. np.frexp first casts low to float64, and
-    the cast is exact: 2^k has one significant bit, within float64's 53,
-    and k lies far inside its exponent range. frexp then writes it as
-    m * 2^e with m in [0.5, 1), which for 2^k is 0.5 * 2^(k + 1), so
-    e - 1 is k with no rounding (Goldberg, ACM Computing Surveys 23(1),
-    1991).
+    A node takes one step per candidate: sorted by candidate count,
+    descending, the nodes still colouring are a prefix. A node with fewer
+    than need candidates has no child, and the count makes none: a vertex
+    of colour c >= need has a neighbour in each earlier class, so its
+    child has need - 1 candidates or more, and a root of colour >= size
+    keeps size - 1, as roots are cleared in reverse colour order.
     """
     pop = _popcount(cand)
-    order = np.argsort(-pop, kind="stable")[: np.count_nonzero(pop >= need)]
-    pop, start, cand = pop[order], base[order], np.take(cand, order, axis=1)
+    order = np.argsort(-pop, kind="stable")
+    pop, start, cand = pop.take(order), base.take(order), cand.take(order, axis=1)
     m = len(order)
-    uncol = cand.copy()
-    q = np.zeros_like(cand)
-    colour = np.zeros(m, dtype=np.int64)
-    nodes = np.arange(m)
-    parents, kids = [], []
-    for a in np.searchsorted(-pop, -np.arange(pop[0] if m else 0)):
+    uncol, q = cand.copy(), np.zeros_like(cand)
+    colour, nodes = np.zeros(m, dtype=np.int64), np.arange(m, dtype=np.int64)
+    parents, kids = [nodes[:0]], [cand[:, :0]]
+    for a in np.searchsorted(-pop, -np.arange(pop[0] if m else 0, dtype=np.int64)):
         qa, ua = q[:, :a], uncol[:, :a]
-        fresh = ~qa.any(axis=0)
+        some = qa[0].copy()
+        for w in range(1, len(q)):
+            some |= qa[w]
+        fresh = some == np.uint64(0)
         colour[:a] += fresh
-        np.copyto(qa, ua, where=fresh)
+        qa |= ua & np.negative(fresh.astype(np.uint64))
         # q's first nonzero word is the number of zero words before it (q != 0)
-        zero = qa[0] == 0
+        zero = qa[0] == np.uint64(0)
         word = zero.astype(np.int64)
         for w in range(1, len(q) - 1):
-            zero &= qa[w] == 0
+            zero &= qa[w] == np.uint64(0)
             word += zero
-        at = word * m + nodes[:a]
-        bits = q.reshape(-1)[at]
-        low = bits & (~bits + 1)
-        nbr = np.take(tab, start[:a] + np.frexp(low)[1] - 1 + 64 * word, axis=1)
-        qa &= ~nbr
+        at = word * np.int64(m)
+        at += nodes[:a]
+        low, idx = _lowest_bit(q.reshape(-1).take(at))
+        idx += start[:a]
+        idx += word << np.int64(6)
+        nbr = tab.take(idx, axis=1)
         b = np.flatnonzero(colour[:a] >= need)
         if len(b):
             parents.append(b)
             # ua still holds v, so the child is v's neighbours coloured before it
-            kids.append(nbr[:, b] & cand[:, b] & ~ua[:, b])
+            kid = nbr.take(b, 1)
+            kid &= cand.take(b, 1) ^ ua.take(b, 1)
+            kids.append(kid)
+        qa &= ~nbr
         uncol.reshape(-1)[at] ^= low
-    if not parents:
-        return base[:0], cand[:, :0]
-    parent = order[np.concatenate(parents)]
+    parent = order.take(np.concatenate(parents))
     # reversed, the children are in descending step; a stable sort by parent keeps that
     back = len(parent) - 1 - np.argsort(parent[::-1], kind="stable")
-    return base[parent[back]], np.take(np.concatenate(kids, axis=1), back, axis=1)
+    return base.take(parent.take(back)), np.concatenate(kids, axis=1).take(back, axis=1)
+
+
+def _lowest_bit(words: np.ndarray):
+    """(low, k) for nonzero uint64 words: low = words & -words = 2^k, the
+    lowest set bit, and k as int64. low * _DEBRUIJN's top 6 bits differ for
+    each k < 64 and index k in _DEBRUIJN_BIT (Leiserson, Prokop & Randall, 1998)."""
+    low = words & np.negative(words)
+    return low, _DEBRUIJN_BIT.take((low * _DEBRUIJN >> np.uint64(58)).view(np.int64))

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["first", "all"],
         default="first",
         help="report the first 16-clique of disjoint conics, or also "
-        "count all of them (exhaustive, about 0.2 s more on a 2-vCPU VM; "
+        "count all of them (exhaustive, about 0.15 s more on a 2-vCPU VM; "
         "a 60 s budget is kept as a safety stop)",
     )
 

@@ -470,7 +470,9 @@ def test_triangle_count_on_three_word_sub_problems(monkeypatch):
 
 def test_clique_count_deadline_is_checked_per_block(monkeypatch):
     """A clock that ticks once per reading: the deadline passes after the
-    root block and the first block below it, so the count stops early."""
+    root block and the first block below it, so the count stops early.
+    The blocks hold 4096 nodes, which the tick count assumes."""
+    monkeypatch.setattr(census, "_CHUNK", 4096)
     masks = _random_masks(random.Random(200), 200, 0.5)
     full, exhausted = census.count_disjoint_16(masks, size=4)
     assert exhausted
@@ -534,28 +536,29 @@ def test_clique_functions_refuse_a_non_integral_size(call):
         call([0b110, 0b101, 0b011], 2.5)
 
 
-def _spy_blocks(monkeypatch) -> list[tuple[int, int, int, int]]:
-    """Watch census._branch: (need, nodes, table words, children) of
-    every block."""
+def _spy_blocks(monkeypatch) -> list[tuple[int, int, int, int, int]]:
+    """Watch census._branch: (need, nodes, table words, children, fewest
+    candidates of a node) of every block."""
     blocks = []
     branch = census._branch
 
     def watched(tab, base, cand, need):
+        fewest = int(census._popcount(cand).min(initial=len(tab) * 64))
         kids = branch(tab, base, cand, need)
-        blocks.append((need, len(base), len(tab), len(kids[0])))
+        blocks.append((need, len(base), len(tab), len(kids[0]), fewest))
         return kids
 
     monkeypatch.setattr(census, "_branch", watched)
     return blocks
 
 
-def _assert_pooled_blocks(blocks: list[tuple[int, int, int, int]], chunk: int) -> None:
+def _assert_pooled_blocks(blocks: list[tuple[int, int, int, int, int]], chunk: int) -> None:
     """Every block holds at most chunk nodes, and per need at most one
     fewer. Replayed from the blocks, each pool but the roots' takes
     children only while it holds fewer than chunk nodes, gives no more
     nodes than it took, and ends empty."""
     held, partial = {}, []
-    for need, nodes, _, kids in blocks:
+    for need, nodes, _, kids, _ in blocks:
         assert 0 < nodes <= chunk
         if nodes < chunk:
             partial.append(need)
@@ -571,14 +574,16 @@ def _assert_pooled_blocks(blocks: list[tuple[int, int, int, int]], chunk: int) -
 
 def test_clique_walk_nodes_by_need_on_the_census_order(true_products, monkeypatch):
     """The walk on the census order branches the recorded number of nodes
-    at every need, in full blocks but for the last of each need."""
+    at every need, in full blocks but for the last of each need, and
+    every node it branches has at least need candidates."""
     blocks = _spy_blocks(monkeypatch)
     expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["clique"]["count"]
     masks = census.disjointness_masks(true_products)
     assert census.count_disjoint_16(masks) == (expected, True)
     nodes = dict.fromkeys(range(15, 1, -1), 0)
-    for need, k, _, _ in blocks:
+    for need, k, _, _, fewest in blocks:
         nodes[need] += k
+        assert fewest >= need, need
     assert nodes == {15: 552, 14: 22894, 13: 51147, 12: 4116, 11: 216, 10: 61,
                      **dict.fromkeys(range(9, 1, -1), 60)}
     _assert_pooled_blocks(blocks, census._CHUNK)
@@ -597,19 +602,30 @@ def test_clique_walk_pools_small_blocks(monkeypatch):
             expected = _ordered_dfs_cliques(masks, size)
             assert census.count_disjoint_16(masks, size=size) == (expected, True), (n, size)
             _assert_pooled_blocks(blocks, 16)
-            widest = max(widest, max(words for _, _, words, _ in blocks))
+            widest = max(widest, max(words for _, _, words, _, _ in blocks))
     assert widest > 1
 
 
 def test_branch_bit_index_is_exact():
-    """_branch's one float step: the lowest set bit k of a uint64 word,
-    through frexp's exponent, reads back as k, for the word 2^k and for
-    the word with every bit from k up set."""
-    k = np.arange(64, dtype=np.uint64)
-    power = np.uint64(1) << k
+    """_branch's bit index, census._lowest_bit: for every k < 64, the
+    word 2^k and the word with every bit from k up set both read back
+    low = 2^k and index k."""
+    k = np.arange(64, dtype=np.int64)
+    power = np.uint64(1) << k.astype(np.uint64)
     for words in (power, ~(power - np.uint64(1))):
-        low = words & (~words + np.uint64(1))
-        assert (np.frexp(low)[1] - 1 == k).all()
+        low, index = census._lowest_bit(words)
+        assert low.dtype == np.uint64 and index.dtype == np.int64
+        assert low.tolist() == power.tolist() and index.tolist() == k.tolist()
+
+
+def test_popcount_matches_bit_count():
+    """census._popcount sums each column's words as int.bit_count does:
+    the empty and full words, every 2^k - 1 and random words."""
+    rng = random.Random(64)
+    ints = [0, 2**64 - 1] + [2**k - 1 for k in range(64)] + [rng.getrandbits(64) for _ in range(62)]
+    words = np.array(ints, dtype=np.uint64).reshape(2, 64)
+    expected = [sum(w.bit_count() for w in col) for col in words.T.tolist()]
+    assert census._popcount(words).tolist() == expected
 
 
 def test_count_cliques_edge_sizes():

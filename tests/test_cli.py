@@ -589,8 +589,30 @@ PLANTED = {
 }
 
 
+# Rows of a full lex run with neither a case in PLANTED nor a reason in
+# UNREACHABLE. Each new case removes its row here; a new row needs a case.
+UNCOVERED = {
+    "recount_grand_total", "hbar_parity_in_S", "N_rank", "N_det", "N_signature",
+    "h_parity_in_N", "class_self_products_-2", "class_h_products_2",
+    "class_products_complementary", "glue_choice_independent", "discriminant_orders",
+    "discriminant_neg_N_vs_T", "discriminant_complement_identity",
+    "bad_vectors_norm-2_h-orthogonal", "bad_vectors_isotropic_degree2",
+}
+
+
 def test_unreachable_rows_have_no_plant():
     assert not set(UNREACHABLE) & set(PLANTED)
+
+
+def test_rows_without_a_case_are_the_pinned_set():
+    """A full lex run's rows are distinct, every PLANTED and UNREACHABLE
+    name is one of them, and the rest are exactly UNCOVERED."""
+    rep, ok = report.run_pipeline(report.Pipeline("lex"), "ns", heavy=True)
+    assert ok
+    rows = [c["name"] for sec in rep["stages"].values() for c in sec["checks"]]
+    assert len(rows) == len(set(rows))
+    assert set(PLANTED) | set(UNREACHABLE) <= set(rows)
+    assert set(rows) - set(PLANTED) - set(UNREACHABLE) == UNCOVERED
 
 
 @pytest.mark.parametrize("row", list(PLANTED))

@@ -20,10 +20,10 @@ PACKAGE = Path(conics800.__file__).parent
 NUMPY_1_24_NAMES = {
     "abs", "add", "add.reduceat", "append", "arange", "argsort", "array",
     "array_equal", "asarray", "ascontiguousarray", "bincount", "can_cast",
-    "concatenate", "copyto", "count_nonzero", "cumsum", "diagonal", "divmod",
-    "einsum", "empty", "empty_like", "eye", "fill_diagonal", "flatnonzero",
-    "float64", "frexp", "frombuffer", "int16", "int32", "int64", "int8", "ix_",
-    "lexsort", "maximum", "ndarray", "nonzero", "ones", "packbits", "repeat",
+    "concatenate", "cumsum", "diagonal", "divmod", "einsum", "empty",
+    "empty_like", "eye", "fill_diagonal", "flatnonzero", "float64",
+    "frombuffer", "int16", "int32", "int64", "int8", "ix_", "lexsort",
+    "maximum", "ndarray", "negative", "nonzero", "ones", "packbits", "repeat",
     "searchsorted", "sort", "sqrt", "take", "triu_indices", "uint64", "uint8",
     "union1d", "unique", "unpackbits", "where", "zeros", "zeros_like",
 }
