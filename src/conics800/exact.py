@@ -16,7 +16,9 @@ goes through numpy.
 Matrices are plain lists of rows; rows are lists of ``int``. All
 functions leave their inputs untouched, reading them through copy_matrix,
 whose ``operator.index`` refuses a float or a Fraction rather than truncate it,
-and which refuses a ragged matrix.
+and which refuses a ragged matrix. The determinant, adjugate, signature
+and LLL read theirs through copy_square, which refuses a matrix that is
+not square, or for the last two not symmetric, with ValueError.
 """
 
 from __future__ import annotations
@@ -35,6 +37,17 @@ def copy_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
     out = [[index(x) for x in row] for row in m]
     if any(len(row) != len(out[0]) for row in out):
         raise ValueError("matrix rows differ in length")
+    return out
+
+
+def copy_square(m: Sequence[Sequence[int]], symmetric: bool = False) -> IntMatrix:
+    """copy_matrix of a square matrix, or of a symmetric one when asked.
+    Raises ValueError otherwise."""
+    out = copy_matrix(m)
+    if out and len(out[0]) != len(out):
+        raise ValueError("matrix is not square")
+    if symmetric and not is_symmetric(out):
+        raise ValueError("matrix is not symmetric")
     return out
 
 
@@ -293,7 +306,7 @@ def _bareiss_jordan(a: IntMatrix, n: int) -> tuple[int, int]:
 def det_bareiss(m: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant of a square integer matrix: 0 when it is
     singular, 1 for the 0 x 0 matrix."""
-    sign, d = _bareiss_jordan(copy_matrix(m), len(m))
+    sign, d = _bareiss_jordan(copy_square(m), len(m))
     return sign * d
 
 
@@ -305,7 +318,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     row swaps' sign. Raises ArithmeticError when m is singular.
     """
     n = len(m)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(copy_matrix(m))]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(copy_square(m))]
     sign, d = _bareiss_jordan(a, n)
     if d == 0:
         raise ArithmeticError("adjugate of a singular matrix")
@@ -325,7 +338,7 @@ def signature(gram) -> tuple[int, int, int]:
     stands for the diagonal entry p / prev, positive when p * prev > 0.
     """
     n = len(gram)
-    a = copy_matrix(gram)
+    a = copy_square(gram, symmetric=True)
     pos = neg = zero = 0
     prev = 1
     for k in range(n):
@@ -374,7 +387,7 @@ def lll_gram(gram: Sequence[Sequence[int]]):
     computed minor is not positive, which by Sylvester's criterion
     happens exactly when the form is not positive definite.
     """
-    g = copy_matrix(gram)
+    g = copy_square(gram, symmetric=True)
     n = len(g)
     h = identity(n)
     d = [1] + [0] * n

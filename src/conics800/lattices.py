@@ -51,11 +51,14 @@ class IntegralLattice:
     """A free Z-module of integer row vectors with form x.y / ambient_scale.
 
     `solver` holds the basis's HNF `solver.h` and solves over it.
+    Raises ValueError unless ambient_scale is positive.
     """
 
     def __init__(self, basis, ambient_scale: int = 1):
         self.basis = exact.copy_matrix(basis)
         self.ambient_scale = operator.index(ambient_scale)
+        if self.ambient_scale <= 0:
+            raise ValueError("ambient_scale must be positive")
         self.solver = exact.LeftSolver(self.basis)
         if self.solver.rank != len(self.basis):
             raise ConstructionError("lattice basis rows are dependent")

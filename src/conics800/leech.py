@@ -66,15 +66,15 @@ def all_minimal_vectors(code: GolayCode) -> np.ndarray:
     """
     words = np.array(code.words, dtype="<u4").view(np.uint8).reshape(-1, 4)
     bits = np.unpackbits(words, axis=1, count=24, bitorder="little")
-    octads = np.nonzero(bits[bits.sum(axis=1) == 8])[1].reshape(-1, 8)
+    octads = np.nonzero(bits[bits.sum(axis=1, dtype=np.int64) == 8])[1].reshape(-1, 8)
     i, j = np.triu_indices(24, 1)  # the shape40 pairs in lexicographic order
     n31, n20 = len(bits) * 24, len(octads) * 128
     out = np.zeros((n31 + n20 + len(i) * 4, 24), dtype=np.int8)
 
-    signs = 2 * bits.view(np.int8) - 1  # +1 on the codeword
+    signs = np.where(bits, np.int8(1), np.int8(-1))  # +1 on the codeword
     shape31 = out[:n31].reshape(-1, 24, 24)
     shape31[:] = signs[:, None, :]
-    shape31.reshape(-1, 24 * 24)[:, ::25] *= -3  # the special position
+    shape31.reshape(-1, 24 * 24)[:, ::25] *= np.int8(-3)  # the special position
 
     g = np.arange(128)[:, None] >> np.arange(7)
     head = np.where(g & 1 == 1, -2, 2)
@@ -127,7 +127,8 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
     for s in range(0, len(vectors), _PART):
         columns = np.ascontiguousarray(vectors[s : s + _PART].T)
         low = columns.min(axis=0).astype(np.int16)
-        by_largest += np.bincount(np.maximum(columns.max(axis=0), -low), minlength=129)
+        largest = np.maximum(columns.max(axis=0), -low, dtype=np.int16)
+        by_largest += np.bincount(largest, minlength=129)
         # int8 entries: each sum is at most 24 * 128^2 = 393216, inside int32.
         norms = np.einsum("ij,ij->j", columns, columns, dtype=np.int32)
         all_norm_32 = all_norm_32 and bool((norms == RAW_NORM).all())
@@ -237,7 +238,7 @@ def extract_basis(vectors: np.ndarray) -> list[list[int]]:
             if adj64 is None:
                 adj64 = np.array(adj, dtype=np.int64)
             num = block @ adj64
-            swap = (num != 0) & (np.abs(num) < abs(det))
+            swap = (num != 0) & (np.abs(num) < np.int64(abs(det)))
             hits = np.flatnonzero(swap.any(axis=1))
             if len(hits):
                 break

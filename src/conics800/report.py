@@ -17,9 +17,10 @@ where the expected value gets its authority:
 
 The checks are the only judge of the claims they name: the library
 builds objects and returns computed values, and raises only when an
-object cannot be built or a claim without a check fails. Such an error
-ends the run, and the report keeps every check computed before it,
-the failing stage's partial section included.
+object cannot be built or a claim without a check fails. Any error a
+stage raises ends the run the same way: the report keeps every check
+computed before it, the failing stage's partial section included, and
+its "error" record is the one account of the failure.
 
 The JSON serialization is byte-stable for fixed flags except for the
 "elapsed" fields; the thread count is accepted but changes nothing, and
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, census, exact, golay, leech, ns
-from .errors import Conics800Error
 from .lattices import IntegralLattice, norm_counts
 from .lattices import short_vectors  # noqa: F401 (perfbench's tracer test reads it here)
 
@@ -58,7 +58,7 @@ def check(name: str, expected, computed, source: str) -> dict:
 
 @dataclass
 class Pipeline:
-    """The run's flags, the objects a later stage reads, and the error."""
+    """The run's flags and the objects a later stage reads."""
 
     octad_choice: str = "lex"
     threads: int = 1
@@ -70,7 +70,6 @@ class Pipeline:
     leech_gram: list | None = None
     conics: np.ndarray | None = None
     true_products: np.ndarray | None = None
-    error: Conics800Error | ArithmeticError | None = None
 
     def choice_arg(self) -> int | None:
         return None if self.octad_choice == "lex" else int(self.octad_choice)
@@ -328,11 +327,11 @@ def run_pipeline(
 
     Each stage appends its rows to a fresh section {"checks": []},
     timed here, whose "pass" is true when the stage returned and every
-    row passes. A stage that raises a package error or an
-    ArithmeticError from the exact algebra ends the run: its section
-    keeps the rows computed before the raise, the report reads overall
-    false and names the stage and the error under "error", and
-    state.error holds it.
+    row passes. A stage that raises any Exception ends the run: its
+    section keeps the rows computed before the raise, and the report
+    reads overall false and names the stage, the error's type and its
+    message under "error". KeyboardInterrupt and SystemExit are not
+    Exceptions: they pass through unrecorded, and no report is returned.
     """
     runners = {
         "golay": stage_golay,
@@ -350,8 +349,7 @@ def run_pipeline(
         t0 = time.monotonic()
         try:
             runners[name](state, section)
-        except (Conics800Error, ArithmeticError) as exc:
-            state.error = exc
+        except Exception as exc:
             error = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
         section["pass"] = error is None and all(c["pass"] for c in section["checks"])
         section["elapsed"] = round(time.monotonic() - t0, 3)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output selection, JSON determinism."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -38,6 +39,24 @@ def test_leech_counts_line(capsys):
     out = capsys.readouterr().out
     assert "total_minimal_vectors: 196560" in out
     assert "[98304, 97152, 1104]" in out
+
+
+# Each listing flag and the rows it prints, in place of the full listing.
+LISTINGS = {
+    "golay --stats": ["golay.codeword_count", "golay.weight_distribution"],
+    "golay --steiner": ["golay.steiner_every_quintuple_once"],
+    "golay --stats --steiner": [
+        "golay.codeword_count", "golay.weight_distribution", "golay.steiner_every_quintuple_once",
+    ],
+    "leech --counts": ["leech.shape_counts", "leech.total_minimal_vectors"],
+}
+
+
+@pytest.mark.parametrize("command", list(LISTINGS))
+def test_listing_flags_print_only_their_rows(command, capsys):
+    assert cli.main(command.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"[PASS] {row}" for row in LISTINGS[command]]
 
 
 def test_bad_flags_exit_2():
@@ -125,6 +144,78 @@ def test_verification_error_exit_1(monkeypatch, capsys, tmp_path):
     assert data["error"] == {
         "stage": "leech", "type": "VerificationError", "message": "synthetic mismatch"
     }
+
+
+# One library call per stage, the command that reaches it, and the rows
+# its stage computes before the call. report.norm_counts is called by
+# S_root_free too, so the heavy case runs "leech --heavy", past no ns stage.
+STAGE_CALLS = {
+    "golay": (
+        golay, "steiner_cover_counts", "golay",
+        ["codeword_count", "weight_distribution", "min_nonzero_weight", "complement_closed"],
+    ),
+    "leech": (
+        leech, "extract_basis", "leech",
+        ["shape_counts", "total_minimal_vectors", "all_raw_norms_32", "no_duplicates",
+         "negation_closed"],
+    ),
+    "conics": (
+        census, "intersection_data", "conics",
+        ["seed_gram", "seed_gram_det", "conic_count", "pattern_split",
+         "recount_underlined_factors", "recount_totals", "recount_grand_total"],
+    ),
+    "ns": (ns, "build_N", "ns", ["S_rank", "S_contains_hbar", "S_root_free", "hbar_parity_in_S"]),
+    "heavy": (report, "norm_counts", "leech --heavy", []),
+}
+
+
+@pytest.fixture(scope="module")
+def passing_sections():
+    rep, ok = report.run_pipeline(report.Pipeline("lex"), "ns", heavy=True)
+    assert ok
+    return report.strip_volatile(rep)["stages"]
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError, MemoryError])
+@pytest.mark.parametrize("stage", list(STAGE_CALLS))
+def test_any_stage_error_writes_the_report_and_exits_3(
+    stage, error, monkeypatch, capsys, tmp_path, passing_sections
+):
+    """An error that is not a VerificationError, raised by any library
+    call, ends the run through the report's error record: the JSON keeps
+    the sections before the stage whole and the stage's rows computed
+    before the raise, and the exit code is 3."""
+    module, name, command, kept = STAGE_CALLS[stage]
+
+    def planted(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(module, name, planted)
+    out = tmp_path / "r.json"
+    assert cli.main(command.split() + ["--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"stage {stage}: {error.__name__}: planted" in err
+    data = json.loads(out.read_text())
+    assert data["error"] == {"stage": stage, "type": error.__name__, "message": "planted"}
+    assert data["overall"] is False
+    stages = report.strip_volatile(data)["stages"]
+    *earlier, last = stages
+    assert last == stage
+    assert {s: stages[s] for s in earlier} == {s: passing_sections[s] for s in earlier}
+    assert stages[stage]["checks"] == passing_sections[stage]["checks"][: len(kept)]
+    assert [c["name"] for c in stages[stage]["checks"]] == kept
+    assert stages[stage]["pass"] is False
+
+
+def test_keyboard_interrupt_passes_through_unrecorded(monkeypatch, tmp_path):
+    def planted(conics):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(census, "intersection_data", planted)
+    out = tmp_path / "r.json"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["conics", "--json", str(out)])
+    assert not out.exists()
 
 
 def test_verify_all_skip_heavy_matches_reference(tmp_path):
@@ -367,6 +458,54 @@ def _frame_3_unnormalized(monkeypatch, vectors):
     monkeypatch.setattr(golay, "normalize_frame", planted)
 
 
+def _bad_lattice(w_gram, kind):
+    """A rank-20 Gram, with h = e_0 and h.h = 4, that holds two bad
+    vectors of one kind and none of the other. W18 is the Gram of the
+    first 18 basis rows of W = hbar-perp in S: they span part of root-free
+    W, so W18 is positive definite, and even with no root. Kind 1 is
+    [4] + -([2] + W18): e.h = 4 e_0, so e.h = 0 leaves -([2] + W18), whose
+    only vectors of norm -2 are +-e_1, and e.h = 2 has no solution. Kind 2
+    is [[4, 2], [2, 0]] + -W18: with e = (a, b, w), e.h = 4a + 2b. At
+    e.h = 2, e.e = 4a(1 - a) - w.W18.w is 0 only at e_1 and e_0 - e_1; at
+    e.h = 0, e.e = -4a^2 - w.W18.w is never -2. Both h-complements are
+    negative definite, as the scan needs."""
+    w18 = [row[:18] for row in w_gram[:18]]
+    head = [[4, 0], [0, -2]] if kind == 1 else [[4, 2], [2, 0]]
+    gram = [row + [0] * 18 for row in head] + [[0, 0] + [-x for x in row] for row in w18]
+    return gram, [1] + [0] * 19
+
+
+def _scan_input(kind):
+    """A plant in the bad-vector scan's input: scan_N reads _bad_lattice
+    in place of N. Every other row reads N, which is unchanged."""
+
+    def plant(monkeypatch, vectors):
+        scan_N = ns.scan_N
+
+        def planted(n):
+            gram, h = _bad_lattice(n.w.gram_int(), kind)
+            return scan_N(dataclasses.replace(n, gram=np.array(gram), h=np.array(h)))
+
+        monkeypatch.setattr(ns, "scan_N", planted)
+
+    return plant
+
+
+def test_bad_lattices_hold_their_bad_vectors(n_lattice):
+    """The scan finds exactly the planted vectors of each _bad_lattice,
+    and each has the e.e and e.h of its kind, read off the Gram directly."""
+    planted = {1: ([(0, 1) + (0,) * 18, (0, -1) + (0,) * 18], []),
+               2: ([], [(0, 1) + (0,) * 18, (1, -1) + (0,) * 18])}
+    for kind, expected in planted.items():
+        gram, h = _bad_lattice(n_lattice.w.gram_int(), kind)
+        found = ns.bad_vector_scan(gram, h)
+        assert tuple(map(sorted, found)) == tuple(map(sorted, expected))
+        for (norm, degree), vs in zip(((-2, 0), (0, 2)), found):
+            for e in vs:
+                assert sum(e[i] * gram[i][j] * e[j] for i in range(20) for j in range(20)) == norm
+                assert sum(e[i] * gram[i][j] * h[j] for i in range(20) for j in range(20)) == degree
+
+
 _DISC_OK = {"isomorphic": True, "witness_ok": True}
 _DISC_FAIL = {"isomorphic": False, "witness_ok": False}
 
@@ -574,6 +713,12 @@ PLANTED = {
         1, None, _DISC_OK, _DISC_FAIL,
         {"discriminant_seed_block_form"},
     ),
+    "bad_vectors_norm-2_h-orthogonal": (
+        "ns", _scan_input(1), 1, None, 0, 2, {"bad_vectors_norm-2_h-orthogonal"},
+    ),
+    "bad_vectors_isotropic_degree2": (
+        "ns", _scan_input(2), 1, None, 0, 2, {"bad_vectors_isotropic_degree2"},
+    ),
     # diag(4, -4) with h = (1, 0): h-perp is Z(0, 1) of norm -4, so there is
     # no root orthogonal to h, and e.h = 4 e_1 is never 2
     "planted_control_exceptional": (
@@ -596,7 +741,6 @@ UNCOVERED = {
     "h_parity_in_N", "class_self_products_-2", "class_h_products_2",
     "class_products_complementary", "glue_choice_independent", "discriminant_orders",
     "discriminant_neg_N_vs_T", "discriminant_complement_identity",
-    "bad_vectors_norm-2_h-orthogonal", "bad_vectors_isotropic_degree2",
 }
 
 

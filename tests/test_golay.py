@@ -100,6 +100,9 @@ def test_mask_positions_roundtrip():
         mask = golay.mask_of(positions)
         assert golay.positions_of(mask) == tuple(positions)
         assert golay.weight(mask) == len(positions)
+    for outside in (0, 25):
+        with pytest.raises(ValueError, match="outside 1..24"):
+            golay.mask_of([outside])
 
 
 def test_mask_to_string():

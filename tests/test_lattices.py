@@ -264,6 +264,26 @@ def test_integral_lattice_roundtrip():
     assert [even.contains(v) for v in cases] == [True, False, True, False]
 
 
+# Lattices that cannot be built, or whose Gram is not integral, and the error.
+BAD_LATTICES = {
+    "dependent": (lambda: IntegralLattice([[1, 0], [2, 0]]), ConstructionError, "dependent"),
+    "not-integral": (
+        lambda: IntegralLattice([[1, 0], [0, 1]], ambient_scale=2).gram_int(),
+        VerificationError, "not integral",
+    ),
+    # scale 0 divided by zero, and scale -8 read [[4, 4]] as the Gram [[-4]]
+    "scale-0": (lambda: IntegralLattice([[1, 0]], ambient_scale=0), ValueError, "positive"),
+    "scale-negative": (lambda: IntegralLattice([[4, 4]], ambient_scale=-8), ValueError, "positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LATTICES))
+def test_integral_lattice_refuses(case):
+    build, error, message = BAD_LATTICES[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_orthogonal_complement_properties():
     ambient = IntegralLattice(exact.identity(4))
     sub = IntegralLattice([[1, 1, 0, 0]])
@@ -425,6 +445,9 @@ MATRIX_READERS = {
     "norm_counts": lambda m: norm_counts(m, 2),
     "discriminant_form": discriminant_form,
     "det_bareiss": exact.det_bareiss,
+    "adjugate": exact.adjugate,
+    "signature": exact.signature,
+    "lll_gram": exact.lll_gram,
     "IntegralLattice": IntegralLattice,
     "orthogonal_complement": lambda m: orthogonal_complement(
         IntegralLattice(m[:1]), IntegralLattice(m[1:])
@@ -458,6 +481,40 @@ def test_gram_readers_refuse_non_integer_entries(case):
     reader, args, error = READ_CASES[case]
     with pytest.raises(error):
         reader(*args)
+
+
+# Integer matrices of the wrong shape, and the error each reader of a
+# square or a symmetric matrix raises on them: ValueError from the exact
+# core, ConstructionError from the lattice layer's Gram checks. A
+# determinant and an adjugate need no symmetry, and a basis reader takes
+# both matrices.
+NON_SQUARE = [[1, 2, 3], [4, 5, 6]]
+ASYMMETRIC = [[2, 1], [0, 2]]
+SHAPE_ERRORS = {
+    "det_bareiss": {"non-square": ValueError},
+    "adjugate": {"non-square": ValueError},
+    "signature": {"non-square": ValueError, "asymmetric": ValueError},
+    "lll_gram": {"non-square": ValueError, "asymmetric": ValueError},
+    **{
+        name: {"non-square": ConstructionError, "asymmetric": ConstructionError}
+        for name in ("short_vectors", "norm_counts", "discriminant_form")
+    },
+}
+SHAPE_CASES = {
+    f"{name}-{kind}": (name, {"non-square": NON_SQUARE, "asymmetric": ASYMMETRIC}[kind], error)
+    for name, errors in SHAPE_ERRORS.items()
+    for kind, error in errors.items()
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+def test_square_readers_refuse_misshapen_matrices(case):
+    """Without a shape check the exact core reads part of what it is given:
+    det_bareiss read [[1, 2, 3], [4, 5, 6]] as -3, and signature and
+    lll_gram read one triangle of an asymmetric matrix."""
+    name, matrix, error = SHAPE_CASES[case]
+    with pytest.raises(error):
+        MATRIX_READERS[name](matrix)
 
 
 def test_gram_readers_take_numpy_integers():
