@@ -502,8 +502,9 @@ def test_bad_lattices_hold_their_bad_vectors(n_lattice):
         assert tuple(map(sorted, found)) == tuple(map(sorted, expected))
         for (norm, degree), vs in zip(((-2, 0), (0, 2)), found):
             for e in vs:
-                assert sum(e[i] * gram[i][j] * e[j] for i in range(20) for j in range(20)) == norm
-                assert sum(e[i] * gram[i][j] * h[j] for i in range(20) for j in range(20)) == degree
+                ge = [sum(x * y for x, y in zip(row, e)) for row in gram]
+                assert sum(x * y for x, y in zip(e, ge)) == norm
+                assert sum(x * y for x, y in zip(h, ge)) == degree
 
 
 _DISC_OK = {"isomorphic": True, "witness_ok": True}

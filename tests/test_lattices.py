@@ -273,7 +273,9 @@ BAD_LATTICES = {
     ),
     # scale 0 divided by zero, and scale -8 read [[4, 4]] as the Gram [[-4]]
     "scale-0": (lambda: IntegralLattice([[1, 0]], ambient_scale=0), ValueError, "positive"),
-    "scale-negative": (lambda: IntegralLattice([[4, 4]], ambient_scale=-8), ValueError, "positive"),
+    "scale-negative": (
+        lambda: IntegralLattice([[4, 4]], ambient_scale=-8), ValueError, "positive"
+    ),
 }
 
 
