@@ -81,6 +81,7 @@ def seed_gram() -> list[list[int]]:
 
 
 def validate_seed() -> None:
+    """Raise on a seed Gram or determinant mismatch; no stage calls it, as rows judge both."""
     gram = seed_gram()
     if gram != [list(r) for r in SEED_GRAM]:
         raise VerificationError(f"seed Gram mismatch: {gram}")
@@ -161,7 +162,7 @@ def classify_all(conics: np.ndarray, code: GolayCode) -> list[ConicRecord]:
     l = rows[at]
     octad = np.array([c["octads_only"] for c in conds], dtype=bool)[which]
     bits = np.where(octad[:, None], l != 0, l == 1)
-    codeword = bits @ (np.int64(1) << np.arange(24))
+    codeword = bits @ (np.int64(1) << np.arange(24, dtype=np.int64))
     words = np.array(code.words, dtype=np.int64)  # sorted, as GolayCode keeps them
     in_code = words[np.searchsorted(words, codeword).clip(max=len(words) - 1)] == codeword
     fixed = np.array([mask_of(c["fixed"]) for c in conds], dtype=np.int64)[which]

@@ -11,7 +11,8 @@ VerificationError; 2 bad flags (argparse, before any stage runs, so no
 JSON); 3 a stage raised any other error: ConstructionError, ValueError,
 TypeError, MemoryError and the rest. The exit code and the stderr line,
 which names the stage, the error's type and its message, are read off
-the report's "error" record.
+the report's "error" record. The JSON is written before golay's export
+files, and an output file that cannot be opened ends the run with 3.
 """
 
 from __future__ import annotations
@@ -102,14 +103,18 @@ def main(argv=None) -> int:
     state = Pipeline(octad_choice=args.octad_choice)
     rep, ok = run_pipeline(state, args.upto, args.heavy, args.clique)
     error = rep.get("error")
-    if args.command == "golay" and error is None:
-        if args.export:
-            golay_mod.export_codewords(state.code, args.export)
-        if args.export_basis:
-            golay_mod.export_basis(state.code, args.export_basis)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(serialize(rep))
+    try:
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(serialize(rep))
+        if args.command == "golay" and error is None:
+            if args.export:
+                golay_mod.export_codewords(state.code, args.export)
+            if args.export_basis:
+                golay_mod.export_basis(state.code, args.export_basis)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 3
 
     selected: set[str] = set()
     if args.command == "golay":

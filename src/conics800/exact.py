@@ -46,7 +46,7 @@ def copy_square(m: Sequence[Sequence[int]], symmetric: bool = False) -> IntMatri
     out = copy_matrix(m)
     if out and len(out[0]) != len(out):
         raise ValueError("matrix is not square")
-    if symmetric and not is_symmetric(out):
+    if symmetric and any(out[i][j] != out[j][i] for i in range(len(out)) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     return out
 
@@ -66,13 +66,6 @@ def mat_mul(a, b):
 
 def mat_vec_mul(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def is_symmetric(m) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
-    )
 
 
 def _row_sub(m, i, k, q) -> None:

@@ -193,12 +193,12 @@ def discriminant_form(gram) -> FiniteQuadraticForm:
     divided by the divisors generate the discriminant group: generator i
     is (row i of L)/d_i of order d_i, and q, b are evaluated through G.
     G is degenerate exactly when a divisor is 0. G is read through
-    exact.copy_matrix, so an entry that is not an integer (a float or a
-    Fraction, even 2.0) raises TypeError.
+    exact.copy_square, so an entry that is not an integer (a float or a
+    Fraction, even 2.0) raises TypeError, and one that is not square
+    and symmetric ValueError. Evenness and nondegeneracy are preconditions
+    (VerificationError); verify_discriminants makes this N's one check.
     """
-    g = exact.copy_matrix(gram)
-    if not exact.is_symmetric(g):
-        raise ConstructionError("Gram matrix must be symmetric")
+    g = exact.copy_square(gram, symmetric=True)
     if any(g[i][i] % 2 for i in range(len(g))):
         raise VerificationError("discriminant_form requires an even lattice")
     divisors, left = exact.snf(g)
@@ -328,13 +328,12 @@ def _prologue(gram, target: int):
     t_i^2 <= d_i (d_{i+1} T' - A_{i+1}), and a leaf's norm is A_0.
     Admitted nodes have t_i^2 <= d_i d_{i+1} T', which bounds every int64
     intermediate of the row walk before it starts (top < 2^62).
-    G is copied once, through exact.copy_matrix, so an entry that is not
-    an integer (a float or a Fraction, even 2.0) raises TypeError. target
-    is an int: each walk reads it with operator.index first.
+    G is copied once, through exact.copy_square, so an entry that is not
+    an integer (a float or a Fraction, even 2.0) raises TypeError, and a
+    matrix that is not square and symmetric ValueError. target is an int:
+    each walk reads it with operator.index first.
     """
-    g = exact.copy_matrix(gram)
-    if not exact.is_symmetric(g):
-        raise ConstructionError("short vectors need a symmetric Gram matrix")
+    g = exact.copy_square(gram, symmetric=True)
     n = len(g)
     content = math.gcd(*(x for row in g for x in row)) or 1
     goal = target // content

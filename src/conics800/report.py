@@ -16,11 +16,16 @@ where the expected value gets its authority:
 - negative-control:    planted counterexample that must be caught
 
 The checks are the only judge of the claims they name: the library
-builds objects and returns computed values, and raises only when an
-object cannot be built or a claim without a check fails. Any error a
-stage raises ends the run the same way: the report keeps every check
-computed before it, the failing stage's partial section included, and
-its "error" record is the one account of the failure.
+returns what it builds (a glue row outside S gives a rank-21 N for
+N_rank to read), and raises only on a broken input contract (entries,
+shapes, symmetry, ranges, sizes, choices, h.h = 4) or an unmet
+precondition of a construction: an independent basis; an integral,
+even (discriminant_form is N's one evenness check), nondegenerate or
+positive-definite Gram; seed rows in the ambient lattice; a frame
+candidate for the octad choice; minimal vectors that span; int64
+bounds; size and pass limits. A stage error ends the run: the report
+keeps every check computed before it, the failing stage's partial
+section included, and its "error" record is the one account of it.
 
 The JSON serialization is byte-stable for fixed flags except for the
 "elapsed" fields; the thread count is accepted but changes nothing, and

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conics800 import census, exact, golay, leech
+from conics800.errors import ConstructionError, VerificationError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -20,6 +21,17 @@ def test_seed_rows_reproduce_gram():
     rows = [list(r) for r in census.SEED_ROWS]
     raw = exact.mat_mul(rows, exact.transpose(rows))
     assert [[x // 8 for x in row] for row in raw] == [list(r) for r in census.SEED_GRAM]
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("SEED_GRAM", ((4,),), "Gram mismatch"), ("SEED_DET", 161, "determinant")],
+    ids=["gram", "det"],
+)
+def test_validate_seed_names_its_mismatch(name, value, message, monkeypatch):
+    monkeypatch.setattr(census, name, value)
+    with pytest.raises(VerificationError, match=message):
+        census.validate_seed()
 
 
 def test_conic_count_and_sorting(conics):
@@ -210,6 +222,9 @@ def test_intersection_histogram_matches_the_pair_route(conics, vectors):
         assert np.array_equal(true, sample.astype(np.int64) @ sample.astype(np.int64).T // 8)
         assert hist == _pair_histogram(true)
     assert min(census.intersection_data(rows)[1]) == -4
+    # e_1 meets itself in 1 / 8: no integer product
+    with pytest.raises(ConstructionError, match="multiples of 8"):
+        census.intersection_data(np.eye(1, 24, dtype=np.int64))
 
 
 def _with_half(row):

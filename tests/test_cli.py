@@ -34,6 +34,21 @@ def test_golay_exports(tmp_path):
     assert len(basis.read_text().splitlines()) == 12
 
 
+@pytest.mark.parametrize("flag", ["--json", "--export", "--export-basis"])
+def test_an_output_file_that_cannot_be_opened_exits_3(flag, capsys, tmp_path):
+    """The run ends with exit 3 and one stderr line that names the file,
+    not a traceback and exit 1, the code of a failed check. The JSON is
+    written before golay's export files, so it is there when they fail."""
+    missing = tmp_path / "missing" / "out.txt"
+    out = tmp_path / "g.json"
+    argv = ["golay", flag, str(missing)] + ([] if flag == "--json" else ["--json", str(out)])
+    assert cli.main(argv) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot write {missing}: ")
+    if flag != "--json":
+        assert json.loads(out.read_text())["overall"] is True
+
+
 def test_leech_counts_line(capsys):
     assert cli.main(["leech", "--counts"]) == 0
     out = capsys.readouterr().out
@@ -238,16 +253,23 @@ def _duplicate_vector(monkeypatch, vectors):
     monkeypatch.setattr(leech, "all_minimal_vectors", planted)
 
 
-def _foreign_class(monkeypatch, vectors):
-    # census row 0 is a minimal vector, not a conic
-    build_N = ns.build_N
+def _census_row_0_at(name, index):
+    """A plant in the conic input of ns.<name>, which reads a copy of the
+    conics with census row 0 at index. That row is a minimal vector
+    outside S, not a conic: at index 0 it is build_N's glue row, at index
+    1 check_glue_independence's, and elsewhere one conic of build_N's."""
 
-    def planted(s, conics):
-        bad = conics.copy()
-        bad[5] = vectors[0]
-        return build_N(s, bad)
+    def plant(monkeypatch, vectors):
+        call = getattr(ns, name)
 
-    monkeypatch.setattr(ns, "build_N", planted)
+        def planted(first, conics):
+            bad = conics.copy()
+            bad[index] = vectors[0]
+            return call(first, bad)
+
+        monkeypatch.setattr(ns, name, planted)
+
+    return plant
 
 
 def _three_frame_candidates(monkeypatch, vectors):
@@ -690,8 +712,21 @@ PLANTED = {
         {"S_contains_hbar", "hbar_parity_in_S"},
     ),
     "classes_in_N": (
-        "ns", _foreign_class, 1, None, 800, 799,
+        "ns", _census_row_0_at("build_N", 5), 1, None, 800, 799,
         {"classes_in_N", "class_products_complementary"},
+    ),
+    # glued by a row outside S, N has rank 21 and one class, its glue's, of
+    # norm other than -2; N is odd, so discriminant_form stops the stage
+    "N_rank": (
+        "ns", _census_row_0_at("build_N", 0), 1, "VerificationError", 20, 21,
+        {
+            "N_rank", "N_det", "N_signature", "classes_in_N", "class_self_products_-2",
+            "class_products_complementary", "glue_choice_independent",
+        },
+    ),
+    "glue_choice_independent": (
+        "ns", _census_row_0_at("check_glue_independence", 1), 1, None, True, False,
+        {"glue_choice_independent"},
     ),
     # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
     "discriminant_N_block_form_a": (
@@ -738,9 +773,9 @@ PLANTED = {
 # Rows of a full lex run with neither a case in PLANTED nor a reason in
 # UNREACHABLE. Each new case removes its row here; a new row needs a case.
 UNCOVERED = {
-    "recount_grand_total", "hbar_parity_in_S", "N_rank", "N_det", "N_signature",
+    "recount_grand_total", "hbar_parity_in_S", "N_det", "N_signature",
     "h_parity_in_N", "class_self_products_-2", "class_h_products_2",
-    "class_products_complementary", "glue_choice_independent", "discriminant_orders",
+    "class_products_complementary", "discriminant_orders",
     "discriminant_neg_N_vs_T", "discriminant_complement_identity",
 }
 

@@ -377,6 +377,19 @@ def test_signature_against_constructed_inertia():
     assert exact.signature([[0, 1, 1], [1, 0, 0], [1, 0, 0]]) == (1, 1, 1)
 
 
+def test_snf_stops_after_its_pass_limit(monkeypatch):
+    """An hnf that returns its input never diagonalizes [[1, 1], [0, 1]]:
+    snf raises after 200 passes instead of looping."""
+
+    def stuck(rows, transform=False):
+        rows = exact.copy_matrix(rows)
+        return (rows, exact.identity(len(rows))) if transform else rows
+
+    monkeypatch.setattr(exact, "hnf", stuck)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        exact.snf([[1, 1], [0, 1]])
+
+
 def test_snf_divisors_keep_units():
     assert exact.snf([[2, 0], [0, 3]])[0] == [1, 6]
     assert exact.snf(exact.identity(2))[0] == [1, 1]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conics800 import golay
+from conics800.errors import ConstructionError
 
 
 def test_weight_distribution(code):
@@ -74,10 +75,15 @@ def test_normalize_frame_choices_all_valid():
     assert len(splits) >= 1
 
 
-def test_normalize_frame_bad_choice():
+def test_normalize_frame_bad_choice(monkeypatch):
     raw = golay.build_golay()
     with pytest.raises((IndexError, ValueError)):
         golay.normalize_frame(raw, octad_choice=7)
+    # choice 3 beyond three candidates found
+    frame_candidates = golay.frame_candidates
+    monkeypatch.setattr(golay, "frame_candidates", lambda code: frame_candidates(code)[:3])
+    with pytest.raises(ConstructionError, match="only 3 frame candidates"):
+        golay.normalize_frame(raw, octad_choice=3)
 
 
 def test_codewords_meeting_window(code):

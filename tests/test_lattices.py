@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from conics800 import exact, lattices
-from conics800.errors import ConstructionError, NotPositiveDefiniteError, VerificationError
+from conics800.errors import (
+    ConstructionError,
+    NotPositiveDefiniteError,
+    UnsupportedSizeError,
+    VerificationError,
+)
 from conics800.lattices import (
     FiniteQuadraticForm,
     IntegralLattice,
@@ -245,7 +250,7 @@ def test_short_vectors_rejects_indefinite():
             walk([[1, 0], [0, -1]], 2)
         with pytest.raises(TypeError):
             walk([[Fraction(1, 2), 0], [0, 1]], 2)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ValueError):
             walk([[2, 1], [0, 2]], 2)  # not symmetric
         # Leading minors near 2^81 exceed the int64 walk's bound.
         with pytest.raises(ConstructionError):
@@ -376,6 +381,13 @@ def test_fqf_search_rejects_same_order_forms():
     assert fqf_isomorphic(c, b) == (False, None)
 
 
+def test_fqf_search_refuses_an_order_over_its_limit():
+    # Z/10007, a prime order just over 10^4
+    f = FiniteQuadraticForm.from_blocks((10007, Fraction(2, 10007)))
+    with pytest.raises(UnsupportedSizeError):
+        fqf_isomorphic(f, f)
+
+
 def test_fqf_negate_involution():
     f = FiniteQuadraticForm.from_blocks((4, Fraction(5, 4)), (5, Fraction(2, 5)))
     ok, wit = fqf_isomorphic(f.negate().negate(), f)
@@ -421,7 +433,7 @@ def test_discriminant_form_preconditions():
         discriminant_form([[1, 0], [0, 2]])  # odd diagonal
     with pytest.raises(VerificationError):
         discriminant_form([[2, 2], [2, 2]])  # singular
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError):
         discriminant_form([[2, 1], [0, 2]])  # asymmetric
     with pytest.raises(TypeError):
         discriminant_form([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])  # non-integral
@@ -486,8 +498,8 @@ def test_gram_readers_refuse_non_integer_entries(case):
 
 
 # Integer matrices of the wrong shape, and the error each reader of a
-# square or a symmetric matrix raises on them: ValueError from the exact
-# core, ConstructionError from the lattice layer's Gram checks. A
+# square or a symmetric matrix raises on them: ValueError, from
+# exact.copy_square, which every such reader reads through. A
 # determinant and an adjugate need no symmetry, and a basis reader takes
 # both matrices.
 NON_SQUARE = [[1, 2, 3], [4, 5, 6]]
@@ -495,11 +507,9 @@ ASYMMETRIC = [[2, 1], [0, 2]]
 SHAPE_ERRORS = {
     "det_bareiss": {"non-square": ValueError},
     "adjugate": {"non-square": ValueError},
-    "signature": {"non-square": ValueError, "asymmetric": ValueError},
-    "lll_gram": {"non-square": ValueError, "asymmetric": ValueError},
     **{
-        name: {"non-square": ConstructionError, "asymmetric": ConstructionError}
-        for name in ("short_vectors", "norm_counts", "discriminant_form")
+        name: {"non-square": ValueError, "asymmetric": ValueError}
+        for name in ("signature", "lll_gram", "short_vectors", "norm_counts", "discriminant_form")
     },
 }
 SHAPE_CASES = {

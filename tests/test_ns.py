@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from conics800 import census, exact, golay, leech, ns
-from conics800.errors import ConstructionError, NotPositiveDefiniteError
-from conics800.lattices import IntegralLattice, norm_counts, orthogonal_complement, short_vectors
+from conics800.errors import ConstructionError, NotPositiveDefiniteError, VerificationError
+from conics800.lattices import (
+    IntegralLattice,
+    discriminant_form,
+    norm_counts,
+    orthogonal_complement,
+    short_vectors,
+)
 
 
 def test_S_shape_and_membership(s_lattice, lam, conics):
@@ -129,10 +135,29 @@ def test_class_products(n_lattice, true_products):
     assert np.array_equal(cc, 2 - true_products)
 
 
-def test_build_N_rejects_a_foreign_glue(s_lattice, conics, vectors):
+def test_a_foreign_glue_builds_a_rank_21_N(s_lattice, conics, vectors):
+    """Census row 0, a minimal vector outside S, as the glue: its doubled
+    row is outside the span of W's rows and h's, so build_N returns an
+    odd N of rank 21 for the rows to judge, and discriminant_form, N's
+    one evenness check, refuses its Gram."""
     bad = conics.copy()
     bad[0] = vectors[0]
-    with pytest.raises(ConstructionError):
+    n = ns.build_N(s_lattice, bad)
+    gram = n.gram.tolist()
+    assert n.rank == 21
+    assert (exact.det_bareiss(gram), exact.signature(gram)) == (1216, (1, 20, 0))
+    assert len(n.classes) < 800
+    with pytest.raises(VerificationError, match="even"):
+        discriminant_form(gram)
+
+
+def test_a_glue_with_a_non_integral_gram_is_refused(s_lattice, conics):
+    """e_1 as the glue: its doubled row (-2, -4, 0, ..., 0 | 1) has the
+    product (32 - 20) / 32 with itself, so N has no integer Gram."""
+    bad = conics.copy()
+    bad[0] = 0
+    bad[0, 0] = 1
+    with pytest.raises(ConstructionError, match="non-integral"):
         ns.build_N(s_lattice, bad)
 
 
@@ -418,6 +443,18 @@ def test_scans_refuse_non_integral_input(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "gram", [[[4, 0, 7], [0, -2, 7]], [[4, 1], [0, -2]]], ids=["2x3", "asymmetric"]
+)
+def test_scans_refuse_a_misshapen_gram(gram):
+    """The Gram is read through exact.copy_square: a 2 x 3 Gram was read
+    as its left 2 x 2 block, and classes_of found (0, +-1) in it."""
+    with pytest.raises(ValueError):
+        ns.classes_of(gram, (1, 0), -2, 0)
+    with pytest.raises(ValueError):
+        ns.bad_vector_scan(gram, (1, 0))
+
+
 def test_scan_rejects_wrong_polarization_norm():
     with pytest.raises(ConstructionError):
         ns.bad_vector_scan([[2, 0], [0, -2]], (1, 0))
@@ -434,3 +471,6 @@ def test_build_vtilde_checks(lam):
     vt = ns.build_vtilde(lam)
     assert vt.rank == 5
     assert vt.gram_int() == [list(r) for r in census.SEED_GRAM]
+    # (4, 4, 0, ..., 0) is not in 8Z^24
+    with pytest.raises(ConstructionError, match="seed row"):
+        ns.build_vtilde(IntegralLattice([[8 * x for x in row] for row in exact.identity(24)], 8))
