@@ -74,6 +74,11 @@ PROFILES = {
     ((2, 2, 0, 0, 0), (-2, 0, 0, 2)): "P4",
 }
 
+# Candidate rows per part of find_conics, and conic rows per block of
+# intersection_data: each part's or block's temporaries stay under 1 MB.
+_PART = 1 << 14
+_ROWS = 64
+
 
 def seed_gram() -> list[list[int]]:
     """True Gram of the seed rows (raw products / 8)."""
@@ -113,21 +118,28 @@ def _integer_rows(rows) -> np.ndarray:
 def find_conics(vectors: np.ndarray, threads: int = 1) -> np.ndarray:
     """Filter the conic vectors and return them lexicographically sorted.
 
-    Each seed row in turn keeps the rows with the wanted product: an
-    int64 product over the seed row's support, on the rows that passed
-    the rows before it (4600 of the 196560 pass the first). `threads` is
-    accepted and ignored: every step runs in one thread. Raises TypeError
-    unless the rows hold integers, and ValueError unless they are 24 wide
-    with every entry in [-2^59, 2^59): each seed row's weights sum to at
-    most 16 in absolute value, so every product then stays inside int64.
+    The rows are read in parts of _PART rows. In each part every seed row
+    in turn keeps the rows with the wanted product: an int64 product over
+    the seed row's support, on the rows that passed the rows before it
+    (4600 of the 196560 pass the first), so no int64 copy of all rows
+    exists. `threads` is accepted and ignored: every step runs in one
+    thread. Raises TypeError unless the rows hold integers, and
+    ValueError unless they are 24 wide with every entry in
+    [-2^59, 2^59): each seed row's weights sum to at most 16 in absolute
+    value, so every product then stays inside int64.
     """
-    found = _integer_rows(vectors)
-    if int(found.min(initial=0)) < -(2**59) or int(found.max(initial=0)) >= 2**59:
+    rows = _integer_rows(vectors)
+    if int(rows.min(initial=0)) < -(2**59) or int(rows.max(initial=0)) >= 2**59:
         raise ValueError("conic candidate entries must lie in [-2^59, 2^59)")
-    for row, want in zip(SEED_ROWS, CONIC_RAW_DOTS):
-        support = np.flatnonzero(row)
-        weights = np.array(row, dtype=np.int64)[support]
-        found = found[found[:, support].astype(np.int64) @ weights == want]
+    supports = [np.flatnonzero(row) for row in SEED_ROWS]
+    weights = [np.array(row, dtype=np.int64)[at] for row, at in zip(SEED_ROWS, supports)]
+    parts = [rows[:0]]
+    for s in range(0, len(rows), _PART):
+        found = rows[s : s + _PART]
+        for at, w, want in zip(supports, weights, CONIC_RAW_DOTS):
+            found = found[found[:, at].astype(np.int64) @ w == want]
+        parts.append(found)
+    found = np.concatenate(parts)
     return found[np.lexsort(found.T[::-1])]
 
 
@@ -237,28 +249,37 @@ def recount_by_codewords(code: GolayCode) -> dict:
 
 
 def intersection_data(conics: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
-    """True pairwise products (800x800 int matrix) and the i<j histogram.
+    """True pairwise products (n x n int32 matrix) and the i<j histogram.
 
-    The raw products C C^T are exact int64 sums, so the matrix is exactly
-    symmetric: each off-diagonal value is counted twice over the whole
-    matrix, and the i<j histogram is (the counts of all entries - the
-    counts of the diagonal) / 2. The counts are kept for every value
-    from the least product to the greatest, so the entries must fit in
-    8 bits: then |product| <= 24 * 128^2 / 8, and the counts stay under
-    10^5 whatever the rows. Raises TypeError unless the rows hold
-    integers, and ValueError unless they are 24 wide with every entry in
-    [-128, 127].
+    The entries must fit in 8 bits, so every raw product is at most
+    24 * 128^2 = 393216 in size and every true product at most 49152:
+    int32 holds both exactly. C C^T is built in blocks of _ROWS rows, each
+    an exact int64 product checked for multiples of 8 and shifted into
+    the int32 output, so the only full-size array is the output. The
+    matrix is exactly symmetric: each off-diagonal value is counted twice
+    over the whole matrix, and the i<j histogram is (the counts of all
+    entries - the counts of the diagonal) / 2. The counts are kept for
+    every value from the least product to the greatest, under 10^5 of
+    them whatever the rows, and taken a block at a time. Raises TypeError
+    unless the rows hold integers, and ValueError unless they are 24
+    wide with every entry in [-128, 127].
     """
     rows = _integer_rows(conics).astype(np.int64)
     if rows.min(initial=0) < -128 or rows.max(initial=0) > 127:
         raise ValueError("conic entries must lie in [-128, 127]")
-    raw = rows @ rows.T
-    if (raw & 7).any():
-        raise ConstructionError("conic pairwise products are not multiples of 8")
-    true = raw >> 3
+    n = len(rows)
+    true = np.empty((n, n), dtype=np.int32)
+    for s in range(0, n, _ROWS):
+        raw = rows[s : s + _ROWS] @ rows.T
+        if (raw & 7).any():
+            raise ConstructionError("conic pairwise products are not multiples of 8")
+        true[s : s + _ROWS] = raw >> 3
     low = int(true.min(initial=0))
-    counts = np.bincount((true - low).ravel())
-    counts -= np.bincount(np.diagonal(true) - low, minlength=len(counts))
+    counts = np.zeros(int(true.max(initial=0)) - low + 1, dtype=np.int64)
+    for s in range(0, n, _ROWS):
+        block = true[s : s + _ROWS].astype(np.int64) - low
+        counts += np.bincount(block.ravel(), minlength=len(counts))
+    counts -= np.bincount(np.diagonal(true).astype(np.int64) - low, minlength=len(counts))
     hist = {int(v) + low: int(counts[v]) // 2 for v in np.flatnonzero(counts)}
     return true, hist
 

@@ -132,18 +132,18 @@ def census(code: GolayCode) -> tuple[np.ndarray, MinimalVectorCensus]:
         # int8 entries: each sum is at most 24 * 128^2 = 393216, inside int32.
         norms = np.einsum("ij,ij->j", columns, columns, dtype=np.int32)
         all_norm_32 = all_norm_32 and bool((norms == RAW_NORM).all())
-    order, keys, tied = _value_order(vectors, 1)
+    order, tied = _value_order(vectors, 1)
     pairs = _words(vectors, 1, order[tied]) == _words(vectors, 1, order[tied + 1])
     closed = not by_largest[128]
     if closed:
-        neg_order, neg_keys, _ = _value_order(vectors, -1)
         # Row order[p] must equal minus row neg_order[p]. partner maps
         # neg_order[p] to order[p], so the negated rows are compared with
         # their partners in place, a part at a time.
+        neg_order, _ = _value_order(vectors, -1)
         partner = np.empty_like(order)
         partner[neg_order] = order
         words = _words(vectors, 1, slice(None))
-        closed = np.array_equal(keys, neg_keys) and all(
+        closed = all(
             np.array_equal(
                 np.take(words, partner[s : s + _PART], axis=0),
                 _words(vectors, -1, slice(s, s + _PART)),
@@ -180,9 +180,9 @@ def _words(vectors: np.ndarray, sign: int, idx) -> np.ndarray:
 
 
 def _value_order(vectors: np.ndarray, sign: int):
-    """(order, keys, tied) for the rows sign * vectors: order sorts them by
-    (key, words), keys are their keys in that order, and tied holds each
-    position i whose row shares its key with row i + 1.
+    """(order, tied) for the rows sign * vectors: order sorts them by
+    (key, words), and tied holds each position i whose row shares its key
+    with row i + 1. The keys are freed on return.
 
     One argsort orders the keys, and only the rows in runs of a shared key
     are then re-sorted, by (key, words), in the positions the runs take.
@@ -199,7 +199,7 @@ def _value_order(vectors: np.ndarray, sign: int):
         at = np.union1d(tied, tied + 1)
         words = _words(vectors, sign, order[at])
         order[at] = order[at][np.lexsort((words[:, 2], words[:, 1], words[:, 0], keys[at]))]
-    return order, keys, tied
+    return order, tied
 
 
 def extract_basis(vectors: np.ndarray) -> list[list[int]]:

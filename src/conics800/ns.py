@@ -150,15 +150,18 @@ def _glue(w: IntegralLattice, conic):
 def build_N(s: IntegralLattice, conics: np.ndarray) -> PolarizedLattice:
     """Index-2 extension of (-(hbar-perp in S)) + Zh glued by the first conic.
 
-    The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0].
-    Raises only when N's Gram is not integral (see _glue); h's doubled
-    row [0 | 2] is one of the rows whose HNF is N's basis, so h always
-    lies in N. h is solved over that basis by _glue's solver, and every
-    class at once by _place. A conic class outside N is left out of
+    The glue vector is c0 = l0 - hbar/2 + h/2 for l0 = conics[0], so
+    conics must hold a row (ValueError otherwise). Raises otherwise only
+    when N's Gram is not integral (see _glue); h's doubled row [0 | 2]
+    is one of the rows whose HNF is N's basis, so h always lies in N. h
+    is solved over that basis by _glue's solver, and every class at once
+    by _place. A conic class outside N is left out of
     classes, so the report's class rows fail. N's rank, determinant,
     signature and class products are returned for the report to judge,
     whatever they are: a glue row outside S gives a rank-21 N.
     """
+    if len(conics) < 1:
+        raise ValueError("build_N needs a conic row to glue by")
     w = hbar_perp(s)
     solver, gram = _glue(w, conics[0])
     h_coords = solver.solve([0] * len(HBAR) + [2])
@@ -222,7 +225,10 @@ def _place(hnf, conics: np.ndarray) -> np.ndarray:
 
 def check_glue_independence(n: PolarizedLattice, conics: np.ndarray) -> bool:
     """Glue the extension of n's W by conics[1] instead of conics[0]; the
-    canonical basis (hence the Gram) must come out identical."""
+    canonical basis (hence the Gram) must come out identical. conics must
+    hold two rows (ValueError otherwise)."""
+    if len(conics) < 2:
+        raise ValueError("check_glue_independence needs a second conic row to glue by")
     solver, gram = _glue(n.w, conics[1])
     return bool(np.array_equal(solver.h, n.hnf2) and np.array_equal(gram, n.gram))
 

@@ -49,6 +49,9 @@ SCHEMA = "conics800-report/1"
 HEAVY_NORM_TARGET = 4
 HEAVY_EXPECTED = leech.MINIMAL_COUNT
 
+# Classes per block of the class products.
+_CLASS_ROWS = 64
+
 
 def check(name: str, expected, computed, source: str) -> dict:
     """One row; both values are already JSON values (no tuple or numpy)."""
@@ -151,6 +154,7 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     add(check("seed_gram", [list(r) for r in census.SEED_GRAM], seed_gram, "construction"))
     add(check("seed_gram_det", census.SEED_DET, exact.det_bareiss(seed_gram), "determinant-oracle"))
     state.conics = census.find_conics(state.vectors)
+    state.vectors = None  # its last reader: the frames below build their own rows
     add(check("conic_count", census.CONIC_COUNT, len(state.conics), "exhaustive-scan"))
     records = census.classify_all(state.conics, state.code)
     add(
@@ -215,15 +219,12 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     # Frame invariance: the same split for every one of the 4 choices.
     # The run's own frame ("lex" is choice 0) reuses the split above, and
     # every other frame re-normalizes the raw code stage_golay built.
-    splits = {}
-    for choice in range(4):
-        if choice == state.frame.choice:
-            splits[str(choice)] = census.pattern_split(records)
-            continue
-        c2, _ = golay.normalize_frame(state.raw_code, choice)
-        v2 = leech.all_minimal_vectors(c2)
-        k2 = census.find_conics(v2)
-        splits[str(choice)] = census.pattern_split(census.classify_all(k2, c2))
+    splits = {
+        str(choice): census.pattern_split(records)
+        if choice == state.frame.choice
+        else _frame_split(state.raw_code, choice)
+        for choice in range(4)
+    }
     add(
         check(
             "frame_invariance_splits",
@@ -237,6 +238,33 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     if clique_mode == "all":
         count, exhausted = census.count_disjoint_16(masks)
         section["clique_count"] = {"count": count, "exhausted": exhausted}
+
+
+def _frame_split(raw_code: golay.GolayCode, choice: int) -> dict[str, int]:
+    """The pattern split of one frame's conics, from its own minimal
+    vectors; the rows are freed on return, before the next frame builds
+    its own."""
+    code, _ = golay.normalize_frame(raw_code, choice)
+    conics = census.find_conics(leech.all_minimal_vectors(code))
+    return census.pattern_split(census.classify_all(conics, code))
+
+
+def _class_products(n: ns.PolarizedLattice, true_products: np.ndarray) -> tuple[bool, bool]:
+    """(every class self-product is -2, the class products are 2 minus
+    the true products), read in blocks of _CLASS_ROWS classes, each an
+    int64_product of its classes, N's Gram and every class, so no
+    class-by-class matrix exists. 2 - true_products keeps the int32 of
+    intersection_data, exact as every true product is at most 49152 in
+    size, and is formed a block at a time."""
+    cls = n.classes
+    self_ok, complementary = True, len(cls) == len(true_products)
+    for s in range(0, len(cls), _CLASS_ROWS):
+        block = ns.int64_product(cls[s : s + _CLASS_ROWS], n.gram, cls.T)
+        self_ok = self_ok and bool((block.diagonal(s) == -2).all())
+        complementary = complementary and np.array_equal(
+            block, 2 - true_products[s : s + _CLASS_ROWS]
+        )
+    return self_ok, complementary
 
 
 def stage_ns(state: Pipeline, section: dict) -> None:
@@ -255,18 +283,11 @@ def stage_ns(state: Pipeline, section: dict) -> None:
     add(check("h_parity_in_N", True, ns.check_h_parity(n), "exhaustive-scan"))
     cls = n.classes
     add(check("classes_in_N", census.CONIC_COUNT, len(cls), "construction"))
-    cc = ns.int64_product(cls, n.gram, cls.T)
+    self_ok, complementary = _class_products(n, state.true_products)
     ch = ns.int64_product(cls, n.gram, n.h)
-    add(check("class_self_products_-2", True, bool((cc.diagonal() == -2).all()), "exhaustive-scan"))
+    add(check("class_self_products_-2", True, self_ok, "exhaustive-scan"))
     add(check("class_h_products_2", True, bool((ch == 2).all()), "exhaustive-scan"))
-    add(
-        check(
-            "class_products_complementary",
-            True,
-            bool(np.array_equal(cc, 2 - state.true_products)),
-            "exhaustive-scan",
-        )
-    )
+    add(check("class_products_complementary", True, complementary, "exhaustive-scan"))
     add(
         check(
             "glue_choice_independent",

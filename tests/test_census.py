@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -225,6 +226,19 @@ def test_intersection_histogram_matches_the_pair_route(conics, vectors):
     # e_1 meets itself in 1 / 8: no integer product
     with pytest.raises(ConstructionError, match="multiples of 8"):
         census.intersection_data(np.eye(1, 24, dtype=np.int64))
+
+
+def test_intersection_data_peak_memory_within_twice_its_output(conics):
+    """The products are formed, checked and counted in row blocks: the
+    traced peak, the int32 output included, stays within 2x the output."""
+    tracemalloc.start()
+    try:
+        true, _ = census.intersection_data(conics)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * true.nbytes
+    assert true.dtype == np.int32
 
 
 def _with_half(row):

@@ -253,23 +253,44 @@ def _duplicate_vector(monkeypatch, vectors):
     monkeypatch.setattr(leech, "all_minimal_vectors", planted)
 
 
-def _census_row_0_at(name, index):
+def _ns_conics(name, edit):
     """A plant in the conic input of ns.<name>, which reads a copy of the
-    conics with census row 0 at index. That row is a minimal vector
-    outside S, not a conic: at index 0 it is build_N's glue row, at index
-    1 check_glue_independence's, and elsewhere one conic of build_N's."""
+    conics after edit(conics, vectors)."""
 
     def plant(monkeypatch, vectors):
         call = getattr(ns, name)
-
-        def planted(first, conics):
-            bad = conics.copy()
-            bad[index] = vectors[0]
-            return call(first, bad)
-
-        monkeypatch.setattr(ns, name, planted)
+        monkeypatch.setattr(
+            ns, name, lambda first, conics: call(first, edit(conics.copy(), vectors))
+        )
 
     return plant
+
+
+def _census_row_0_at(index):
+    """Census row 0 at index. That row is a minimal vector outside S, not
+    a conic: at index 0 it is build_N's glue row, at index 1
+    check_glue_independence's, and elsewhere one conic of build_N's."""
+
+    def edit(conics, vectors):
+        conics[index] = vectors[0]
+        return conics
+
+    return edit
+
+
+def _conic_799_as_2l_799_minus_l_798(conics, vectors):
+    # v = 2 l_799 - l_798 has the class 2 c_799 - c_798, in N with c.h = 2;
+    # c.c = v.hbar - v.v = 2 - (20 - 4 l_799.l_798), never -2 for distinct
+    # conics, and its products with the other classes move too
+    conics[799] = 2 * conics[799] - conics[798]
+    return conics
+
+
+def _swap_798_799(conics, vectors):
+    # every class keeps c.c = -2 and c.h = 2, but classes 798 and 799
+    # meet the others as conics 799 and 798 do
+    conics[[798, 799]] = conics[[799, 798]]
+    return conics
 
 
 def _three_frame_candidates(monkeypatch, vectors):
@@ -538,6 +559,9 @@ _SPLIT = census.PATTERN_COUNTS
 UNREACHABLE = {
     "h_self_product": "h.h = 4 follows from h's doubled row [0 | 2] by the "
     "doubled-row Gram formula whatever N is",
+    "class_h_products_2": "c.h = 2 for every class N holds: c's doubled row "
+    "[2l - hbar | 1] meets h's [0 | 2] in 2 by the doubled-row Gram formula "
+    "whatever l is, and a class outside N is left out of the classes",
 }
 
 _GOLAY_WEIGHTS = {"0": 1, "8": 759, "12": 2576, "16": 759, "24": 1}
@@ -712,20 +736,28 @@ PLANTED = {
         {"S_contains_hbar", "hbar_parity_in_S"},
     ),
     "classes_in_N": (
-        "ns", _census_row_0_at("build_N", 5), 1, None, 800, 799,
+        "ns", _ns_conics("build_N", _census_row_0_at(5)), 1, None, 800, 799,
         {"classes_in_N", "class_products_complementary"},
     ),
     # glued by a row outside S, N has rank 21 and one class, its glue's, of
     # norm other than -2; N is odd, so discriminant_form stops the stage
     "N_rank": (
-        "ns", _census_row_0_at("build_N", 0), 1, "VerificationError", 20, 21,
+        "ns", _ns_conics("build_N", _census_row_0_at(0)), 1, "VerificationError", 20, 21,
         {
             "N_rank", "N_det", "N_signature", "classes_in_N", "class_self_products_-2",
             "class_products_complementary", "glue_choice_independent",
         },
     ),
+    "class_self_products_-2": (
+        "ns", _ns_conics("build_N", _conic_799_as_2l_799_minus_l_798), 1, None, True, False,
+        {"class_self_products_-2", "class_products_complementary"},
+    ),
+    "class_products_complementary": (
+        "ns", _ns_conics("build_N", _swap_798_799), 1, None, True, False,
+        {"class_products_complementary"},
+    ),
     "glue_choice_independent": (
-        "ns", _census_row_0_at("check_glue_independence", 1), 1, None, True, False,
+        "ns", _ns_conics("check_glue_independence", _census_row_0_at(1)), 1, None, True, False,
         {"glue_choice_independent"},
     ),
     # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
@@ -774,8 +806,7 @@ PLANTED = {
 # UNREACHABLE. Each new case removes its row here; a new row needs a case.
 UNCOVERED = {
     "recount_grand_total", "hbar_parity_in_S", "N_det", "N_signature",
-    "h_parity_in_N", "class_self_products_-2", "class_h_products_2",
-    "class_products_complementary", "discriminant_orders",
+    "h_parity_in_N", "discriminant_orders",
     "discriminant_neg_N_vs_T", "discriminant_complement_identity",
 }
 

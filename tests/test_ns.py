@@ -223,6 +223,21 @@ def test_N_conic_classes_counted_by_the_merged_walk(n_lattice):
     assert (at8 - w4 - 2) // 2 == 800
 
 
+def test_build_N_refuses_no_conic_rows(s_lattice, conics):
+    """The glue is conics[0]: with no rows build_N raises a named
+    ValueError, not an IndexError."""
+    with pytest.raises(ValueError, match="conic row to glue by"):
+        ns.build_N(s_lattice, conics[:0])
+
+
+def test_glue_independence_refuses_fewer_than_two_rows(n_lattice, conics):
+    """The second glue is conics[1]: with one row the check raises a
+    named ValueError, not an IndexError."""
+    for rows in (conics[:0], conics[:1]):
+        with pytest.raises(ValueError, match="second conic row"):
+            ns.check_glue_independence(n_lattice, rows)
+
+
 def test_glue_independence(conics, n_lattice):
     assert ns.check_glue_independence(n_lattice, conics)
     assert ns.check_glue_independence(n_lattice, conics[399:])

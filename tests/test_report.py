@@ -1,9 +1,11 @@
-"""The pass-path report is byte-identical to the recorded reference, and
-the ns stage refuses an int64 product that could wrap."""
+"""The pass-path report is byte-identical to the recorded reference, the
+ns stage refuses an int64 product that could wrap, and the conics and ns
+stages hold no full-size temporary array."""
 
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,38 @@ def test_stage_ns_refuses_class_products_that_could_wrap(
     rows = section["checks"]
     assert rows[-1]["name"] == "classes_in_N"
     assert all(row["pass"] for row in rows)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_conics_peak_memory_within_twice_one_census_array():
+    """The census rows are released once the conics are found, and each
+    other frame's rows are freed before the next frame builds its own:
+    the stage's traced peak, its int32 products included, stays within
+    2x one census array."""
+    state = report.Pipeline("lex")
+    report.stage_golay(state, {"checks": []})
+    report.stage_leech(state, {"checks": []})
+    census_bytes = state.vectors.nbytes
+    section = {"checks": []}
+    peak = _traced_peak(lambda: report.stage_conics(state, section))
+    assert peak <= 2 * census_bytes
+    assert all(row["pass"] for row in section["checks"])
+    assert state.vectors is None
+
+
+def test_stage_ns_peak_memory_under_4_mb(lam, conics, true_products):
+    """The class rows read the class products in row blocks, so no
+    800 x 800 int64 matrix is formed."""
+    state = report.Pipeline(lam=lam, conics=conics, true_products=true_products)
+    section = {"checks": []}
+    peak = _traced_peak(lambda: report.stage_ns(state, section))
+    assert peak < 4 * 2**20
+    assert all(row["pass"] for row in section["checks"])
