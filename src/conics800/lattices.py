@@ -18,15 +18,15 @@ prologue (_prologue): the input checks, the content step, the integral
 LLL of the Gram matrix, whose leading minors and Gram-Schmidt numerators
 make every layer bound an integer comparison, and the int64 bound. Both
 visit one row of each +-x pair, and both read their target with
-operator.index. short_vectors lists rows: one loop pops
-bounded blocks off a stack, depth first, expands each a level at a time,
-and maps each block of leaves back onto its output list as soon as it
-reaches it. The counting walk (_norm_walk) builds no row: it walks a
-level at a time and merges the nodes whose subtrees must hold equally
-many leaves of each norm: those with equal partial norms whose centres
-agree modulo the shifts of the coordinates still to fill. A walk at T
-admits every vector of norm at most T, so it counts its leaves by norm:
-norm_counts returns the count of every norm from 0 to T.
+operator.index. short_vectors lists rows: it walks the subtree of each
+top level in turn, a level at a time, and maps the subtree's leaves back
+onto its output list as soon as it reaches them. The counting walk
+(_norm_walk) builds no row: it walks all subtrees together, a level at a
+time, and merges the nodes whose subtrees must hold equally many leaves
+of each norm: those with equal partial norms whose centres agree modulo
+the shifts of the coordinates still to fill. A walk at T admits every
+vector of norm at most T, so it counts its leaves by norm: norm_counts
+returns the count of every norm from 0 to T.
 """
 
 from __future__ import annotations
@@ -290,10 +290,6 @@ def verify_fqf_witness(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, witness
     return True
 
 
-# Frontier rows expanded together at one level of the Fincke-Pohst walk.
-_CHUNK = 4096
-
-
 def _isqrt(r: np.ndarray) -> np.ndarray:
     """floor(sqrt(r)) for int64 0 <= r < 2^61, from the float64 root s.
 
@@ -382,19 +378,18 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     order, then their negatives in the same order, then the zero row if
     norm_target = 0.
 
-    The walk visits only rows y whose last nonzero coordinate is positive
-    (one subtree per top level k, from the zero prefix with y_k >= 1). It
-    is one depth-first loop over a stack of blocks, each of at most
-    _CHUNK rows at one level i, holding y_{i+1}, ..., y_{n-1} and A_{i+1}:
-    a popped block is expanded by _children, and its children are pushed
-    back as blocks in reverse, so they pop in order. Every child block is
-    a view of its level's child array, so live memory is the output list
-    plus one child array per level of the current path: no array of all
-    leaves or of all mapped rows exists. A block past
-    level 0 keeps its leaves with A_0 = T', maps them back, x = y H in
-    int64, and appends them to the output (their negatives to a second
-    list, joined at the end). The map back is guarded in Python ints:
-    |x_c| <= max|y| * sum_j |H_jc| must stay below 2^62.
+    The walk visits only rows y whose last nonzero coordinate is positive:
+    one subtree per top level k, from n - 1 down, each grown from the zero
+    prefix with y_k >= 1. A subtree is walked a level at a time: each
+    level's rows, y_i, ..., y_{n-1} with their A_i, are the children
+    _children gives the level above, in order of parent and then y_i, and
+    the walk stops at an empty level. So live memory is the output lists
+    plus one level of the current root's subtree: no array of all leaves
+    or of all mapped rows exists. The leaves with A_0 = T' are mapped
+    back, x = y H in int64, and appended to the output, and their
+    negatives to a second list, joined at the end. The map back is
+    guarded in Python ints: |x_c| <= max|y| * sum_j |H_jc| must stay
+    below 2^62.
     """
     target = operator.index(norm_target)
     content, walk = _prologue(gram, target)
@@ -409,27 +404,24 @@ def short_vectors(gram, norm_target) -> list[list[int]]:
     h_arr = np.array(h, dtype=np.int64) if h_sum < 2**62 else None
     found: list[list[int]] = []
     negated: list[list[int]] = []
-    # (level i, rows of y_{i+1..n-1}, their A_{i+1}, whether it is a root)
-    stack = [(k, np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64), True) for k in range(n)]
-    while stack:
-        i, partial, above, root = stack.pop()
-        if i < 0:
-            y = partial[above == goal]
-            if not len(y):
-                continue
-            # y != 0, so max|y| >= 1: this also refuses h_sum >= 2^62 before h_arr is read.
-            if int(np.abs(y).max()) * h_sum >= 2**62:
-                raise ConstructionError("short_vectors: entries too large for the int64 map back")
-            x = y @ h_arr
-            found.extend(x.tolist())
-            negated.extend((-x).tolist())  # -y maps to -x
+    for k in range(n - 1, -1, -1):
+        # rows holds y_{i+1..n-1} at level i, and above their A_{i+1}.
+        rows, above = np.zeros((1, n - 1 - k), np.int64), np.zeros(1, np.int64)
+        for i in range(k, -1, -1):
+            if not len(above):
+                break
+            reps, values, above = _children(goal, d, i, rows @ cols[i], above, root=i == k)
+            rows = np.concatenate([values[:, None], rows[reps]], axis=1)
+        rows = rows[above == goal]  # the leaves y
+        if not len(rows):
             continue
-        reps, values, below = _children(goal, d, i, partial @ cols[i], above, root)
-        child = np.empty((len(reps), n - i), dtype=np.int64)
-        child[:, 0] = values
-        child[:, 1:] = partial[reps]
-        for start in reversed(range(0, len(child), _CHUNK)):
-            stack.append((i - 1, child[start : start + _CHUNK], below[start : start + _CHUNK], False))
+        # y != 0, so max|y| >= 1: this also refuses h_sum >= 2^62 before h_arr is read.
+        if int(np.abs(rows).max()) * h_sum >= 2**62:
+            raise ConstructionError("short_vectors: entries too large for the int64 map back")
+        rows = rows @ h_arr  # x = y H, rebound so that no root's arrays outlive it
+        found.extend(rows.tolist())
+        np.negative(rows, out=rows)  # -y maps to -x
+        negated.extend(rows.tolist())
     found += negated
     if target == 0:
         found.append([0] * n)

@@ -28,14 +28,15 @@ keeps every check computed before it, the failing stage's partial
 section included, and its "error" record is the one account of it.
 
 The JSON serialization is byte-stable for fixed flags except for the
-"elapsed" fields; the thread count is accepted but changes nothing, and
-it is not recorded in the JSON.
+"elapsed" fields and the error record's "traceback"; the thread count
+is accepted but changes nothing, and it is not recorded in the JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,9 +356,10 @@ def run_pipeline(
     timed here, whose "pass" is true when the stage returned and every
     row passes. A stage that raises any Exception ends the run: its
     section keeps the rows computed before the raise, and the report
-    reads overall false and names the stage, the error's type and its
-    message under "error". KeyboardInterrupt and SystemExit are not
-    Exceptions: they pass through unrecorded, and no report is returned.
+    reads overall false and names the stage, the error's type, its
+    message and its formatted traceback under "error". KeyboardInterrupt
+    and SystemExit are not Exceptions: they pass through unrecorded, and
+    no report is returned.
     """
     runners = {
         "golay": stage_golay,
@@ -376,7 +378,12 @@ def run_pipeline(
         try:
             runners[name](state, section)
         except Exception as exc:
-            error = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
+            error = {
+                "stage": name,
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "traceback": traceback.format_exc(),
+            }
         section["pass"] = error is None and all(c["pass"] for c in section["checks"])
         section["elapsed"] = round(time.monotonic() - t0, 3)
         overall = overall and section["pass"]
@@ -401,9 +408,10 @@ def serialize(report: dict) -> str:
 
 
 def strip_volatile(obj):
-    """Drop the elapsed fields; used for determinism comparisons."""
+    """Drop the elapsed fields and the error's traceback, which names
+    source paths; used for determinism comparisons."""
     if isinstance(obj, dict):
-        return {k: strip_volatile(v) for k, v in obj.items() if k != "elapsed"}
+        return {k: strip_volatile(v) for k, v in obj.items() if k not in ("elapsed", "traceback")}
     if isinstance(obj, list):
         return [strip_volatile(v) for v in obj]
     return obj

@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 
 from conics800 import census, cli, golay, leech, ns, report
+from conics800.lattices import IntegralLattice
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _raising_function(error: dict) -> str:
+    """The function that the last frame of the error record's traceback names."""
+    frames = [line for line in error["traceback"].splitlines() if line.startswith("  File ")]
+    return frames[-1].rsplit(", in ", 1)[1]
 
 
 def test_golay_subcommand(capsys, tmp_path):
@@ -133,9 +140,10 @@ def test_construction_failure_exit_3(monkeypatch, capsys, tmp_path):
     ]
     assert all(c["pass"] for c in kept["checks"])
     assert kept["pass"] is False
-    assert data["error"] == {
+    assert report.strip_volatile(data)["error"] == {
         "stage": "leech", "type": "ConstructionError", "message": "synthetic failure"
     }
+    assert _raising_function(data["error"]) == "boom"
 
 
 def test_verification_error_exit_1(monkeypatch, capsys, tmp_path):
@@ -156,9 +164,10 @@ def test_verification_error_exit_1(monkeypatch, capsys, tmp_path):
         "no_duplicates", "negation_closed",
     ]
     assert all(c["pass"] for c in kept["checks"])
-    assert data["error"] == {
+    assert report.strip_volatile(data)["error"] == {
         "stage": "leech", "type": "VerificationError", "message": "synthetic mismatch"
     }
+    assert _raising_function(data["error"]) == "boom"
 
 
 # One library call per stage, the command that reaches it, and the rows
@@ -211,7 +220,10 @@ def test_any_stage_error_writes_the_report_and_exits_3(
     err = capsys.readouterr().err
     assert f"stage {stage}: {error.__name__}: planted" in err
     data = json.loads(out.read_text())
-    assert data["error"] == {"stage": stage, "type": error.__name__, "message": "planted"}
+    assert report.strip_volatile(data)["error"] == {
+        "stage": stage, "type": error.__name__, "message": "planted"
+    }
+    assert _raising_function(data["error"]) == "planted"
     assert data["overall"] is False
     stages = report.strip_volatile(data)["stages"]
     *earlier, last = stages
@@ -501,6 +513,40 @@ def _frame_3_unnormalized(monkeypatch, vectors):
     monkeypatch.setattr(golay, "normalize_frame", planted)
 
 
+def _ambient_in_place_of_s(monkeypatch, vectors):
+    """check_hbar_parity reads the ambient lattice in place of S. It is
+    unimodular and holds the primitive vector hbar, so some x in it has
+    x.hbar = 1, and some basis row meets hbar oddly. Every other row reads
+    S, which is unchanged."""
+    ambient = IntegralLattice(leech.extract_basis(vectors), ambient_scale=8)
+    check_hbar_parity = ns.check_hbar_parity
+    monkeypatch.setattr(ns, "check_hbar_parity", lambda s: check_hbar_parity(ambient))
+
+
+def _w_first_row_doubled(monkeypatch, vectors):
+    """build_N reads W with its first basis row doubled: an index-2
+    sublattice, so det W, and with it det N = -det W, grows 4-fold."""
+    hbar_perp = ns.hbar_perp
+
+    def planted(s):
+        w = hbar_perp(s)
+        return IntegralLattice([[2 * x for x in w.basis[0]]] + w.basis[1:], w.ambient_scale)
+
+    monkeypatch.setattr(ns, "hbar_perp", planted)
+
+
+def _seed_in_place_of_w(monkeypatch, vectors):
+    """verify_discriminants reads the seed lattice in place of W. Its
+    discriminant form is not minus itself: its 8-part has q = 1/8, and
+    -1/8 is not a^2 / 8 mod 2 for any odd a. Every other comparison reads
+    N, T and the seed, which are unchanged."""
+    seed = IntegralLattice([list(r) for r in ns.SEED_ROWS], ambient_scale=8)
+    verify_discriminants = ns.verify_discriminants
+    monkeypatch.setattr(
+        ns, "verify_discriminants", lambda n: verify_discriminants(dataclasses.replace(n, w=seed))
+    )
+
+
 def _bad_lattice(w_gram, kind):
     """A rank-20 Gram, with h = e_0 and h.h = 4, that holds two bad
     vectors of one kind and none of the other. W18 is the Gram of the
@@ -562,6 +608,11 @@ UNREACHABLE = {
     "class_h_products_2": "c.h = 2 for every class N holds: c's doubled row "
     "[2l - hbar | 1] meets h's [0 | 2] in 2 by the doubled-row Gram formula "
     "whatever l is, and a class outside N is left out of the classes",
+    "h_parity_in_N": "h.x = 2k for every doubled row [u | k] of N by the "
+    "doubled-row Gram formula, so h.x is even whatever N is",
+    "N_signature": "the doubled-row form (32 kk' - u.u') / 32 is positive on "
+    "h = [0 | 2] and negative definite on k = 0, so N has signature "
+    "[1, rank - 1, 0] whatever N is: the row fails only with N_rank",
 }
 
 _GOLAY_WEIGHTS = {"0": 1, "8": 759, "12": 2576, "16": 759, "24": 1}
@@ -670,6 +721,13 @@ PLANTED = {
         1, None, {"P1": 16, "P2": 16, "P3": 11, "P4": 3}, {"P1": 16, "P2": 16, "P3": 10, "P4": 3},
         {"recount_underlined_factors"},
     ),
+    # the row's own input is its expected total, which conic_count reads
+    # too: the recount reads the code and WINDOW_CONDITIONS, as
+    # recount_totals does, so a plant there fails recount_totals first
+    "recount_grand_total": (
+        "conics", lambda mp, v: mp.setattr(census, "CONIC_COUNT", 801), 1, None, 801, 800,
+        {"conic_count", "recount_grand_total"},
+    ),
     "recount_totals": (
         "conics", lambda mp, v: mp.setitem(census.WINDOW_CONDITIONS["P1"], "signs", 2),
         1, None, census.PATTERN_COUNTS, {"P1": 192, "P2": 96, "P3": 320, "P4": 288},
@@ -730,6 +788,18 @@ PLANTED = {
         },
     ),
     "S_root_free": ("ns", _root_in_s_gram, 1, None, 0, 2, {"S_root_free"}),
+    "hbar_parity_in_S": (
+        "ns", _ambient_in_place_of_s, 1, None, True, False, {"hbar_parity_in_S"},
+    ),
+    # N shrinks to an index-2 sublattice, which holds 392 of the classes
+    "N_det": (
+        "ns", _w_first_row_doubled, 1, None, -160, -640,
+        {
+            "N_det", "classes_in_N", "class_products_complementary", "discriminant_orders",
+            "discriminant_N_block_form_a", "discriminant_N_block_form_b",
+            "discriminant_neg_N_vs_T", "discriminant_complement_identity",
+        },
+    ),
     "S_contains_hbar": (
         "ns", lambda mp, v: mp.setattr(ns, "HBAR", (2, 2) + (0,) * 22),
         3, "ConstructionError", True, False,
@@ -759,6 +829,21 @@ PLANTED = {
     "glue_choice_independent": (
         "ns", _ns_conics("check_glue_independence", _census_row_0_at(1)), 1, None, True, False,
         {"glue_choice_independent"},
+    ),
+    # diag(4, 42) has a discriminant group of order 168
+    "discriminant_orders": (
+        "ns", lambda mp, v: mp.setattr(ns, "T_GRAM", ((4, 0), (0, 42))), 1, None,
+        {"seed": 160, "N": 160, "T": 160}, {"seed": 160, "N": 160, "T": 168},
+        {"discriminant_orders", "discriminant_neg_N_vs_T"},
+    ),
+    # diag(2, 80) has order 160 too, but its 2-part is Z/2 + Z/16, not Z/4 + Z/8
+    "discriminant_neg_N_vs_T": (
+        "ns", lambda mp, v: mp.setattr(ns, "T_GRAM", ((2, 0), (0, 80))), 1, None,
+        _DISC_OK, _DISC_FAIL, {"discriminant_neg_N_vs_T"},
+    ),
+    "discriminant_complement_identity": (
+        "ns", _seed_in_place_of_w, 1, None, _DISC_OK, _DISC_FAIL,
+        {"discriminant_complement_identity"},
     ),
     # discr N has q = 5/4 on its 4-part; a form with q = 1/4 there is not isomorphic
     "discriminant_N_block_form_a": (
@@ -803,12 +888,8 @@ PLANTED = {
 
 
 # Rows of a full lex run with neither a case in PLANTED nor a reason in
-# UNREACHABLE. Each new case removes its row here; a new row needs a case.
-UNCOVERED = {
-    "recount_grand_total", "hbar_parity_in_S", "N_det", "N_signature",
-    "h_parity_in_N", "discriminant_orders",
-    "discriminant_neg_N_vs_T", "discriminant_complement_identity",
-}
+# UNREACHABLE: none, so a new row needs a case or a reason.
+UNCOVERED: set[str] = set()
 
 
 def test_unreachable_rows_have_no_plant():
@@ -817,7 +898,8 @@ def test_unreachable_rows_have_no_plant():
 
 def test_rows_without_a_case_are_the_pinned_set():
     """A full lex run's rows are distinct, every PLANTED and UNREACHABLE
-    name is one of them, and the rest are exactly UNCOVERED."""
+    name is one of them, and the rest are exactly UNCOVERED: every row
+    has a case or a reason."""
     rep, ok = report.run_pipeline(report.Pipeline("lex"), "ns", heavy=True)
     assert ok
     rows = [c["name"] for sec in rep["stages"].values() for c in sec["checks"]]

@@ -228,13 +228,6 @@ def test_short_vectors_unimodular_invariance(seed):
         assert norm_counts(skewed, target)[target] == len(mapped)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_short_vectors_output_independent_of_chunk(monkeypatch, chunk):
-    expected = _e8_outputs()
-    monkeypatch.setattr(lattices, "_CHUNK", chunk)
-    assert _e8_outputs() == expected
-
-
 def test_isqrt_exact_up_to_the_walk_bound():
     # Near 2^60 the float root of k^2 - 1 rounds up to k.
     ks = [0, 1, 2, 3, 1000, 2**30, 2**30 + 12345, math.isqrt(2**61 - 1)]
