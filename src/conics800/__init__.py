@@ -13,6 +13,7 @@ from .errors import (
     Conics800Error,
     ConstructionError,
     NotPositiveDefiniteError,
+    SideJobError,
     UnsupportedSizeError,
     VerificationError,
 )
@@ -25,5 +26,6 @@ __all__ = [
     "VerificationError",
     "UnsupportedSizeError",
     "NotPositiveDefiniteError",
+    "SideJobError",
     "__version__",
 ]

@@ -27,21 +27,34 @@ bounds; size and pass limits. A stage error ends the run: the report
 keeps every check computed before it, the failing stage's partial
 section included, and its "error" record is the one account of it.
 
+Two side jobs read only what one early stage built: the other frames'
+pattern splits (the raw code, after golay) and the heavy count (the
+Leech Gram, after leech). With threads >= 2 and os.fork, run_pipeline
+forks each into a child process as soon as its input exists, and the
+stage that reads the value waits for it there; otherwise the same
+function runs in process at that point. A child's error is raised again
+in the reading stage with its type and message, so the one failure path
+holds. The children make no BLAS call.
+
 The JSON serialization is byte-stable for fixed flags except for the
-"elapsed" fields and the error record's "traceback"; the thread count
-is accepted but changes nothing, and it is not recorded in the JSON.
+"elapsed" fields, the error record's "traceback" and the reading
+stages' "side_jobs" records; the thread count decides only where the
+side jobs run, and it is not recorded in the JSON.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, census, exact, golay, leech, ns
+from .errors import SideJobError
 from .lattices import IntegralLattice, norm_counts
 from .lattices import short_vectors  # noqa: F401 (perfbench's tracer test reads it here)
 
@@ -79,6 +92,8 @@ class Pipeline:
     leech_gram: list | None = None
     conics: np.ndarray | None = None
     true_products: np.ndarray | None = None
+    # Forked side jobs not yet read: name -> (pid, read end of its pipe).
+    jobs: dict = field(default_factory=dict)
 
     def choice_arg(self) -> int | None:
         return None if self.octad_choice == "lex" else int(self.octad_choice)
@@ -220,17 +235,13 @@ def stage_conics(state: Pipeline, section: dict, clique_mode: str = "first") -> 
     # Frame invariance: the same split for every one of the 4 choices.
     # The run's own frame ("lex" is choice 0) reuses the split above, and
     # every other frame re-normalizes the raw code stage_golay built.
-    splits = {
-        str(choice): census.pattern_split(records)
-        if choice == state.frame.choice
-        else _frame_split(state.raw_code, choice)
-        for choice in range(4)
-    }
+    splits = _side_value(state, section, "frame_splits")
+    splits[state.frame.choice] = census.pattern_split(records)
     add(
         check(
             "frame_invariance_splits",
             {str(c): census.PATTERN_COUNTS for c in range(4)},
-            splits,
+            {str(c): splits[c] for c in range(4)},
             "independent-recount",
         )
     )
@@ -248,6 +259,94 @@ def _frame_split(raw_code: golay.GolayCode, choice: int) -> dict[str, int]:
     code, _ = golay.normalize_frame(raw_code, choice)
     conics = census.find_conics(leech.all_minimal_vectors(code))
     return census.pattern_split(census.classify_all(conics, code))
+
+
+def _other_splits(state: Pipeline) -> dict[int, dict[str, int]]:
+    """The pattern split of every frame but the run's own, by choice."""
+    return {c: _frame_split(state.raw_code, c) for c in range(4) if c != state.frame.choice}
+
+
+def _heavy_counts(state: Pipeline) -> dict[int, int]:
+    return norm_counts(state.leech_gram, HEAVY_NORM_TARGET)
+
+
+# Side jobs: name -> (the stage after which its input exists, the stage
+# that reads its value, the job).
+SIDE_JOBS = {
+    "frame_splits": ("golay", "conics", _other_splits),
+    "heavy_counts": ("leech", "heavy", _heavy_counts),
+}
+
+
+def _fork_job(state: Pipeline, name: str) -> None:
+    """Run side job `name` in a child process. The child pickles back
+    (ok, value or exception, its traceback text, wall seconds, max RSS
+    in KiB) over a pipe and always ends with os._exit; an exception it
+    cannot pickle leaves the pipe empty."""
+    fds = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:  # no descriptor or process to spare: the reader computes the value
+        for fd in fds:
+            os.close(fd)
+        return
+    if pid == 0:
+        try:
+            import resource  # POSIX only, as os.fork is
+
+            os.close(read_fd)
+            t0 = time.monotonic()
+            try:
+                out = (True, SIDE_JOBS[name][2](state), "")
+            except Exception as exc:
+                text = f"\nThe child of side job {name} raised it:\n{traceback.format_exc()}"
+                out = (False, exc, text)
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(out + (time.monotonic() - t0, rss)))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    state.jobs[name] = (pid, os.fdopen(read_fd, "rb"))
+
+
+def _end_job(state: Pipeline, name: str) -> int:
+    """Close side job `name`'s pipe, kill its child if it still runs (a
+    child whose pipe reached its end has nothing left to do), reap it,
+    and return its exit code."""
+    pid, pipe = state.jobs.pop(name)
+    pipe.close()
+    os.kill(pid, 9)  # SIGKILL, fixed by POSIX; importing signal costs 40 KB and 0.8 ms
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _side_value(state: Pipeline, section: dict, name: str):
+    """Side job `name`'s value: read from its child when run_pipeline
+    forked one, with a volatile "side_jobs" record in `section`, else
+    computed here. The child's error is raised here, its traceback text
+    kept as `side_job_traceback`."""
+    if name not in state.jobs:
+        return SIDE_JOBS[name][2](state)
+    t0 = time.monotonic()
+    data = state.jobs[name][1].read()
+    code = _end_job(state, name)
+    try:
+        ok, value, child_traceback, child_s, rss_kib = pickle.loads(data)
+    except Exception:
+        raise SideJobError(f"side job {name} ended without a result (exit code {code})") from None
+    section.setdefault("side_jobs", []).append(
+        {
+            "job": name,
+            "child_s": round(child_s, 3),
+            "wait_s": round(time.monotonic() - t0, 3),
+            "child_max_rss_mb": round(rss_kib / 1024, 1),
+        }
+    )
+    if not ok:
+        value.side_job_traceback = child_traceback
+        raise value
+    return value
 
 
 def _class_products(n: ns.PolarizedLattice, true_products: np.ndarray) -> tuple[bool, bool]:
@@ -333,7 +432,7 @@ def stage_heavy(state: Pipeline, section: dict) -> None:
     counts its leaves by norm, so norm 2 is read off the same walk.
     """
     add = section["checks"].append
-    counts = norm_counts(state.leech_gram, HEAVY_NORM_TARGET)
+    counts = _side_value(state, section, "heavy_counts")
     count4 = counts[HEAVY_NORM_TARGET]
     add(check("norm_4_vector_count", HEAVY_EXPECTED, count4, "enumeration-oracle"))
     add(check("norm_2_vector_count", 0, counts[2], "enumeration-oracle"))
@@ -359,7 +458,8 @@ def run_pipeline(
     reads overall false and names the stage, the error's type, its
     message and its formatted traceback under "error". KeyboardInterrupt
     and SystemExit are not Exceptions: they pass through unrecorded, and
-    no report is returned.
+    no report is returned. Every side job's child is reaped before the
+    return, on every path; one whose value was never read is killed.
     """
     runners = {
         "golay": stage_golay,
@@ -369,26 +469,34 @@ def run_pipeline(
         "heavy": stage_heavy,
     }
     names = STAGE_ORDER[: STAGE_ORDER.index(upto) + 1] + (("heavy",) if heavy else ())
+    fork = state.threads >= 2 and hasattr(os, "fork")
     sections: dict = {}
     overall = True
     error = None
-    for name in names:
-        section = sections[name] = {"checks": []}
-        t0 = time.monotonic()
-        try:
-            runners[name](state, section)
-        except Exception as exc:
-            error = {
-                "stage": name,
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            }
-        section["pass"] = error is None and all(c["pass"] for c in section["checks"])
-        section["elapsed"] = round(time.monotonic() - t0, 3)
-        overall = overall and section["pass"]
-        if error is not None:
-            break
+    try:
+        for name in names:
+            section = sections[name] = {"checks": []}
+            t0 = time.monotonic()
+            try:
+                runners[name](state, section)
+            except Exception as exc:
+                error = {
+                    "stage": name,
+                    "type": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc() + getattr(exc, "side_job_traceback", ""),
+                }
+            section["pass"] = error is None and all(c["pass"] for c in section["checks"])
+            section["elapsed"] = round(time.monotonic() - t0, 3)
+            overall = overall and section["pass"]
+            if error is not None:
+                break
+            for job, (after, reader, _) in SIDE_JOBS.items():
+                if fork and after == name and reader in names:
+                    _fork_job(state, job)
+    finally:
+        for job in list(state.jobs):
+            _end_job(state, job)
     report = {
         "schema": SCHEMA,
         "environment": {
@@ -408,10 +516,12 @@ def serialize(report: dict) -> str:
 
 
 def strip_volatile(obj):
-    """Drop the elapsed fields and the error's traceback, which names
-    source paths; used for determinism comparisons."""
+    """Drop the elapsed fields, the side-job records and the error's
+    traceback, which names source paths; used for determinism
+    comparisons."""
     if isinstance(obj, dict):
-        return {k: strip_volatile(v) for k, v in obj.items() if k not in ("elapsed", "traceback")}
+        volatile = ("elapsed", "side_jobs", "traceback")
+        return {k: strip_volatile(v) for k, v in obj.items() if k not in volatile}
     if isinstance(obj, list):
         return [strip_volatile(v) for v in obj]
     return obj
