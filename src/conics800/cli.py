@@ -18,15 +18,10 @@ files, and an output file that cannot be opened ends the run with 3.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import golay as golay_mod
 from .report import Pipeline, format_row, print_human, run_pipeline, serialize
-
-
-def _available_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _add_common(
@@ -38,11 +33,9 @@ def _add_common(
     p.add_argument(
         "--threads",
         type=int,
-        default=_available_cpus(),
-        help="with 2 or more, the other frames' pattern splits and the heavy "
-        "count run in forked child processes beside the main stages; 1 runs "
-        "every stage in this process, in order. The report is the same "
-        "either way (default: the CPUs this process may use)",
+        default=1,
+        help="accepted for compatibility; the value changes nothing: a run "
+        "forks its side jobs wherever a second CPU is available",
     )
     p.add_argument("--json", metavar="FILE", help="write the JSON report to FILE")
     if octad:
@@ -107,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    state = Pipeline(octad_choice=args.octad_choice, threads=args.threads)
+    state = Pipeline(octad_choice=args.octad_choice)
     rep, ok = run_pipeline(state, args.upto, args.heavy, args.clique)
     error = rep.get("error")
     try:

@@ -29,17 +29,17 @@ section included, and its "error" record is the one account of it.
 
 Two side jobs read only what one early stage built: the other frames'
 pattern splits (the raw code, after golay) and the heavy count (the
-Leech Gram, after leech). With threads >= 2 and os.fork, run_pipeline
-forks each into a child process as soon as its input exists, and the
-stage that reads the value waits for it there; otherwise the same
-function runs in process at that point. A child's error is raised again
-in the reading stage with its type and message, so the one failure path
-holds. The children make no BLAS call.
+Leech Gram, after leech). Where os.fork exists and the process may use
+two or more CPUs, run_pipeline forks each into a child process as soon
+as its input exists, and the stage that reads the value waits for it
+there; otherwise the same function runs in process at that point. A
+child's error is raised again in the reading stage with its type and
+message, so the one failure path holds. The children make no BLAS call.
 
 The JSON serialization is byte-stable for fixed flags except for the
 "elapsed" fields, the error record's "traceback" and the reading
-stages' "side_jobs" records; the thread count decides only where the
-side jobs run, and it is not recorded in the JSON.
+stages' "side_jobs" records. The thread count is accepted but changes
+nothing, and it is not recorded in the JSON.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import os
 import pickle
 import time
 import traceback
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ class Pipeline:
     """The run's flags and the objects a later stage reads."""
 
     octad_choice: str = "lex"
-    threads: int = 1
+    threads: int = 1  # accepted and ignored; see _forks_side_jobs
     raw_code: golay.GolayCode | None = None
     code: golay.GolayCode | None = None
     frame: golay.Frame | None = None
@@ -278,6 +279,16 @@ SIDE_JOBS = {
 }
 
 
+def _forks_side_jobs() -> bool:
+    """Whether run_pipeline forks the side jobs: where os.fork exists and
+    the process may use a second CPU to run a child beside the stages."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
 def _fork_job(state: Pipeline, name: str) -> None:
     """Run side job `name` in a child process. The child pickles back
     (ok, value or exception, its traceback text, wall seconds, max RSS
@@ -286,7 +297,13 @@ def _fork_job(state: Pipeline, name: str) -> None:
     fds = ()
     try:
         fds = read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        with warnings.catch_warnings():
+            # CPython >= 3.12 warns after forking while another thread
+            # exists (numpy's idle BLAS threads; the child makes no BLAS
+            # call). Raised as an error, the warning would lose the pid
+            # of a child that already runs.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:  # no descriptor or process to spare: the reader computes the value
         for fd in fds:
             os.close(fd)
@@ -307,17 +324,19 @@ def _fork_job(state: Pipeline, name: str) -> None:
                 pipe.write(pickle.dumps(out + (time.monotonic() - t0, rss)))
         finally:
             os._exit(0)
-    os.close(write_fd)
     state.jobs[name] = (pid, os.fdopen(read_fd, "rb"))
+    os.close(write_fd)
 
 
-def _end_job(state: Pipeline, name: str) -> int:
-    """Close side job `name`'s pipe, kill its child if it still runs (a
-    child whose pipe reached its end has nothing left to do), reap it,
-    and return its exit code."""
+def _end_job(state: Pipeline, name: str, kill: bool = True) -> int:
+    """Close side job `name`'s pipe, kill its child if `kill`, reap it,
+    and return its exit code. A child whose pipe was read to its end
+    has only os._exit left, so its reader reaps it without a kill, and
+    its exit code does not depend on timing."""
     pid, pipe = state.jobs.pop(name)
     pipe.close()
-    os.kill(pid, 9)  # SIGKILL, fixed by POSIX; importing signal costs 40 KB and 0.8 ms
+    if kill:
+        os.kill(pid, 9)  # SIGKILL, fixed by POSIX; importing signal costs 40 KB and 0.8 ms
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
@@ -330,7 +349,7 @@ def _side_value(state: Pipeline, section: dict, name: str):
         return SIDE_JOBS[name][2](state)
     t0 = time.monotonic()
     data = state.jobs[name][1].read()
-    code = _end_job(state, name)
+    code = _end_job(state, name, kill=False)
     try:
         ok, value, child_traceback, child_s, rss_kib = pickle.loads(data)
     except Exception:
@@ -469,7 +488,7 @@ def run_pipeline(
         "heavy": stage_heavy,
     }
     names = STAGE_ORDER[: STAGE_ORDER.index(upto) + 1] + (("heavy",) if heavy else ())
-    fork = state.threads >= 2 and hasattr(os, "fork")
+    fork = _forks_side_jobs()
     sections: dict = {}
     overall = True
     error = None

@@ -1,12 +1,16 @@
-"""The side jobs of a run: at threads >= 2 the other frames' splits and
-the heavy count run in forked children, and the report, the error
-record and the exit code are those of the in-process run at threads 1.
-No run leaves a child behind."""
+"""The side jobs of a run: where os.fork exists and a second CPU is
+available, the other frames' splits and the heavy count run in forked
+children, and the report, the error record and the exit code are those
+of the in-process run on a platform without os.fork. No run leaves a
+child behind."""
 
+import contextlib
 import hashlib
 import json
 import os
 import signal
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,8 @@ JOBS = {
     "heavy_counts": ("norm_counts", "leech --heavy", "heavy", 0),
 }
 
+MODES = ("in_process", "forked")
+
 
 def _assert_no_child() -> None:
     with pytest.raises(ChildProcessError):
@@ -36,7 +42,8 @@ def _assert_no_child() -> None:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids this process forks while the test runs."""
+    """Two CPUs available, as on the benchmark machine, so a run forks its
+    side jobs; yields the pids this process forks while the test runs."""
     pids = []
     fork = os.fork
 
@@ -47,6 +54,7 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     yield pids
     # Whatever the test found, leave no child running for the next test.
     for pid in pids:
@@ -58,23 +66,38 @@ def forks(monkeypatch):
             pass
 
 
-def _cli(argv, tmp_path, threads):
-    out = tmp_path / f"r{threads}.json"
-    code = cli.main(argv.split() + ["--threads", str(threads), "--json", str(out)])
+@contextlib.contextmanager
+def _mode(mode: str):
+    """In process: as on a platform without os.fork."""
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "in_process":
+            mp.delattr(os, "fork")
+        yield
+
+
+def _run(frame: str, mode: str):
+    with _mode(mode):
+        return report.run_pipeline(report.Pipeline(frame), "ns", heavy=True)
+
+
+def _cli(argv, tmp_path, mode):
+    out = tmp_path / f"r-{mode}.json"
+    with _mode(mode):
+        code = cli.main(argv.split() + ["--json", str(out)])
     return code, json.loads(out.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("frame", ["lex", "2"])
 def test_forked_full_run_is_the_in_process_run(frame, forks):
     """Both jobs run in children, each reading stage records its job under
-    the volatile "side_jobs" key, and the stripped report is the threads=1
-    report and its reference digest, byte for byte."""
+    the volatile "side_jobs" key, and the stripped report is the
+    in-process report and its reference digest, byte for byte."""
     texts = {}
-    for threads in (1, 2):
-        rep, ok = report.run_pipeline(report.Pipeline(frame, threads=threads), "ns", heavy=True)
+    for mode in MODES:
+        rep, ok = _run(frame, mode)
         assert ok
         jobs = {s: [j["job"] for j in sec.get("side_jobs", [])] for s, sec in rep["stages"].items()}
-        if threads == 1:
+        if mode == "in_process":
             assert not any(jobs.values()) and not forks
         else:
             assert jobs == {"golay": [], "leech": [], "conics": ["frame_splits"], "ns": [],
@@ -84,11 +107,11 @@ def test_forked_full_run_is_the_in_process_run(frame, forks):
                 [record] = rep["stages"][sec]["side_jobs"]
                 assert set(record) == {"job", "child_s", "wait_s", "child_max_rss_mb"}
                 assert record["child_max_rss_mb"] > 0
-        texts[threads] = report.serialize(report.strip_volatile(rep))
+        texts[mode] = report.serialize(report.strip_volatile(rep))
         _assert_no_child()
-    assert texts[1] == texts[2]
+    assert texts["in_process"] == texts["forked"]
     expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["certify"]["full"][frame]
-    assert hashlib.sha256(texts[2].encode("utf-8")).hexdigest() == expected
+    assert hashlib.sha256(texts["forked"].encode("utf-8")).hexdigest() == expected
 
 
 def _fork_fails():
@@ -103,21 +126,53 @@ def test_without_a_fork_the_jobs_run_in_process(fork, monkeypatch):
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     open_fds = len(os.listdir("/proc/self/fd"))
-    rep, ok = report.run_pipeline(report.Pipeline("lex", threads=2), "ns", heavy=True)
+    rep, ok = report.run_pipeline(report.Pipeline("lex"), "ns", heavy=True)
     assert ok
     assert not any("side_jobs" in sec for sec in rep["stages"].values())
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
-def test_threads_flag_reaches_the_pipeline(tmp_path):
-    """The default is the CPUs this process may use; --threads 1 runs
-    in process, --threads 2 forks."""
-    assert cli.build_parser().parse_args(["ns"]).threads == len(os.sched_getaffinity(0))
-    for threads, forked in ((1, False), (2, True)):
-        code, data = _cli("conics", tmp_path, threads)
-        assert code == 0
+@pytest.mark.parametrize(
+    "affinity, cpu_count, forked",
+    [({0}, 2, False), ({0, 1}, 1, True), (None, 1, False), (None, None, False), (None, 2, True)],
+)
+def test_a_second_cpu_decides_the_fork(affinity, cpu_count, forked, monkeypatch, tmp_path):
+    """The CPUs this process may use decide, read from its affinity where
+    the platform has one, else from the CPU count; --threads changes
+    nothing."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    for threads in ("1", "4"):
+        out = tmp_path / f"r{threads}.json"
+        assert cli.main(["conics", "--threads", threads, "--json", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
         assert ("side_jobs" in data["stages"]["conics"]) is forked
+    _assert_no_child()
+
+
+def test_a_fork_that_warns_still_forks(forks, monkeypatch):
+    """CPython >= 3.12 warns in the parent after it forks while another
+    thread exists; the tests turn warnings into errors, and the run must
+    still read both children and reap them."""
+    spy = os.fork
+
+    def warning_fork():
+        pid = spy()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    rep, ok = report.run_pipeline(report.Pipeline("lex"), "ns", heavy=True)
+    assert ok and len(forks) == 2
+    assert [j["job"] for j in rep["stages"]["heavy"]["side_jobs"]] == ["heavy_counts"]
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("error", [ValueError, ConstructionError, MemoryError])
@@ -132,7 +187,7 @@ def test_a_child_error_is_the_in_process_error(job, error, monkeypatch, tmp_path
         raise error("planted")
 
     monkeypatch.setattr(report, name, planted)
-    runs = {threads: _cli(command, tmp_path, threads) for threads in (1, 2)}
+    runs = {mode: _cli(command, tmp_path, mode) for mode in MODES}
     assert len(forks) == 1
     _assert_no_child()
     for code, data in runs.values():
@@ -141,34 +196,55 @@ def test_a_child_error_is_the_in_process_error(job, error, monkeypatch, tmp_path
             "stage": stage, "type": error.__name__, "message": "planted"
         }
         assert _raising_function(data["error"]) == "planted"
-    assert "The child of side job" in runs[2][1]["error"]["traceback"]
-    assert report.strip_volatile(runs[1][1]) == report.strip_volatile(runs[2][1])
+    assert "The child of side job" in runs["forked"][1]["error"]["traceback"]
+    assert report.strip_volatile(runs["in_process"][1]) == report.strip_volatile(runs["forked"][1])
 
 
+# How a child ends without a result, and the exit code the parent reads.
+ENDINGS = {
+    "exit": 7,
+    "killed": -signal.SIGKILL,
+    # The pickle fails inside the write, which closes the pipe empty;
+    # the child then ends with os._exit(0), and is reaped without a kill.
+    "unpicklable": 0,
+}
+
+
+@pytest.mark.parametrize("ending", list(ENDINGS))
 @pytest.mark.parametrize("job", list(JOBS))
-def test_a_child_that_ends_without_a_result_is_a_named_error(job, monkeypatch, tmp_path, forks):
+def test_a_child_that_ends_without_a_result_is_a_named_error(
+    job, ending, monkeypatch, tmp_path, forks
+):
     """The reading stage raises SideJobError with the child's exit code,
     and the rows before it are those of a passing run."""
     name, command, stage, rows = JOBS[job]
     parent = os.getpid()
+    exit_now = os._exit
+
+    def exit_late(code):
+        time.sleep(0.2)  # a kill sent after the pipe closed would land first
+        exit_now(code)
+
+    monkeypatch.setattr(os, "_exit", exit_late)
 
     def planted(*args, **kwargs):
         assert os.getpid() != parent
-        if job == "frame_splits":
-            os._exit(7)
-        os.kill(os.getpid(), signal.SIGKILL)
+        if ending == "exit":
+            exit_now(7)
+        if ending == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError(lambda: None)
 
     monkeypatch.setattr(report, name, planted)
-    code, data = _cli(command, tmp_path, 2)
+    code, data = _cli(command, tmp_path, "forked")
     _assert_no_child()
     assert code == 3
-    exit_code = 7 if job == "frame_splits" else -signal.SIGKILL
     assert report.strip_volatile(data)["error"] == {
         "stage": stage, "type": "SideJobError",
-        "message": f"side job {job} ended without a result (exit code {exit_code})",
+        "message": f"side job {job} ended without a result (exit code {ENDINGS[ending]})",
     }
     monkeypatch.undo()
-    passing = report.strip_volatile(_cli(command, tmp_path, 1)[1])["stages"]
+    passing = report.strip_volatile(_cli(command, tmp_path, "in_process")[1])["stages"]
     stages = report.strip_volatile(data)["stages"]
     assert stages[stage]["checks"] == passing[stage]["checks"][:rows]
 
@@ -204,16 +280,16 @@ UNREAD = {
 def test_a_job_never_read_is_killed_and_reaped(stage, monkeypatch, tmp_path, forks):
     """A stage error ends a verify-all run while a child still runs, or
     before its value is read: the child is killed and reaped, and the
-    report is the threads=1 report."""
+    report is the in-process report."""
     plants, forked = UNREAD[stage]
     for module, name, planted in plants:
         monkeypatch.setattr(module, name, planted)
-    runs = {threads: _cli("verify-all", tmp_path, threads) for threads in (2, 1)}
+    runs = {mode: _cli("verify-all", tmp_path, mode) for mode in reversed(MODES)}
     assert len(forks) == forked
     _assert_no_child()
     for code, data in runs.values():
         assert code == 3 and data["error"]["stage"] == stage
-    assert report.strip_volatile(runs[1][1]) == report.strip_volatile(runs[2][1])
+    assert report.strip_volatile(runs["in_process"][1]) == report.strip_volatile(runs["forked"][1])
 
 
 def test_keyboard_interrupt_leaves_no_child(monkeypatch, tmp_path, forks):
@@ -222,6 +298,6 @@ def test_keyboard_interrupt_leaves_no_child(monkeypatch, tmp_path, forks):
 
     monkeypatch.setattr(census, "intersection_data", planted)
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["verify-all", "--threads", "2", "--json", str(tmp_path / "r.json")])
+        cli.main(["verify-all", "--json", str(tmp_path / "r.json")])
     assert len(forks) == 2
     _assert_no_child()
