@@ -13,7 +13,6 @@ from .errors import (
     Conics800Error,
     ConstructionError,
     NotPositiveDefiniteError,
-    SideJobError,
     UnsupportedSizeError,
     VerificationError,
 )
@@ -26,6 +25,5 @@ __all__ = [
     "VerificationError",
     "UnsupportedSizeError",
     "NotPositiveDefiniteError",
-    "SideJobError",
     "__version__",
 ]

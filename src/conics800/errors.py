@@ -19,7 +19,3 @@ class UnsupportedSizeError(Conics800Error):
 
 class NotPositiveDefiniteError(Conics800Error):
     """A Gram matrix required to be positive definite is not."""
-
-
-class SideJobError(Conics800Error):
-    """A side job's child process ended without sending back its result."""

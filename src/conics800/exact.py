@@ -184,10 +184,13 @@ class LeftSolver:
     ``rank`` is its length. ``solve(v)`` is one reduction pass over it
     and returns the coordinates x with ``x @ h == v``, or None when v is
     not in the row span. When ``m`` is its own HNF, these are the
-    coordinates over ``m`` itself.
+    coordinates over ``m`` itself. A v whose length is not the width of
+    ``m`` raises ValueError; an ``m`` with no rows spans only the zero
+    vector of any length.
     """
 
     def __init__(self, m):
+        self._width = len(m[0]) if len(m) else None
         self.h = nonzero_rows(hnf(m))
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in self.h]
 
@@ -200,6 +203,8 @@ class LeftSolver:
         return self.solve(v) is not None
 
     def solve(self, v):
+        if self._width is not None and len(v) != self._width:
+            raise ValueError(f"a vector of length {len(v)} against rows of length {self._width}")
         w = copy_matrix([v])[0]
         coeffs = [0] * len(self.h)
         for i, (row, c) in enumerate(zip(self.h, self._pivots)):

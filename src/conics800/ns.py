@@ -13,7 +13,7 @@ h and every class.
 
 Every class question in N (all e with given e*e and e*h) is one
 short-vector walk of the positive-definite form Q(e) = (e*h)^2 - 2 e*e:
-classes_of counts all conic classes, and bad_vector_scan answers both
+classes_of lists all conic classes, and bad_vector_scan answers both
 bad-vector questions with a single walk.
 """
 

@@ -33,8 +33,10 @@ Leech Gram, after leech). Where os.fork exists and the process may use
 two or more CPUs, run_pipeline forks each into a child process as soon
 as its input exists, and the stage that reads the value waits for it
 there; otherwise the same function runs in process at that point. A
-child's error is raised again in the reading stage with its type and
-message, so the one failure path holds. The children make no BLAS call.
+child that sends no value (it raised, exited, was killed, or wrote what
+does not unpickle) is computed again by the reading stage on that same
+line, so any error is that stage's own and the one failure path holds.
+The children make no BLAS call.
 
 The JSON serialization is byte-stable for fixed flags except for the
 "elapsed" fields, the error record's "traceback" and the reading
@@ -55,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, census, exact, golay, leech, ns
-from .errors import SideJobError
 from .lattices import IntegralLattice, norm_counts
 from .lattices import short_vectors  # noqa: F401 (perfbench's tracer test reads it here)
 
@@ -291,9 +292,8 @@ def _forks_side_jobs() -> bool:
 
 def _fork_job(state: Pipeline, name: str) -> None:
     """Run side job `name` in a child process. The child pickles back
-    (ok, value or exception, its traceback text, wall seconds, max RSS
-    in KiB) over a pipe and always ends with os._exit; an exception it
-    cannot pickle leaves the pipe empty."""
+    (value, wall seconds) over a pipe and always ends with os._exit; a
+    job that raises leaves the pipe empty."""
     fds = ()
     try:
         fds = read_fd, write_fd = os.pipe()
@@ -310,62 +310,50 @@ def _fork_job(state: Pipeline, name: str) -> None:
         return
     if pid == 0:
         try:
-            import resource  # POSIX only, as os.fork is
-
             os.close(read_fd)
             t0 = time.monotonic()
-            try:
-                out = (True, SIDE_JOBS[name][2](state), "")
-            except Exception as exc:
-                text = f"\nThe child of side job {name} raised it:\n{traceback.format_exc()}"
-                out = (False, exc, text)
-            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            value = SIDE_JOBS[name][2](state)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(out + (time.monotonic() - t0, rss)))
+                pipe.write(pickle.dumps((value, time.monotonic() - t0)))
         finally:
             os._exit(0)
     state.jobs[name] = (pid, os.fdopen(read_fd, "rb"))
     os.close(write_fd)
 
 
-def _end_job(state: Pipeline, name: str, kill: bool = True) -> int:
-    """Close side job `name`'s pipe, kill its child if `kill`, reap it,
-    and return its exit code. A child whose pipe was read to its end
-    has only os._exit left, so its reader reaps it without a kill, and
-    its exit code does not depend on timing."""
+def _end_job(state: Pipeline, name: str) -> int:
+    """Close side job `name`'s pipe, kill its child, reap it, and return
+    its max RSS in KiB."""
     pid, pipe = state.jobs.pop(name)
     pipe.close()
-    if kill:
-        os.kill(pid, 9)  # SIGKILL, fixed by POSIX; importing signal costs 40 KB and 0.8 ms
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    os.kill(pid, 9)  # SIGKILL, fixed by POSIX; importing signal costs 40 KB and 0.8 ms
+    return os.wait4(pid, 0)[2].ru_maxrss
 
 
 def _side_value(state: Pipeline, section: dict, name: str):
     """Side job `name`'s value: read from its child when run_pipeline
-    forked one, with a volatile "side_jobs" record in `section`, else
-    computed here. The child's error is raised here, its traceback text
-    kept as `side_job_traceback`."""
-    if name not in state.jobs:
-        return SIDE_JOBS[name][2](state)
-    t0 = time.monotonic()
-    data = state.jobs[name][1].read()
-    code = _end_job(state, name, kill=False)
-    try:
-        ok, value, child_traceback, child_s, rss_kib = pickle.loads(data)
-    except Exception:
-        raise SideJobError(f"side job {name} ended without a result (exit code {code})") from None
-    section.setdefault("side_jobs", []).append(
-        {
-            "job": name,
-            "child_s": round(child_s, 3),
-            "wait_s": round(time.monotonic() - t0, 3),
-            "child_max_rss_mb": round(rss_kib / 1024, 1),
-        }
-    )
-    if not ok:
-        value.side_job_traceback = child_traceback
-        raise value
-    return value
+    forked one, with a volatile "side_jobs" record in `section`. When the
+    child sends no value, or no child was forked, the last line computes
+    it, so any error is raised by this stage as in a run without os.fork."""
+    if name in state.jobs:
+        t0 = time.monotonic()
+        data = state.jobs[name][1].read()
+        rss_kib = _end_job(state, name)
+        try:
+            value, child_s = pickle.loads(data)
+        except Exception:  # the child raised, exited, was killed, or wrote a partial pickle
+            pass
+        else:
+            section.setdefault("side_jobs", []).append(
+                {
+                    "job": name,
+                    "child_s": round(child_s, 3),
+                    "wait_s": round(time.monotonic() - t0, 3),
+                    "child_max_rss_mb": round(rss_kib / 1024, 1),
+                }
+            )
+            return value
+    return SIDE_JOBS[name][2](state)
 
 
 def _class_products(n: ns.PolarizedLattice, true_products: np.ndarray) -> tuple[bool, bool]:
@@ -477,8 +465,8 @@ def run_pipeline(
     reads overall false and names the stage, the error's type, its
     message and its formatted traceback under "error". KeyboardInterrupt
     and SystemExit are not Exceptions: they pass through unrecorded, and
-    no report is returned. Every side job's child is reaped before the
-    return, on every path; one whose value was never read is killed.
+    no report is returned. Every side job's child is killed and reaped
+    before the return, on every path.
     """
     runners = {
         "golay": stage_golay,
@@ -503,7 +491,7 @@ def run_pipeline(
                     "stage": name,
                     "type": type(exc).__name__,
                     "message": str(exc),
-                    "traceback": traceback.format_exc() + getattr(exc, "side_job_traceback", ""),
+                    "traceback": traceback.format_exc(),
                 }
             section["pass"] = error is None and all(c["pass"] for c in section["checks"])
             section["elapsed"] = round(time.monotonic() - t0, 3)

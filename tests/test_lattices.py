@@ -262,7 +262,8 @@ def test_integral_lattice_roundtrip():
     assert [even.contains(v) for v in cases] == [True, False, True, False]
 
 
-# Lattices that cannot be built, or whose Gram is not integral, and the error.
+# Lattices that cannot be built, whose Gram is not integral, or that are
+# asked about a vector of the wrong length, and the error.
 BAD_LATTICES = {
     "dependent": (lambda: IntegralLattice([[1, 0], [2, 0]]), ConstructionError, "dependent"),
     "not-integral": (
@@ -273,6 +274,19 @@ BAD_LATTICES = {
     "scale-0": (lambda: IntegralLattice([[1, 0]], ambient_scale=0), ValueError, "positive"),
     "scale-negative": (
         lambda: IntegralLattice([[4, 4]], ambient_scale=-8), ValueError, "positive"
+    ),
+    # A longer zero vector read as a member, and any other wrong length
+    # raised a bare IndexError.
+    "contains-shorter": (
+        lambda: IntegralLattice([[2, 0], [0, 2]]).contains([2]), ValueError, "length 1 against .* 2"
+    ),
+    "contains-longer": (
+        lambda: IntegralLattice([[2, 0], [0, 2]]).contains([2, 0, 0]),
+        ValueError, "length 3 against .* 2",
+    ),
+    "contains-longer-zero": (
+        lambda: IntegralLattice([[2, 0], [0, 2]]).contains([0, 0, 0]),
+        ValueError, "length 3 against .* 2",
     ),
 }
 

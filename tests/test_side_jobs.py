@@ -9,7 +9,6 @@ import hashlib
 import json
 import os
 import signal
-import time
 import warnings
 from pathlib import Path
 
@@ -24,12 +23,12 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="side jobs fork"
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # Each side job, the library call it makes in its child, the command
-# whose run reads it, the reading stage and its rows before the read.
-# report.norm_counts is called by S_root_free too, so the heavy job's
-# command runs past no ns stage.
+# whose run reads it, and the reading stage. report.norm_counts is
+# called by S_root_free too, so the heavy job's command runs past no ns
+# stage.
 JOBS = {
-    "frame_splits": ("_frame_split", "conics", "conics", 13),
-    "heavy_counts": ("norm_counts", "leech --heavy", "heavy", 0),
+    "frame_splits": ("_frame_split", "conics", "conics"),
+    "heavy_counts": ("norm_counts", "leech --heavy", "heavy"),
 }
 
 MODES = ("in_process", "forked")
@@ -178,10 +177,10 @@ def test_a_fork_that_warns_still_forks(forks, monkeypatch):
 @pytest.mark.parametrize("error", [ValueError, ConstructionError, MemoryError])
 @pytest.mark.parametrize("job", list(JOBS))
 def test_a_child_error_is_the_in_process_error(job, error, monkeypatch, tmp_path, forks):
-    """A raise in the child gives the error record, the report and the
-    exit code of the same raise in process, and the record's traceback
-    ends in the child's frame that raised."""
-    name, command, stage, _ = JOBS[job]
+    """A raise in the child leaves its pipe empty, and the reading stage
+    raises it again itself: the report, the error record with its
+    traceback and the exit code are those of the same raise in process."""
+    name, command, stage = JOBS[job]
 
     def planted(*args, **kwargs):
         raise error("planted")
@@ -196,57 +195,49 @@ def test_a_child_error_is_the_in_process_error(job, error, monkeypatch, tmp_path
             "stage": stage, "type": error.__name__, "message": "planted"
         }
         assert _raising_function(data["error"]) == "planted"
-    assert "The child of side job" in runs["forked"][1]["error"]["traceback"]
+    assert runs["in_process"][1]["error"] == runs["forked"][1]["error"]
     assert report.strip_volatile(runs["in_process"][1]) == report.strip_volatile(runs["forked"][1])
 
 
-# How a child ends without a result, and the exit code the parent reads.
+def _truncated_pickle(job):
+    """The value's pickle less its last 3 bytes, as a child killed while
+    it writes leaves it."""
+    dumps = report.pickle.dumps
+    report.pickle.dumps = lambda obj: dumps(obj)[:-3]
+    return job()
+
+
+# How a child ends without sending a value, given its real job.
 ENDINGS = {
-    "exit": 7,
-    "killed": -signal.SIGKILL,
-    # The pickle fails inside the write, which closes the pipe empty;
-    # the child then ends with os._exit(0), and is reaped without a kill.
-    "unpicklable": 0,
+    "exit": lambda job: os._exit(7),
+    "killed": lambda job: os.kill(os.getpid(), signal.SIGKILL),
+    "unpicklable": lambda job: lambda: None,
+    "truncated": _truncated_pickle,
 }
 
 
 @pytest.mark.parametrize("ending", list(ENDINGS))
 @pytest.mark.parametrize("job", list(JOBS))
-def test_a_child_that_ends_without_a_result_is_a_named_error(
-    job, ending, monkeypatch, tmp_path, forks
-):
-    """The reading stage raises SideJobError with the child's exit code,
-    and the rows before it are those of a passing run."""
-    name, command, stage, rows = JOBS[job]
+def test_a_child_that_sends_no_value_is_recomputed(job, ending, monkeypatch, tmp_path, forks):
+    """The reading stage computes the value itself: the run passes, it is
+    the in-process run, and the stage has no side_jobs record."""
+    name, command, stage = JOBS[job]
     parent = os.getpid()
-    exit_now = os._exit
-
-    def exit_late(code):
-        time.sleep(0.2)  # a kill sent after the pipe closed would land first
-        exit_now(code)
-
-    monkeypatch.setattr(os, "_exit", exit_late)
+    real = getattr(report, name)
 
     def planted(*args, **kwargs):
-        assert os.getpid() != parent
-        if ending == "exit":
-            exit_now(7)
-        if ending == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise ValueError(lambda: None)
+        if os.getpid() == parent:
+            return real(*args, **kwargs)
+        return ENDINGS[ending](lambda: real(*args, **kwargs))
 
     monkeypatch.setattr(report, name, planted)
-    code, data = _cli(command, tmp_path, "forked")
+    runs = {mode: _cli(command, tmp_path, mode) for mode in MODES}
+    assert len(forks) == 1
     _assert_no_child()
-    assert code == 3
-    assert report.strip_volatile(data)["error"] == {
-        "stage": stage, "type": "SideJobError",
-        "message": f"side job {job} ended without a result (exit code {ENDINGS[ending]})",
-    }
-    monkeypatch.undo()
-    passing = report.strip_volatile(_cli(command, tmp_path, "in_process")[1])["stages"]
-    stages = report.strip_volatile(data)["stages"]
-    assert stages[stage]["checks"] == passing[stage]["checks"][:rows]
+    for code, data in runs.values():
+        assert code == 0
+        assert "side_jobs" not in data["stages"][stage]
+    assert report.strip_volatile(runs["in_process"][1]) == report.strip_volatile(runs["forked"][1])
 
 
 def _raise_value_error(*args):
